@@ -45,8 +45,6 @@ from .receivers import (
     compute_pair_errors,
     conventional_nlms_step,
     conventional_rls_step,
-    differential_nlms_step,
-    mmse_oracle,
     update_cg_correlations,
     update_mixing,
 )

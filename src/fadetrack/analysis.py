@@ -315,7 +315,10 @@ def simulated_sinr(w: np.ndarray, m: MomentMatrices) -> float:
 
 
 def mmse_bound_db(m: MomentMatrices) -> float:
-    """Converged-filter SINR limit ``Ps / Pi`` in dB."""
+    """Ratio of the instantaneous MMSE filter's mean signal and interference
+    powers ``p_s_opt / p_i_opt`` in dB; not an upper bound on the SINR of
+    filters scored against the ensemble matrices, which can end above it.
+    """
     return 10.0 * np.log10(m.p_s_opt / m.p_i_opt)
 
 

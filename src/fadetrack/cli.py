@@ -102,8 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = _config_from_args(args)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command == "ber":
         records = harness.run_ber_curve(cfg, threads=args.threads)
         harness.emit_csv(records, args.out)

@@ -35,18 +35,15 @@ from .fading import (
 from .receivers import (
     History,
     MixingState,
+    bidir_cg_step,
     bidir_nlms_step,
-    cg_solve,
     compute_pair_errors,
     conventional_nlms_step,
     conventional_rls_step,
-    differential_nlms_step,
     make_cg_state,
     make_filter_state,
-    make_mixing_state,
     make_rls_state,
     matched_filter_init,
-    update_cg_correlations,
     update_mixing,
 )
 
@@ -65,18 +62,31 @@ __all__ = [
     "emit_channel_stats",
 ]
 
-# Coherent baselines use BPSK with coherent detection; the pair-error
-# trackers modulate and detect differentially.
-_COHERENT_ALGS = ("mmse", "nlms", "rls")
-_DIFFERENTIAL_ALGS = (
-    "diff-nlms",
-    "diff-cg",
-    "bidir-nlms",
-    "bidir-nlms-equal",
-    "bidir-cg",
-    "bidir-cg-equal",
-)
-ALGORITHMS = _COHERENT_ALGS + _DIFFERENTIAL_ALGS
+
+@dataclass(frozen=True)
+class _Receiver:
+    update: str                                    # "mmse" (oracle), "nlms", "rls" or "cg"
+    pair_weights: tuple[float, ...] | None = None  # initial mixing weights
+    adapt: bool = False                            # mixing follows the pair errors
+
+
+_THIRDS = (1.0 / 3.0,) * 3
+
+# Coherent baselines (no pair weights) use BPSK with coherent detection;
+# the pair-error trackers modulate and detect differentially.  One pair
+# weight selects the two-sample window.
+_RECEIVERS = {
+    "mmse": _Receiver("mmse"),
+    "nlms": _Receiver("nlms"),
+    "rls": _Receiver("rls"),
+    "diff-nlms": _Receiver("nlms", (1.0,)),
+    "diff-cg": _Receiver("cg", (1.0, 0.0, 0.0)),
+    "bidir-nlms": _Receiver("nlms", _THIRDS, adapt=True),
+    "bidir-nlms-equal": _Receiver("nlms", _THIRDS),
+    "bidir-cg": _Receiver("cg", _THIRDS, adapt=True),
+    "bidir-cg-equal": _Receiver("cg", _THIRDS),
+}
+ALGORITHMS = tuple(_RECEIVERS)
 
 _SINR_FLOOR = 1e-12  # linear floor applied before dB conversion
 
@@ -107,19 +117,30 @@ class ExperimentConfig:
     paper_literal_t1: bool = False
 
     def __post_init__(self) -> None:
-        if self.packet_len < 3:
-            raise ValueError("packet_len must be at least 3")
-        if not 0 <= self.train_len <= self.packet_len:
-            raise ValueError("train_len must lie in [0, packet_len]")
-        if self.packets < 1:
-            raise ValueError("packets must be at least 1")
-        if not self.snr_db or not self.fading_grid:
-            raise ValueError("snr_db and fading_grid must be nonempty")
-        if not self.algorithms:
-            raise ValueError("algorithms must be nonempty")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
+        # Each check is a plain or chained comparison, which NaN fails.
+        checks = (
+            (self.packet_len >= 3, "packet_len must be at least 3"),
+            (0 <= self.train_len <= self.packet_len, "train_len must lie in [0, packet_len]"),
+            (self.packets >= 1, "packets must be at least 1"),
+            (all(map(len, (self.snr_db, self.fading_grid, self.algorithms))),
+             "snr_db, fading_grid and algorithms must be nonempty"),
+            (self.mu >= 0, "mu must be nonnegative"),
+            (0 <= self.lambda_e <= 1, "lambda_e must lie in [0, 1]"),
+            (0 <= self.lambda_m <= 1, "lambda_m must lie in [0, 1]"),
+            (0 <= self.lambda_cg <= 1, "lambda_cg must lie in [0, 1]"),
+            (0 < self.lambda_rls <= 1, "lambda_rls must lie in (0, 1]"),
+            (self.jmax >= 0, "jmax must be nonnegative"),
+            (self.delta >= 0, "delta must be nonnegative"),
+            (self.delta > 0 or "rls" not in self.algorithms,
+             "delta must be positive when rls is selected"),
+            (self.cg_loading >= 0, "cg_loading must be nonnegative"),
+        )
+        for ok, message in checks:
+            if not ok:
+                raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -229,7 +250,7 @@ class _PacketEnv:
 
 
 def _mode_of(name: str) -> str:
-    return "coherent" if name in _COHERENT_ALGS else "differential"
+    return "coherent" if _RECEIVERS[name].pair_weights is None else "differential"
 
 
 def _build_packet_env(cfg: ExperimentConfig, fading_rate: float, snr_db: float,
@@ -347,152 +368,91 @@ def _initial_power(r_all: np.ndarray) -> float:
     return power if power > 0 else 1.0
 
 
-class _OutputPowerTracker:
-    """Unit output-power constraint for the pair-error trackers.
+def _unit_power_gain(z: complex, forget: float) -> float:
+    """Rescale enforcing the unit output-power constraint E|w^H r|^2 = 1.
 
-    The pair-error cost is minimized by the zero correlator, so the
-    formulation carries the constraint E|w^H r|^2 = 1.  This tracker
-    follows the filter's output power with an exponential average and
-    returns the scale factor restoring unit power; the correction is a
-    positive real scalar, which leaves the SINR and the relative pair
-    errors untouched while blocking the slow collapse (and its
-    direction-noise accumulation) observed without it.
+    The pair-error cost is minimized by the zero correlator.  The power
+    estimate is one forgetting step from unit power towards this symbol's
+    output, with no running average across symbols.  The positive real
+    factor leaves the SINR and the relative pair errors untouched while
+    blocking the slow collapse (and its direction-noise accumulation)
+    observed without it.
     """
-
-    def __init__(self, forget: float):
-        self.forget = forget
-        self.power = 1.0
-
-    def rescale(self, z: complex) -> float:
-        self.power = self.forget * self.power + (1.0 - self.forget) * abs(z) ** 2
-        gamma = 1.0 / np.sqrt(max(self.power, 1e-12))
-        self.power = 1.0
-        return float(gamma)
+    power = forget * 1.0 + (1.0 - forget) * abs(z) ** 2
+    return float(1.0 / np.sqrt(max(power, 1e-12)))
 
 
 def _run_algorithm(name: str, cfg: ExperimentConfig, env: _PacketEnv,
                    snapshots=(), record_weights: bool = False) -> _AlgorithmRun:
+    spec = _RECEIVERS[name]
+    snap_set = set(snapshots)
+    if spec.update == "mmse":
+        return _run_mmse(cfg, env, snap_set, record_weights)
     mode = _mode_of(name)
     r_all = env.received[mode]
     b_true = env.refs[mode]
-    data = env.data
     length = cfg.packet_len
-    train = cfg.train_len
     window = env.scenario.window
-    snap_set = set(snapshots)
     snaps: dict[int, float] = {}
     errors = np.full(length, np.nan)
     trajectory = np.empty((window, length), dtype=np.complex128) if record_weights else None
 
-    if name == "mmse":
-        return _run_mmse(cfg, env, snap_set, record_weights)
-
     w_init = matched_filter_init(env.code_chips, window)
-    fs = rls = cs = None
-    mix = None
-    hist = None
-    adapt_mixing = False
-    if name in ("nlms",):
-        fs = make_filter_state(w_init, cfg.mu, cfg.lambda_m, _initial_power(r_all))
-    elif name == "rls":
-        rls = make_rls_state(w_init, delta=cfg.delta, forget=cfg.lambda_rls)
-    elif name == "diff-nlms":
-        fs = make_filter_state(w_init, cfg.mu, cfg.lambda_m, _initial_power(r_all))
-        hist = History(depth=2)
-    elif name in ("bidir-nlms", "bidir-nlms-equal"):
-        fs = make_filter_state(w_init, cfg.mu, cfg.lambda_m, _initial_power(r_all))
-        hist = History(depth=3)
-        mix = make_mixing_state(3, forget=cfg.lambda_e)
-        adapt_mixing = name == "bidir-nlms"
-    elif name in ("bidir-cg", "bidir-cg-equal", "diff-cg"):
-        cs = make_cg_state(w_init, forget=cfg.lambda_cg, max_iters=cfg.jmax,
-                           delta=cfg.delta, paper_literal_t1=cfg.paper_literal_t1)
-        hist = History(depth=3)
-        if name == "diff-cg":
-            mix = MixingState(weights=np.array([1.0, 0.0, 0.0]), forget=cfg.lambda_e)
-        else:
-            mix = make_mixing_state(3, forget=cfg.lambda_e)
-        adapt_mixing = name == "bidir-cg"
+    if spec.update == "rls":
+        state = make_rls_state(w_init, delta=cfg.delta, forget=cfg.lambda_rls)
+    elif spec.update == "cg":
+        state = make_cg_state(w_init, forget=cfg.lambda_cg, max_iters=cfg.jmax,
+                              delta=cfg.delta, paper_literal_t1=cfg.paper_literal_t1,
+                              loading=cfg.cg_loading)
     else:
-        raise ValueError(f"unknown algorithm {name!r}")
+        state = make_filter_state(w_init, cfg.mu, cfg.lambda_m, _initial_power(r_all))
+    differential = mode == "differential"
+    if differential:
+        mix = MixingState(weights=np.array(spec.pair_weights), forget=cfg.lambda_e)
+        hist = History(depth=2 if len(spec.pair_weights) == 1 else 3)
 
-    power_tracker = _OutputPowerTracker(cfg.lambda_m) if mode == "differential" else None
     z_prev = 0.0 + 0.0j
     ref_prev = 1.0
     for i in range(length):
-        if fs is not None:
-            w = fs.weights
-        elif rls is not None:
-            w = rls.weights
-        else:
-            w = cs.weights
         r_i = r_all[:, i]
-        z = complex(np.vdot(w, r_i))
+        z = complex(np.vdot(state.weights, r_i))
 
-        if mode == "coherent":
-            decided = 1.0 if z.real >= 0 else -1.0
-            errors[i] = 0.0 if decided == data[i] else 1.0
-            ref = b_true[i] if i < train else decided
+        if differential and i == 0:
+            # Symbol 0 carries the protocol-known reference, no data.
+            ref = b_true[0]
         else:
-            if i == 0:
-                # Symbol 0 carries the protocol-known reference, no data.
-                ref = b_true[0]
-            else:
-                product = z * np.conj(z_prev)
-                decided = 1.0 if product.real >= 0 else -1.0
-                errors[i] = 0.0 if decided == data[i] else 1.0
-                ref = b_true[i] if i < train else decided * ref_prev
+            statistic = z * np.conj(z_prev) if differential else z
+            decided = 1.0 if statistic.real >= 0 else -1.0
+            errors[i] = 0.0 if decided == env.data[i] else 1.0
+            tracked = decided * ref_prev if differential else decided
+            ref = b_true[i] if i < cfg.train_len else tracked
 
-        if name == "nlms":
-            fs = conventional_nlms_step(fs, r_i, ref)
-        elif name == "rls":
-            rls = conventional_rls_step(rls, r_i, ref)
-        elif name == "diff-nlms":
-            hist.push(r_i, ref)
-            if hist.count() >= 2:
-                fs = differential_nlms_step(fs, hist)
-        elif name in ("bidir-nlms", "bidir-nlms-equal"):
-            hist.push(r_i, ref)
-            if hist.full:
-                errs = compute_pair_errors(fs.weights, hist, 3)
-                if adapt_mixing:
-                    mix = update_mixing(mix, errs)
-                fs = bidir_nlms_step(fs, mix, hist, errs)
+        if spec.update == "rls":
+            state = conventional_rls_step(state, r_i, ref)
+        elif not differential:
+            state = conventional_nlms_step(state, r_i, ref)
         else:
             hist.push(r_i, ref)
             if hist.full:
-                if adapt_mixing:
-                    errs = compute_pair_errors(cs.weights, hist, 3)
+                errs = None
+                if spec.adapt:
+                    errs = compute_pair_errors(state.weights, hist, hist.depth)
                     mix = update_mixing(mix, errs)
-                mixed_auto, mixed_cross, cs = update_cg_correlations(cs, mix, hist)
-                if cfg.cg_loading > 0:
-                    # Solve-time diagonal loading stabilizes the sample-
-                    # starved system; zero reproduces the plain recursion.
-                    load = cfg.cg_loading * float(np.real(np.trace(mixed_auto))) / window
-                    mixed_auto = mixed_auto + load * np.eye(window)
-                cs = replace(cs, weights=cg_solve(
-                    mixed_auto, mixed_cross, cs.weights, cs.max_iters))
+                if spec.update == "cg":
+                    state = bidir_cg_step(state, mix, hist)
+                else:
+                    state = bidir_nlms_step(state, mix, hist, errs)
+            gamma = _unit_power_gain(z, cfg.lambda_m)
+            rescaled = {"weights": gamma * state.weights}
+            if spec.update == "cg":
+                # The cross vectors are linear in the filter, so they rescale too.
+                rescaled["crosscorr"] = tuple(gamma * t for t in state.crosscorr)
+            state = replace(state, **rescaled)
 
-        if power_tracker is not None:
-            gamma = power_tracker.rescale(z)
-            if fs is not None:
-                fs = replace(fs, weights=gamma * fs.weights)
-            else:
-                # The cross vectors are linear in the filter history, so
-                # they rescale with it to keep the solved system consistent.
-                cs = replace(cs, weights=gamma * cs.weights,
-                             crosscorr=tuple(gamma * t for t in cs.crosscorr))
-
-        if fs is not None:
-            w = fs.weights
-        elif rls is not None:
-            w = rls.weights
-        else:
-            w = cs.weights
         if record_weights:
-            trajectory[:, i] = w
+            trajectory[:, i] = state.weights
         if i in snap_set:
-            snaps[i] = _normalized_sinr_db(w, env, i)
+            snaps[i] = _normalized_sinr_db(state.weights, env, i)
         z_prev = z
         ref_prev = ref
     return _AlgorithmRun(errors=errors, snapshots=snaps, weights=trajectory)
@@ -622,12 +582,16 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
                             threads: int = 1) -> list[MetricsRecord]:
     """Analytical SINR recursions against simulated learning curves.
 
-    Uses the first fading-rate and SNR grid points.  Emits, per symbol:
-    the recursion curve and the packet-averaged simulated curve for the
-    three-sample and two-sample trackers (equal pair weights, trained for
-    the whole packet), plus the flat converged-MMSE bound.  The SINR of
-    simulated filters is scored against the ensemble moment matrices, so
-    both curves live on the same scale.
+    Uses the first fading-rate and SNR grid points and ignores
+    ``cfg.algorithms``: it always simulates ``bidir-nlms-equal`` and
+    ``diff-nlms``.  Emits, per symbol: the recursion curve and the
+    packet-averaged simulated curve for these three-sample and two-sample
+    trackers (equal pair weights, trained for the whole packet), plus the
+    flat ``mmse-bound`` row.  That row is the ratio of the instantaneous
+    MMSE filter's mean signal and interference powers
+    (:func:`analysis.mmse_bound_db`), not an upper bound on the simulated
+    curves.  The SINR of simulated filters is scored against the ensemble
+    moment matrices, so both curves live on the same scale.
     """
     if ensemble_size < 10000:
         raise ValueError("analysis comparison needs an ensemble of at least 10^4")
@@ -655,11 +619,11 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
     pairs = {"bidirectional": ("bidir-nlms-equal", mu_eff / 3.0),
              "differential": ("diff-nlms", mu_eff)}
 
-    bound = analysis.mmse_bound_db(moments)
+    mmse_ratio = analysis.mmse_bound_db(moments)
     for i in range(length):
         records.append(MetricsRecord(
             experiment="analyze", algorithm="mmse-bound", sweep=float(rate),
-            symbol=i, ber=None, sinr_db=bound, ci=None, seed=cfg.seed))
+            symbol=i, ber=None, sinr_db=mmse_ratio, ci=None, seed=cfg.seed))
 
     train_cfg = replace(cfg, train_len=cfg.packet_len)
     for variant, (alg_name, mu_variant) in pairs.items():

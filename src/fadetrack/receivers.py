@@ -11,13 +11,13 @@ which vanishes for any filter on a static noiseless single-user channel.
 Convex mixing weights over the pairs adapt to the channel's correlation
 structure.  Two adaptive updates are provided for the three-sample
 window: a normalized stochastic-gradient step and a conjugate-gradient
-solver over exponentially averaged correlation statistics.  Conventional
-NLMS/RLS trackers and a direct MMSE solve serve as baselines.
+solver over exponentially averaged correlation statistics.  The
+differential tracker is the one-pair restriction of the same updates.
+Conventional NLMS/RLS trackers serve as baselines.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -35,19 +35,16 @@ __all__ = [
     "compute_pair_errors",
     "update_mixing",
     "bidir_nlms_step",
-    "differential_nlms_step",
     "conventional_nlms_step",
     "conventional_rls_step",
     "update_cg_correlations",
     "cg_solve",
     "bidir_cg_step",
-    "mmse_oracle",
     "matched_filter_init",
     "make_filter_state",
     "make_mixing_state",
     "make_cg_state",
     "make_rls_state",
-    "bidir_nlms_mac_count",
 ]
 
 
@@ -238,45 +235,41 @@ def _updated_power_norm(fs: FilterState, newest: np.ndarray) -> float:
 
 def bidir_nlms_step(fs: FilterState, mix: MixingState, hist: History,
                     errs: PairErrors | None = None) -> FilterState:
-    """Normalized stochastic-gradient update over the three-sample window.
+    """Normalized stochastic-gradient update over the pair window.
 
     Pair errors are evaluated with the pre-update filter, the power
     normalization is refreshed from the newest observation, and the
-    filter moves along the mixed one-sided gradient:
+    filter moves along the mixed one-sided gradient.  Three mixing
+    weights select the three-sample window,
 
         w <- w + mu / M * ( rho_1 b[i-1] conj(e_1) r[i]
                           + rho_2 b[i-2] conj(e_2) r[i]
-                          + rho_3 b[i-2] conj(e_3) r[i-1] ).
+                          + rho_3 b[i-2] conj(e_3) r[i-1] );
+
+    one weight selects its two-sample restriction, the differential
+    tracker, which keeps only the first term.
 
     Reference symbols are real (+-1) so their conjugation is implicit.
     """
-    if not hist.full or hist.depth < 3:
-        raise ValueError("bidirectional update needs a full three-sample history")
-    if mix.weights.size != 3:
-        raise ValueError("bidirectional update needs three mixing weights")
-    if errs is None:
-        errs = compute_pair_errors(fs.weights, hist, 3)
-    power = _updated_power_norm(fs, hist.vector(0))
     rho = mix.weights
-    b1, b2 = hist.symbol(1), hist.symbol(2)
-    e1, e2, e3 = errs.errors
-    step = (rho[0] * b1 * np.conj(e1) * hist.vector(0)
-            + rho[1] * b2 * np.conj(e2) * hist.vector(0)
-            + rho[2] * b2 * np.conj(e3) * hist.vector(1))
-    weights = fs.weights + (fs.step_size / power) * step
-    return replace(fs, weights=weights, power_norm=power)
-
-
-def differential_nlms_step(fs: FilterState, hist: History,
-                           errs: PairErrors | None = None) -> FilterState:
-    """Two-sample restriction of the bidirectional update (single pair)."""
-    if hist.count() < 2:
-        raise ValueError("differential update needs two stored samples")
+    if rho.size not in (1, 3):
+        raise ValueError("bidirectional update needs one or three mixing weights")
+    depth = 2 if rho.size == 1 else 3
+    if hist.count() < depth:
+        raise ValueError(f"update needs a history of {depth} samples")
     if errs is None:
-        errs = compute_pair_errors(fs.weights, hist, 2)
+        errs = compute_pair_errors(fs.weights, hist, depth)
     power = _updated_power_norm(fs, hist.vector(0))
-    e1 = errs.errors[0]
-    weights = fs.weights + (fs.step_size / power) * (hist.symbol(1) * np.conj(e1) * hist.vector(0))
+    b1 = hist.symbol(1)
+    if depth == 2:
+        step = rho[0] * b1 * np.conj(errs.errors[0]) * hist.vector(0)
+    else:
+        b2 = hist.symbol(2)
+        e1, e2, e3 = errs.errors
+        step = (rho[0] * b1 * np.conj(e1) * hist.vector(0)
+                + rho[1] * b2 * np.conj(e2) * hist.vector(0)
+                + rho[2] * b2 * np.conj(e3) * hist.vector(1))
+    weights = fs.weights + (fs.step_size / power) * step
     return replace(fs, weights=weights, power_norm=power)
 
 
@@ -349,8 +342,10 @@ class CgState:
 
     ``autocorr[n]`` and ``crosscorr[n]`` hold the per-pair time averages;
     the solver runs ``max_iters`` iterations per symbol from the previous
-    filter.  ``paper_literal_t1`` reproduces a published variant in which
-    the first cross vector is chained to the third one's past value.
+    filter.  ``loading`` adds ``loading * tr(R) / M * I`` to the mixed
+    system at solve time only; zero solves the plain recursion.
+    ``paper_literal_t1`` reproduces a published variant in which the first
+    cross vector is chained to the third one's past value.
     """
 
     autocorr: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -359,6 +354,7 @@ class CgState:
     max_iters: int
     weights: np.ndarray
     paper_literal_t1: bool = False
+    loading: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.complex128))
@@ -366,10 +362,13 @@ class CgState:
             raise ValueError("forget must lie in [0, 1]")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
+        if not self.loading >= 0.0:
+            raise ValueError("loading must be nonnegative")
 
 
 def make_cg_state(weights, forget: float = 0.998, max_iters: int = 5,
-                  delta: float = 0.01, paper_literal_t1: bool = False) -> CgState:
+                  delta: float = 0.01, paper_literal_t1: bool = False,
+                  loading: float = 0.0) -> CgState:
     """Fresh CG state with ``delta * I`` autocorrelation regularization."""
     weights = np.asarray(weights, dtype=np.complex128)
     if delta < 0:
@@ -384,6 +383,7 @@ def make_cg_state(weights, forget: float = 0.998, max_iters: int = 5,
         max_iters=max_iters,
         weights=weights,
         paper_literal_t1=paper_literal_t1,
+        loading=loading,
     )
 
 
@@ -481,20 +481,17 @@ def bidir_cg_step(cs: CgState, mix: MixingState, hist: History) -> CgState:
 
     The solver is warm-started at the previous filter, so ``max_iters``
     conjugate-gradient iterations per symbol suffice to track the
-    solution of the mixed normal equations.
+    solution of the mixed normal equations.  A positive ``cs.loading``
+    loads the solved system's diagonal, which stabilizes a
+    sample-starved system; the stored statistics stay unloaded.
     """
     mixed_auto, mixed_cross, advanced = update_cg_correlations(cs, mix, hist)
+    if advanced.loading > 0:
+        dim = advanced.weights.size
+        load = advanced.loading * float(np.real(np.trace(mixed_auto))) / dim
+        mixed_auto = mixed_auto + load * np.eye(dim)
     weights = cg_solve(mixed_auto, mixed_cross, advanced.weights, advanced.max_iters)
     return replace(advanced, weights=weights)
-
-
-def mmse_oracle(corr: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Direct MMSE solve ``corr^{-1} p`` for a positive-definite system."""
-    corr = np.asarray(corr)
-    p = np.asarray(p)
-    if corr.ndim != 2 or corr.shape[0] != corr.shape[1] or p.shape != (corr.shape[0],):
-        raise ValueError("system dimensions are inconsistent")
-    return np.linalg.solve(corr, p)
 
 
 def matched_filter_init(code_chips: np.ndarray, window: int) -> np.ndarray:
@@ -505,19 +502,3 @@ def matched_filter_init(code_chips: np.ndarray, window: int) -> np.ndarray:
     w = np.zeros(window, dtype=np.complex128)
     w[:chips.size] = chips
     return w
-
-
-def bidir_nlms_mac_count(dim: int, depth: int = 3) -> int:
-    """Multiply-accumulate count of one bidirectional NLMS step.
-
-    Mirrors the implementation: ``depth`` filter outputs of ``dim`` MACs
-    each, the scalar pair combinations, the power-normalization update,
-    and one scaled ``dim``-vector accumulation per pair.  Linear in
-    ``dim`` for fixed ``depth``.
-    """
-    pairs = depth * (depth - 1) // 2
-    filter_outputs = depth * dim
-    pair_combination = 2 * pairs
-    normalization = dim + 2
-    update = pairs * (dim + 2)
-    return filter_outputs + pair_combination + normalization + update

@@ -39,7 +39,6 @@ from fadetrack.receivers import (
     bidir_nlms_step,
     cg_solve,
     compute_pair_errors,
-    differential_nlms_step,
     make_cg_state,
     make_filter_state,
     make_mixing_state,
@@ -158,6 +157,7 @@ def test_criterion_5_degeneracy_equivalences():
     start = time.time()
     rng = np.random.default_rng(1005)
     mix = MixingState(np.array([1.0, 0.0, 0.0]), forget=0.9)
+    one_pair = MixingState(np.array([1.0]), forget=0.9)
     worst = 0.0
     for _ in range(10_000):
         dim = 4
@@ -173,7 +173,7 @@ def test_criterion_5_degeneracy_equivalences():
             norm_forget=float(rng.uniform()),
             power_norm=float(rng.uniform(0.5, 2.0)))
         bidir = bidir_nlms_step(fs, mix, hist)
-        diff = differential_nlms_step(fs, hist)
+        diff = bidir_nlms_step(fs, one_pair, hist)
         worst = max(worst, float(np.max(np.abs(bidir.weights - diff.weights))))
 
     # Analysis recursions collapse when the extra moments vanish.

@@ -70,6 +70,45 @@ class TestConfigHandling:
         with pytest.raises(ValueError):
             ExperimentConfig(packet_len=100, train_len=101)
 
+    BAD_VALUES = [
+        {"mu": -0.1},
+        {"mu": float("nan")},
+        {"lambda_e": -0.1},
+        {"lambda_m": 1.5},
+        {"lambda_cg": 1.01},
+        {"lambda_rls": 0.0},
+        {"lambda_rls": 1.2},
+        {"jmax": -1},
+        {"delta": -0.01},
+        {"delta": 0.0, "algorithms": ("rls",)},
+        {"cg_loading": -0.1},
+    ]
+
+    @pytest.mark.parametrize("bad", BAD_VALUES, ids=lambda bad: str(bad))
+    def test_bad_value_rejected(self, bad):
+        with pytest.raises(ValueError):
+            make_experiment_config(**bad)
+
+    @pytest.mark.parametrize("bad", BAD_VALUES, ids=lambda bad: str(bad))
+    def test_bad_value_rejected_by_cli(self, bad, tmp_path, capsys):
+        from fadetrack.cli import main
+        out = tmp_path / "out.csv"
+        argv = ["ber", "--out", str(out), "--packets", "1", "--packet-len", "10",
+                "--train-len", "5", "--users", "1", "--gain", "4", "--paths", "1"]
+        for key, value in {"algorithms": ("bidir-cg",), **bad}.items():
+            text = ",".join(value) if isinstance(value, tuple) else str(value)
+            argv += ["--" + key.replace("_", "-"), text]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code != 0
+        assert next(iter(bad)) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_boundary_values_accepted(self):
+        make_experiment_config(mu=0.0, lambda_e=0.0, lambda_m=1.0, lambda_cg=1.0,
+                               lambda_rls=1.0, jmax=0, delta=0.0, cg_loading=0.0,
+                               algorithms=("bidir-cg", "nlms"))
+
 
 class TestEmitCsv:
     HEADER = "experiment,algorithm,sweep,symbol,ber,sinr_db,ci,seed"

@@ -4,22 +4,20 @@ import numpy as np
 import pytest
 
 from fadetrack.receivers import (
+    CgState,
     DegenerateInputError,
     History,
     MixingState,
     bidir_cg_step,
-    bidir_nlms_mac_count,
     bidir_nlms_step,
     cg_solve,
     compute_pair_errors,
     conventional_nlms_step,
     conventional_rls_step,
-    differential_nlms_step,
     make_cg_state,
     make_filter_state,
     make_mixing_state,
     make_rls_state,
-    mmse_oracle,
     update_cg_correlations,
     update_mixing,
 )
@@ -235,7 +233,7 @@ class TestBidirNlmsStep:
             fs = make_filter_state(w, step_size=rng.uniform(0.01, 1.0),
                                    norm_forget=rng.uniform(), power_norm=rng.uniform(0.5, 2.0))
             bidir = bidir_nlms_step(fs, mix, hist)
-            diff = differential_nlms_step(fs, hist)
+            diff = bidir_nlms_step(fs, MixingState(np.array([1.0]), forget=0.9), hist)
             assert np.allclose(bidir.weights, diff.weights, atol=1e-12, rtol=0)
 
     def test_all_zero_history_degenerates(self):
@@ -246,21 +244,38 @@ class TestBidirNlmsStep:
         with pytest.raises(DegenerateInputError):
             bidir_nlms_step(fs, make_mixing_state(3), hist)
 
+    def test_two_mixing_weights_rejected(self):
+        hist = history_of([[1.0], [1.0], [2.0]], [1.0, 1.0, 1.0])
+        fs = make_filter_state(np.array([1.0]), step_size=1.0)
+        with pytest.raises(ValueError, match="one or three"):
+            bidir_nlms_step(fs, make_mixing_state(2), hist)
+
+    @pytest.mark.parametrize("num_weights, stored", [(3, 2), (1, 1)])
+    def test_history_shorter_than_window_rejected(self, num_weights, stored):
+        hist = history_of([[1.0]] * stored, [1.0] * stored, depth=3)
+        fs = make_filter_state(np.array([1.0]), step_size=1.0)
+        with pytest.raises(ValueError, match="history"):
+            bidir_nlms_step(fs, make_mixing_state(num_weights), hist)
+
 
 class TestDifferentialNlmsStep:
+    """The two-sample restriction: ``bidir_nlms_step`` with one weight."""
+
+    ONE_PAIR = MixingState(np.array([1.0]), forget=0.9)
+
     def test_zero_error_no_update(self):
         r = np.array([1.0, 1.0j])
         hist = history_of([r, r], [1.0, 1.0])
         fs = make_filter_state(np.array([0.3, -0.4j]), step_size=0.7,
                                norm_forget=1.0, power_norm=1.0)
-        out = differential_nlms_step(fs, hist)
+        out = bidir_nlms_step(fs, self.ONE_PAIR, hist)
         assert np.array_equal(out.weights, fs.weights)
 
     def test_scalar_hand_case(self):
         hist = history_of([[1.0], [2.0]], [1.0, 1.0])
         fs = make_filter_state(np.array([1.0]), step_size=1.0,
                                norm_forget=1.0, power_norm=1.0)
-        out = differential_nlms_step(fs, hist)
+        out = bidir_nlms_step(fs, self.ONE_PAIR, hist)
         # e1 = 1*1 - 1*2 = -1, so w' = 1 + 2*(-1) = -1.
         assert out.weights[0] == pytest.approx(-1.0)
 
@@ -509,41 +524,44 @@ class TestBidirCgStep:
         assert np.allclose(out.weights, expected)
         assert np.all(np.isfinite(out.weights))
 
+    def _loaded_case(self, loading):
+        rng = np.random.default_rng(31)
+        dim = 4
+        vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                   for _ in range(3)]
+        hist = history_of(vectors, [1.0, -1.0, 1.0])
+        w0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        cs = make_cg_state(w0, forget=0.9, max_iters=3, delta=0.05, loading=loading)
+        mix = MixingState(np.array([0.5, 0.3, 0.2]), forget=0.9)
+        return cs, mix, hist
 
-class TestMmseOracle:
-    def test_identity(self):
-        out = mmse_oracle(np.eye(3, dtype=complex), np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(out, [1.0, 0.0, 0.0])
+    def test_loading_solves_the_loaded_mixed_system(self):
+        loading = 0.1
+        cs, mix, hist = self._loaded_case(loading)
+        mixed_auto, mixed_cross, advanced = update_cg_correlations(cs, mix, hist)
+        dim = cs.weights.size
+        loaded = mixed_auto + loading * np.real(np.trace(mixed_auto)) / dim * np.eye(dim)
+        expected = cg_solve(loaded, mixed_cross, cs.weights, cs.max_iters)
+        out = bidir_cg_step(cs, mix, hist)
+        assert np.allclose(out.weights, expected, atol=1e-12, rtol=0)
+        unloaded = cg_solve(mixed_auto, mixed_cross, cs.weights, cs.max_iters)
+        assert not np.allclose(out.weights, unloaded)
+        # Only the solve is loaded: the stored statistics are not.
+        for stored, plain in zip(out.autocorr, advanced.autocorr):
+            assert np.array_equal(stored, plain)
 
-    def test_scalar_scaling(self):
-        out = mmse_oracle(2.0 * np.eye(2, dtype=complex), np.array([4.0, 0.0]))
-        assert np.allclose(out, [2.0, 0.0])
+    def test_zero_loading_is_the_plain_solve(self):
+        cs, mix, hist = self._loaded_case(0.0)
+        mixed_auto, mixed_cross, _ = update_cg_correlations(cs, mix, hist)
+        expected = cg_solve(mixed_auto, mixed_cross, cs.weights, cs.max_iters)
+        out = bidir_cg_step(cs, mix, hist)
+        assert np.array_equal(out.weights, expected)
 
-    def test_known_single_user_instance(self):
-        rng = np.random.default_rng(25)
-        code = rng.standard_normal(6)
-        code /= np.linalg.norm(code)
-        h = 0.8 - 0.5j
-        amplitude = 1.3
-        signature = amplitude * h * code.astype(complex)
-        corr = np.outer(signature, signature.conj()) + 0.1 * np.eye(6)
-        direct = np.linalg.solve(corr, signature)
-        assert np.allclose(mmse_oracle(corr, signature), direct, atol=1e-10)
-
-    def test_singular_matrix_raises(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            mmse_oracle(np.zeros((2, 2)), np.ones(2))
-
-
-class TestComplexityCount:
-    def test_linear_scaling_in_dimension(self):
-        small, large = bidir_nlms_mac_count(16), bidir_nlms_mac_count(32)
-        assert large < 2.2 * small
-        assert large > 1.8 * small
-
-    def test_three_sample_window_factor(self):
-        # The three-sample tracker costs about D=3 times a plain NLMS
-        # update (roughly 2*dim MACs): its per-dimension cost is bounded
-        # by a small constant times the window size.
-        dim = 64
-        assert 2 * 2 * dim <= bidir_nlms_mac_count(dim) <= 4 * 2 * dim
+    @pytest.mark.parametrize("loading", [-0.1, float("nan")])
+    def test_negative_loading_rejected(self, loading):
+        cs, _, _ = self._loaded_case(0.0)
+        with pytest.raises(ValueError, match="loading"):
+            CgState(autocorr=cs.autocorr, crosscorr=cs.crosscorr, forget=0.9,
+                     max_iters=3, weights=cs.weights, loading=loading)
+        with pytest.raises(ValueError, match="loading"):
+            make_cg_state(cs.weights, loading=loading)
