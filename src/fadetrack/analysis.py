@@ -23,6 +23,7 @@ import numpy as np
 from .dscdma import (
     ChannelScenario,
     code_convolution_operator,
+    conditional_covariance,
     isi_precursor,
     isi_tail,
 )
@@ -49,6 +50,10 @@ _VARIANTS = ("bidirectional", "differential")
 _MIN_ENSEMBLE = 1000
 
 _SPECTRAL_TOL = 1e-9
+
+# Part of the moment-cache key: bump it whenever a change to
+# estimate_moment_matrices changes its output, so no stale entry is reused.
+_ESTIMATOR_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -139,7 +144,6 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
 
     root = np.random.SeedSequence([int(seed), ensemble_size])
     children = root.spawn(ensemble_size)
-    eye = sigma2 * np.eye(dim, dtype=np.complex128)
     for child in children:
         rng = np.random.default_rng(child)
         fade_seeds = rng.integers(0, 2**63 - 1, size=scenario.users)
@@ -157,18 +161,8 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
             gains = generate_fading(config, 5).gains
             mains.append(operators[k] @ gains)
 
-        def conditional_cov(w: int) -> np.ndarray:
-            total = eye.copy()
-            for sig in mains:
-                total = total + np.outer(sig[:, w], np.conj(sig[:, w]))
-                if isi:
-                    tail = isi_tail(sig[:, w - 1], gain)
-                    pre = isi_precursor(sig[:, w + 1], gain)
-                    total = total + np.outer(tail, np.conj(tail)) + np.outer(pre, np.conj(pre))
-            return total
-
-        cov_now = conditional_cov(3)
-        cov_prev = conditional_cov(2)
+        cov_now, cov_prev = conditional_covariance(
+            mains, gain, sigma2, (3, 2), include_isi=scenario.include_isi)
         desired = mains[0]
         sig_outer = np.outer(desired[:, 3], np.conj(desired[:, 3]))
         w_opt = np.linalg.solve(cov_now, desired[:, 3])
@@ -341,6 +335,7 @@ def _cache_key(scenario: ChannelScenario, ensemble_size: int, seed: int) -> str:
         "code_seed": scenario.code_seed,
         "ensemble_size": ensemble_size,
         "seed": seed,
+        "estimator_version": _ESTIMATOR_VERSION,
     }
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     return digest[:24]

@@ -31,6 +31,7 @@ __all__ = [
     "code_convolution_operator",
     "isi_tail",
     "isi_precursor",
+    "conditional_covariance",
     "modulate_coherent",
     "modulate_differential",
     "synthesize_received",
@@ -195,17 +196,44 @@ def code_convolution_operator(code: SpreadingCode, num_taps: int) -> np.ndarray:
 
 
 def isi_tail(signature: np.ndarray, gain: int) -> np.ndarray:
-    """Part of a symbol's signature that spills into the next window."""
+    """Part of a symbol's signature (axis 0) that spills into the next window."""
     out = np.zeros_like(signature)
-    out[: signature.size - gain] = signature[gain:]
+    out[: signature.shape[0] - gain] = signature[gain:]
     return out
 
 
 def isi_precursor(signature: np.ndarray, gain: int) -> np.ndarray:
-    """Part of a symbol's signature that spills into the previous window."""
+    """Part of a symbol's signature (axis 0) that spills into the previous window."""
     out = np.zeros_like(signature)
-    out[gain:] = signature[: signature.size - gain]
+    out[gain:] = signature[: signature.shape[0] - gain]
     return out
+
+
+def conditional_covariance(signatures, gain: int, noise_variance: float, columns,
+                           include_isi: bool = True) -> np.ndarray:
+    """Covariances, ``(len(columns), M, M)``, of :func:`received_block` columns.
+
+    Given the users' ``(M, T)`` ``signatures``, each is ``noise_variance * I``
+    plus, user by user, the outer products of the signature, the previous
+    symbol's tail and the next symbol's precursor (zero past packet edges).
+    """
+    columns = np.asarray(columns, dtype=np.intp)
+    window, length = np.shape(signatures[0])
+    n = columns.size
+    total = np.repeat(noise_variance * np.eye(window, dtype=np.complex128)[None], n, axis=0)
+    isi = include_isi and window > gain
+    index = np.concatenate([columns, columns - 1, columns + 1]) if isi else columns
+    inside = (index >= 0) & (index < length)
+    index = np.where(inside, index, 0)
+    for sig in signatures:
+        block = sig[:, index] * inside
+        parts = [block[:, :n]]
+        if isi:
+            parts += [isi_tail(block[:, n:2 * n], gain), isi_precursor(block[:, 2 * n:], gain)]
+        for part in parts:
+            rows = part.T
+            total += rows[:, :, None] * np.conj(rows)[:, None, :]
+    return total
 
 
 def synthesize_received(

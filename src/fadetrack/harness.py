@@ -21,8 +21,8 @@ from . import analysis
 from .dscdma import (
     ChannelScenario,
     code_convolution_operator,
-    isi_precursor,
-    isi_tail,
+    conditional_covariance,
+    isi_tail,  # noqa: F401  (unused; perfbench/test_perfbench.py traces harness.isi_tail)
     random_code,
     received_block,
 )
@@ -89,6 +89,8 @@ _RECEIVERS = {
 ALGORITHMS = tuple(_RECEIVERS)
 
 _SINR_FLOOR = 1e-12  # linear floor applied before dB conversion
+
+_MMSE_BLOCK = 128  # symbols per batched oracle solve; bounds the (block, M, M) stack
 
 
 @dataclass(frozen=True)
@@ -319,32 +321,14 @@ def _build_packet_env(cfg: ExperimentConfig, fading_rate: float, snr_db: float,
     )
 
 
-def _instantaneous_cov(env: _PacketEnv, i: int) -> np.ndarray:
-    """Exact symbol-conditioned observation covariance at symbol ``i``."""
-    scenario = env.scenario
-    total = scenario.noise_variance * np.eye(scenario.window, dtype=np.complex128)
-    length = env.signatures[0].shape[1]
-    use_isi = scenario.include_isi and scenario.paths > 1
-    for sig in env.signatures:
-        s = sig[:, i]
-        total = total + np.outer(s, np.conj(s))
-        if use_isi:
-            if i - 1 >= 0:
-                tail = isi_tail(sig[:, i - 1], scenario.gain)
-                total = total + np.outer(tail, np.conj(tail))
-            if i + 1 < length:
-                pre = isi_precursor(sig[:, i + 1], scenario.gain)
-                total = total + np.outer(pre, np.conj(pre))
-    return total
-
-
 def _normalized_sinr_db(w: np.ndarray, env: _PacketEnv, i: int) -> float:
     """Instantaneous output SINR divided by the realized input SNR, in dB."""
     s = env.signatures[0][:, i]
     num = float(np.abs(np.vdot(w, s)) ** 2)
-    cov = _instantaneous_cov(env, i)
-    den = float(np.real(np.vdot(w, cov @ w))) - num
     scenario = env.scenario
+    cov = conditional_covariance(env.signatures, scenario.gain, scenario.noise_variance,
+                                 [i], include_isi=scenario.include_isi)[0]
+    den = float(np.real(np.vdot(w, cov @ w))) - num
     snr_inst = (scenario.amplitude**2
                 * float(np.sum(np.abs(env.gains_desired[:, i]) ** 2))
                 / scenario.noise_variance)
@@ -460,36 +444,27 @@ def _run_algorithm(name: str, cfg: ExperimentConfig, env: _PacketEnv,
 
 def _run_mmse(cfg: ExperimentConfig, env: _PacketEnv, snap_set,
               record_weights: bool) -> _AlgorithmRun:
-    """Per-symbol MMSE oracle receiver with coherent detection."""
+    """Per-symbol MMSE oracle, solved in blocks, with coherent detection."""
+    scenario = env.scenario
     length = cfg.packet_len
-    window = env.scenario.window
-    r_all = env.received["coherent"]
-    data = env.data
-    snaps: dict[int, float] = {}
-    trajectory = np.empty((window, length), dtype=np.complex128) if record_weights else None
-    static = env.scenario.fading_rate == 0.0 and not (
-        env.scenario.include_isi and env.scenario.paths > 1)
-    if static:
-        w = np.linalg.solve(_instantaneous_cov(env, 0), env.signatures[0][:, 0])
-        z = w.conj() @ r_all
-        decided = np.where(z.real >= 0, 1.0, -1.0)
-        errors = (decided != data).astype(float)
-        if record_weights:
-            trajectory[:] = w[:, None]
-        for i in snap_set:
-            snaps[i] = _normalized_sinr_db(w, env, i)
-        return _AlgorithmRun(errors=errors, snapshots=snaps, weights=trajectory)
-    errors = np.empty(length)
-    for i in range(length):
-        w = np.linalg.solve(_instantaneous_cov(env, i), env.signatures[0][:, i])
-        z = complex(np.vdot(w, r_all[:, i]))
-        decided = 1.0 if z.real >= 0 else -1.0
-        errors[i] = 0.0 if decided == data[i] else 1.0
-        if record_weights:
-            trajectory[:, i] = w
-        if i in snap_set:
-            snaps[i] = _normalized_sinr_db(w, env, i)
-    return _AlgorithmRun(errors=errors, snapshots=snaps, weights=trajectory)
+    filters = np.empty((length, scenario.window), dtype=np.complex128)  # row i: symbol i
+    for cols in np.split(np.arange(length), np.arange(_MMSE_BLOCK, length, _MMSE_BLOCK)):
+        cov = conditional_covariance(env.signatures, scenario.gain, scenario.noise_variance,
+                                     cols, include_isi=scenario.include_isi)
+        filters[cols] = np.linalg.solve(cov, env.signatures[0][:, cols].T[..., None])[..., 0]
+    z = np.einsum("im,mi->i", np.conj(filters), env.received["coherent"])
+    errors = (np.where(z.real >= 0, 1.0, -1.0) != env.data).astype(float)
+    snaps = {i: _normalized_sinr_db(filters[i], env, i) for i in snap_set}
+    return _AlgorithmRun(errors=errors, snapshots=snaps,
+                         weights=filters.T if record_weights else None)
+
+
+def _sole_point(cfg: ExperimentConfig, key: str) -> float:
+    """The one point of a grid the experiment does not sweep; extra points raise."""
+    values = getattr(cfg, key)
+    if len(values) != 1:
+        raise ValueError(f"{key} must hold one point here, got {values}")
+    return values[0]
 
 
 def _map_packets(worker, packets: int, threads: int) -> list:
@@ -508,12 +483,13 @@ def run_ber_curve(cfg: ExperimentConfig, threads: int = 1) -> list[MetricsRecord
     """Per-symbol BER learning curves averaged over packets.
 
     One record per (SNR grid point, algorithm, symbol index); in
-    differential mode symbol 0 carries no data and is skipped.
+    differential mode symbol 0 carries no data and is skipped.  The
+    fading grid must hold one rate.
     """
+    fading_rate = _sole_point(cfg, "fading_grid")
     records: list[MetricsRecord] = []
     modes = {_mode_of(name) for name in cfg.algorithms}
     for snr_db in cfg.snr_db:
-        fading_rate = cfg.fading_grid[0]
 
         def worker(packet: int) -> dict[str, np.ndarray]:
             env = _build_packet_env(cfg, fading_rate, snr_db, packet, modes)
@@ -542,15 +518,15 @@ def run_sinr_vs_fading(cfg: ExperimentConfig, threads: int = 1) -> list[MetricsR
     filter right after the last training symbol and the final filter,
     each scored against the instantaneous channel at that symbol and
     normalized by the realized input SNR.  The record's ``ber`` field
-    carries the post-training BER.
+    carries the post-training BER.  The SNR grid must hold one point.
     """
+    snr_db = _sole_point(cfg, "snr_db")
     if min(cfg.fading_grid) > 0.001 or max(cfg.fading_grid) < 0.02:
         raise ValueError("fading grid must span at least [0.001, 0.02]")
     if cfg.train_len < 1:
         raise ValueError("sinr-vs-fading needs a training prefix")
     records: list[MetricsRecord] = []
     modes = {_mode_of(name) for name in cfg.algorithms}
-    snr_db = cfg.snr_db[0]
     marks = (cfg.train_len - 1, cfg.packet_len - 1)
     for rate in cfg.fading_grid:
 
@@ -582,7 +558,7 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
                             threads: int = 1) -> list[MetricsRecord]:
     """Analytical SINR recursions against simulated learning curves.
 
-    Uses the first fading-rate and SNR grid points and ignores
+    Takes one point of each grid (extra points raise) and ignores
     ``cfg.algorithms``: it always simulates ``bidir-nlms-equal`` and
     ``diff-nlms``.  Emits, per symbol: the recursion curve and the
     packet-averaged simulated curve for these three-sample and two-sample
@@ -593,10 +569,10 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
     curves.  The SINR of simulated filters is scored against the ensemble
     moment matrices, so both curves live on the same scale.
     """
+    rate = _sole_point(cfg, "fading_grid")
+    snr_db = _sole_point(cfg, "snr_db")
     if ensemble_size < 10000:
         raise ValueError("analysis comparison needs an ensemble of at least 10^4")
-    rate = cfg.fading_grid[0]
-    snr_db = cfg.snr_db[0]
     # Codes are part of the analyzed configuration: the ensemble moments
     # and every simulated packet share the same fixed code set, otherwise
     # the code structure would average out of the moment matrices.

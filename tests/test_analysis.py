@@ -1,8 +1,11 @@
 """Moment estimation and the analytical SINR recursions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fadetrack import analysis
 from fadetrack.analysis import (
     MomentMatrices,
     analytical_sinr,
@@ -13,6 +16,7 @@ from fadetrack.analysis import (
     load_or_estimate,
     make_analysis_state,
     mmse_bound_db,
+    save_moments,
     simulated_sinr,
 )
 from fadetrack.dscdma import ChannelScenario
@@ -269,4 +273,15 @@ class TestMomentCache:
         b = ChannelScenario(users=1, gain=4, paths=1, snr_db=12.0, fading_rate=0.0)
         load_or_estimate(a, 1000, cache_dir=tmp_path)
         load_or_estimate(b, 1000, cache_dir=tmp_path)
+        assert len(list(tmp_path.glob("*.npz"))) == 2
+
+    def test_entry_of_another_estimator_version_not_loaded(self, tmp_path, monkeypatch):
+        scenario = ChannelScenario(users=1, gain=4, paths=1, snr_db=10.0, fading_rate=0.0)
+        fresh = estimate_moment_matrices(scenario, 1000, seed=3)
+        monkeypatch.setattr(analysis, "_ESTIMATOR_VERSION", analysis._ESTIMATOR_VERSION + 1)
+        stale_key = analysis._cache_key(scenario, 1000, 3)
+        save_moments(replace(fresh, p_s_opt=fresh.p_s_opt + 1.0), tmp_path / stale_key)
+        monkeypatch.undo()
+        loaded = load_or_estimate(scenario, 1000, seed=3, cache_dir=tmp_path)
+        assert loaded.p_s_opt == fresh.p_s_opt
         assert len(list(tmp_path.glob("*.npz"))) == 2

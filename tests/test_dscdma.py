@@ -10,6 +10,8 @@ from fadetrack.dscdma import (
     SpreadingCode,
     UserParams,
     build_channel_matrix,
+    code_convolution_operator,
+    conditional_covariance,
     detect_coherent,
     detect_differential,
     filter_output,
@@ -227,7 +229,6 @@ class TestReceivedBlock:
         data = 2.0 * rng.integers(0, 2, size=(users, length)) - 1.0
         streams = [modulate_coherent(data[k]) for k in range(users)]
 
-        from fadetrack.dscdma import code_convolution_operator
         signatures = [amplitudes[k] * code_convolution_operator(codes[k], paths)
                       @ fadings[k].gains for k in range(users)]
         block = received_block(signatures, [data[k] for k in range(users)],
@@ -235,6 +236,32 @@ class TestReceivedBlock:
         for i in range(length):
             direct = synthesize_received(params, streams, i, 0.0, include_isi=True)
             assert np.allclose(block[:, i], direct.samples, atol=1e-12)
+
+
+class TestConditionalCovariance:
+    @pytest.mark.parametrize("include_isi", [True, False])
+    def test_equals_symbol_average_at_every_column(self, include_isi):
+        # Noiseless, so the covariance minus sigma^2 I is the average of
+        # r r^H over all 2^(K*T) equally likely symbol patterns.
+        rng = np.random.default_rng(8)
+        gain, paths, length, users = 4, 3, 4, 2
+        signatures = [code_convolution_operator(random_code(gain, rng), paths)
+                      @ (rng.standard_normal((paths, length))
+                         + 1j * rng.standard_normal((paths, length)))
+                      for _ in range(users)]
+        window = gain + paths - 1
+        average = np.zeros((length, window, window), dtype=complex)
+        patterns = 2 ** (users * length)
+        for code in range(patterns):
+            bits = (code >> np.arange(users * length)) & 1
+            symbols = (2.0 * bits - 1.0).reshape(users, length)
+            r = received_block(signatures, list(symbols), gain, include_isi=include_isi)
+            average += np.einsum("mi,ni->imn", r, np.conj(r)) / patterns
+        sigma2 = 0.3
+        cov = conditional_covariance(signatures, gain, sigma2, np.arange(length),
+                                     include_isi=include_isi)
+        assert cov.shape == (length, window, window)
+        assert np.allclose(cov - sigma2 * np.eye(window), average, rtol=0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -214,6 +214,72 @@ class TestRunBerCurve:
         assert np.mean(curve[-100:]) < np.mean(curve[:5])
 
 
+class TestMmseOracle:
+    @pytest.mark.parametrize("rate, isi", [(0.005, True), (0.0, False)],
+                             ids=["fading-isi", "static"])
+    def test_filters_equal_per_symbol_solve(self, rate, isi):
+        # 300 symbols: the batched solves end on a partial block.
+        from fadetrack.dscdma import conditional_covariance
+        from fadetrack.harness import _build_packet_env, _run_algorithm
+        cfg = ExperimentConfig(users=3, gain=8, paths=3, snr_db=(10.0,),
+                               fading_grid=(rate,), packet_len=300, train_len=0,
+                               packets=1, algorithms=("mmse",), isi=isi, seed=17)
+        env = _build_packet_env(cfg, rate, 10.0, 0, {"coherent"})
+        run = _run_algorithm("mmse", cfg, env, record_weights=True)
+        scenario = env.scenario
+        for i in range(cfg.packet_len):
+            cov = conditional_covariance(env.signatures, scenario.gain,
+                                         scenario.noise_variance, [i], include_isi=isi)[0]
+            expected = np.linalg.solve(cov, env.signatures[0][:, i])
+            assert np.array_equal(run.weights[:, i], expected), i
+
+
+class TestIgnoredGridPoints:
+    CASES = [
+        (run_ber_curve, {"fading_grid": (0.001, 0.02)}, "fading_grid"),
+        (run_sinr_vs_fading, {"snr_db": (5.0, 10.0), "fading_grid": (0.001, 0.02)},
+         "snr_db"),
+        (run_analysis_comparison, {"fading_grid": (0.001, 0.02)}, "fading_grid"),
+        (run_analysis_comparison, {"snr_db": (5.0, 10.0)}, "snr_db"),
+    ]
+
+    @pytest.mark.parametrize("run, grids, key", CASES, ids=[
+        "ber-fading_grid", "sinr-vs-fading-snr_db", "analyze-fading_grid", "analyze-snr_db"])
+    def test_extra_points_rejected_before_any_packet(self, run, grids, key, monkeypatch):
+        import fadetrack.harness as harness
+
+        def no_packets(*args, **kwargs):
+            raise AssertionError("a packet ran")
+
+        monkeypatch.setattr(harness, "_build_packet_env", no_packets)
+        monkeypatch.setattr(harness.analysis, "load_or_estimate", no_packets)
+        cfg = ExperimentConfig(**{**SMALL, **grids})
+        with pytest.raises(ValueError, match=key):
+            run(cfg)
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("ber", "--fading-grid", "0.001,0.02"),
+        ("sinr-vs-fading", "--snr-db", "5,10"),
+        ("analyze", "--fading-grid", "0.001,0.02"),
+        ("analyze", "--snr-db", "5,10"),
+    ])
+    def test_cli_exits_without_csv(self, command, flag, value, tmp_path):
+        out = tmp_path / "out.csv"
+        rates = "0.001,0.02" if command == "sinr-vs-fading" else "0.005"
+        argv = [sys.executable, "-m", "fadetrack.cli", command, "--out", str(out),
+                "--users", "1", "--gain", "4", "--paths", "1", "--packets", "1",
+                "--packet-len", "10", "--train-len", "5",
+                "--snr-db", "10", "--fading-grid", rates, flag, value]
+        if command == "analyze":
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        result = subprocess.run(argv, capture_output=True, text=True)
+        assert result.returncode != 0
+        error = result.stderr.strip().splitlines()[-1]
+        assert error.startswith("ValueError: " + flag[2:].replace("-", "_")), error
+        assert not out.exists()
+        assert not (tmp_path / "cache").exists()
+
+
 class TestSeedPartitioning:
     def test_prefix_packets_unchanged_by_packet_count(self):
         small = ExperimentConfig(**{**SMALL, "packets": 3})
