@@ -24,11 +24,10 @@ from .dscdma import (
     ChannelScenario,
     code_convolution_operator,
     conditional_covariance,
-    isi_precursor,
-    isi_tail,
+    received_block,
 )
-from .fading import FadingConfig, generate_fading
-from .receivers import History, compute_pair_errors
+from .fading import FadingConfig, fading_windows
+from .receivers import pair_indices
 
 __all__ = [
     "MomentMatrices",
@@ -38,6 +37,7 @@ __all__ = [
     "save_moments",
     "load_moments",
     "make_analysis_state",
+    "propagation_matrix",
     "k_step",
     "g_step",
     "analytical_sinr",
@@ -53,7 +53,12 @@ _SPECTRAL_TOL = 1e-9
 
 # Part of the moment-cache key: bump it whenever a change to
 # estimate_moment_matrices changes its output, so no stale entry is reused.
-_ESTIMATOR_VERSION = 1
+_ESTIMATOR_VERSION = 2
+
+# Ensemble members drawn and processed together; a fixed constant, so the
+# seeding layout (one generator per chunk) never depends on an option.  At
+# 16 members a chunk's arrays stay near 1 MB.
+_CHUNK_MEMBERS = 16
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,10 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     draws a five-symbol fading window per user, symbols and noise.
     Matrix moments are accumulated through their conditional
     (channel-given) expectations, which are exact in the symbols and
-    noise; the optimum-filter pair errors are sampled.
+    noise; the optimum-filter pair errors are sampled.  Members are drawn
+    and processed in chunks of ``_CHUNK_MEMBERS``, one generator per chunk
+    spawned from ``(seed, ensemble_size)``, so the result depends only on
+    the scenario, the ensemble size and the seed.
     """
     if ensemble_size < _MIN_ENSEMBLE:
         raise ValueError(
@@ -127,11 +135,10 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     dim = scenario.window
     gain = scenario.gain
     sigma2 = scenario.noise_variance
-    isi = scenario.include_isi and scenario.paths > 1
+    spill = dim - gain if scenario.include_isi else 0
 
     signal_corr = np.zeros((dim, dim), dtype=np.complex128)
-    interference_corr = np.zeros((dim, dim), dtype=np.complex128)
-    autocorr = np.zeros((3, dim, dim), dtype=np.complex128)
+    cov_sum = np.zeros((2, dim, dim), dtype=np.complex128)  # windows i and i-1
     cross = np.zeros((3, dim, dim), dtype=np.complex128)
     min_mse = np.zeros(3)
     opt_outer = np.zeros((dim, dim), dtype=np.complex128)
@@ -139,72 +146,59 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     lag_power = 0.0
     symbol_lag = 0.0
 
-    operators = [scenario.user_amplitude(k) * code_convolution_operator(code, scenario.paths)
-                 for k, code in enumerate(scenario.codes())]
+    operators = np.stack([
+        scenario.user_amplitude(k) * code_convolution_operator(code, scenario.paths)
+        for k, code in enumerate(scenario.codes())])
+    # Pair (d, l) compares the windows d and l symbols back from the
+    # newest of the three sampled windows (column 2 of the outputs below).
+    pairs = pair_indices(3)
+    near = [2 - d for d, _ in pairs]
+    far = [2 - l for _, l in pairs]
 
-    root = np.random.SeedSequence([int(seed), ensemble_size])
-    children = root.spawn(ensemble_size)
-    for child in children:
+    fading = FadingConfig(normalized_doppler=scenario.fading_rate, num_paths=scenario.paths,
+                          power_profile=scenario.power_profile,
+                          num_oscillators=scenario.num_oscillators)
+    n_chunks = -(-ensemble_size // _CHUNK_MEMBERS)
+    children = np.random.SeedSequence([int(seed), ensemble_size]).spawn(n_chunks)
+    for c, child in enumerate(children):
+        size = min(_CHUNK_MEMBERS, ensemble_size - c * _CHUNK_MEMBERS)
         rng = np.random.default_rng(child)
-        fade_seeds = rng.integers(0, 2**63 - 1, size=scenario.users)
+        gains = fading_windows(fading, 5, rng, (size, scenario.users))
         # Per-symbol signatures over a five-symbol window centred on the
-        # observation instant: indices 0..4 map to symbols i-3 .. i+1.
-        mains = []
-        for k in range(scenario.users):
-            config = FadingConfig(
-                normalized_doppler=scenario.fading_rate,
-                num_paths=scenario.paths,
-                power_profile=scenario.power_profile,
-                num_oscillators=scenario.num_oscillators,
-                seed=int(fade_seeds[k]),
-            )
-            gains = generate_fading(config, 5).gains
-            mains.append(operators[k] @ gains)
-
-        cov_now, cov_prev = conditional_covariance(
-            mains, gain, sigma2, (3, 2), include_isi=scenario.include_isi)
+        # observation instant: columns 0..4 map to symbols i-3 .. i+1.
+        mains = np.swapaxes(operators @ gains, 0, 1)  # (users, size, dim, 5)
         desired = mains[0]
-        sig_outer = np.outer(desired[:, 3], np.conj(desired[:, 3]))
-        w_opt = np.linalg.solve(cov_now, desired[:, 3])
 
-        signal_corr += sig_outer
-        interference_corr += cov_now - sig_outer
-        autocorr[0] += cov_now
-        autocorr[1] += cov_now
-        autocorr[2] += cov_prev
-        cross[0] += np.outer(desired[:, 3], np.conj(desired[:, 2]))
-        cross[1] += np.outer(desired[:, 3], np.conj(desired[:, 1]))
-        cross[2] += np.outer(desired[:, 2], np.conj(desired[:, 1]))
-        if isi:
-            cross[0] += np.outer(isi_tail(desired[:, 2], gain),
-                                 np.conj(isi_precursor(desired[:, 3], gain)))
-            cross[2] += np.outer(isi_tail(desired[:, 1], gain),
-                                 np.conj(isi_precursor(desired[:, 2], gain)))
+        cov = conditional_covariance(mains, gain, sigma2, (3, 2),
+                                     include_isi=scenario.include_isi)
+        w_opt = np.linalg.solve(cov[:, 0], desired[..., 3:4])[..., 0]
 
-        opt_outer += np.outer(w_opt, np.conj(w_opt))
+        signal_corr += _outer_sum(desired[..., 3], desired[..., 3])
+        cov_sum += cov.sum(axis=0)
+        for n, (a, b) in enumerate(((3, 2), (3, 1), (2, 1))):
+            cross[n] += _outer_sum(desired[..., a], desired[..., b])
+        if spill > 0:
+            # The previous symbol's tail against the next one's precursor:
+            # only the (spill x spill) corner they share is nonzero.
+            for n, (a, b) in ((0, (2, 3)), (2, (1, 2))):
+                cross[n, :spill, gain:] += _outer_sum(desired[:, gain:, a],
+                                                      desired[:, :spill, b])
+        opt_outer += _outer_sum(w_opt, w_opt)
 
-        # Sampled observations at windows i-2, i-1, i feed the optimum
-        # filter's pair errors and the independence diagnostics.
-        symbols = 2.0 * rng.integers(0, 2, size=(scenario.users, 5)) - 1.0
+        # Sampled observations at windows i-2, i-1, i (columns 1..3) feed
+        # the optimum filter's pair errors and the independence diagnostics.
+        symbols = 2.0 * rng.integers(0, 2, size=(scenario.users, size, 5)) - 1.0
         noise = np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3)))
-        received = []
-        for j, w in enumerate((1, 2, 3)):
-            r = noise[:, j].copy()
-            for k, sig in enumerate(mains):
-                r += symbols[k, w] * sig[:, w]
-                if isi:
-                    r += symbols[k, w - 1] * isi_tail(sig[:, w - 1], gain)
-                    r += symbols[k, w + 1] * isi_precursor(sig[:, w + 1], gain)
-            received.append(r)
-        hist = History(depth=3)
-        for j, w in enumerate((1, 2, 3)):
-            hist.push(received[j], symbols[0, w])
-        errs = compute_pair_errors(w_opt, hist, 3)
-        min_mse += np.abs(errs.errors) ** 2
-        lag_cross += np.vdot(received[2], received[1])
-        lag_power += float(np.real(np.vdot(received[2], received[2])))
-        symbol_lag += symbols[0, 3] * symbols[0, 2]
+            rng.standard_normal((size, dim, 3)) + 1j * rng.standard_normal((size, dim, 3)))
+        received = received_block(mains, symbols, gain,
+                                  include_isi=scenario.include_isi)[..., 1:4] + noise
+        outputs = (np.conj(w_opt)[:, None, :] @ received)[:, 0]
+        ref = symbols[0, :, 1:4]
+        errors = ref[:, near] * outputs[:, far] - ref[:, far] * outputs[:, near]
+        min_mse += np.sum(np.abs(errors) ** 2, axis=0)
+        lag_cross += np.vdot(received[..., 2], received[..., 1])
+        lag_power += float(np.sum(np.abs(received[..., 2]) ** 2))
+        symbol_lag += float(ref[:, 2] @ ref[:, 1])
 
     scale = 1.0 / ensemble_size
     diagnostics = {
@@ -213,8 +207,9 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
         "ensemble_size": ensemble_size,
     }
     signal_avg = _hermitize(signal_corr * scale)
-    interference_avg = _hermitize(interference_corr * scale)
+    interference_avg = _hermitize((cov_sum[0] - signal_corr) * scale)
     opt_avg = _hermitize(opt_outer * scale)
+    autocorr = cov_sum[[0, 0, 1]]
     # Mean output powers of the optimum filter against the ensemble
     # correlations: E[w_o^H R w_o] = tr(R E[w_o w_o^H]).
     return MomentMatrices(
@@ -229,6 +224,11 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     )
 
 
+def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum_c outer(x[c], conj(y[c]))`` over the leading (member) axis."""
+    return x.T @ np.conj(y)
+
+
 def _pair_range(variant: str) -> range:
     if variant == "bidirectional":
         return range(3)
@@ -237,29 +237,42 @@ def _pair_range(variant: str) -> range:
     raise ValueError(f"variant must be one of {_VARIANTS}")
 
 
-def _transition(m: MomentMatrices, mu: float, variant: str) -> np.ndarray:
-    """Mean weight-error propagation matrix ``I + mu * sum(F_n - R_n)``."""
-    bracket = np.zeros((m.dim, m.dim), dtype=np.complex128)
-    for n in _pair_range(variant):
-        bracket = bracket + (m.cross_terms[n] - m.autocorr_terms[n])
-    return np.eye(m.dim) + mu * bracket
+def propagation_matrix(m: MomentMatrices, mu: float, variant: str) -> np.ndarray:
+    """Mean weight-error propagation matrix ``I + mu * sum(F_n - R_n)``.
 
-
-def k_step(state: AnalysisState, m: MomentMatrices, variant: str) -> AnalysisState:
-    """One step of the filter-error covariance recursion.
-
-    ``K <- B K B^H + mu^2 * sum_n R_n J_n`` with
-    ``B = I + mu * sum_n (F_n - R_n)`` over the active pairs (three for
-    the bidirectional variant, one for the differential one).  The output
-    is re-symmetrized; a non-contractive ``B`` is reported as a warning.
+    The sum runs over the active pairs (three for the bidirectional
+    variant, one for the differential one).  The matrix is constant over a
+    run, so compute it once and pass it to :func:`k_step` and
+    :func:`g_step`; a non-contractive matrix is reported here, as a
+    warning.
     """
-    mu = state.step_size
     propagation = _transition(m, mu, variant)
     radius = float(np.max(np.abs(np.linalg.eigvals(propagation))))
     if radius > 1.0 + _SPECTRAL_TOL:
         warnings.warn(
             f"non-contractive configuration: spectral radius {radius:.6f} > 1",
             RuntimeWarning, stacklevel=2)
+    return propagation
+
+
+def _transition(m: MomentMatrices, mu: float, variant: str) -> np.ndarray:
+    bracket = np.zeros((m.dim, m.dim), dtype=np.complex128)
+    for n in _pair_range(variant):
+        bracket = bracket + (m.cross_terms[n] - m.autocorr_terms[n])
+    return np.eye(m.dim) + mu * bracket
+
+
+def k_step(state: AnalysisState, m: MomentMatrices, variant: str,
+           propagation: np.ndarray | None = None) -> AnalysisState:
+    """One step of the filter-error covariance recursion.
+
+    ``K <- B K B^H + mu^2 * sum_n R_n J_n`` with ``B`` the
+    :func:`propagation_matrix` of the state's step size, computed (and
+    checked) here unless given.  The output is re-symmetrized.
+    """
+    mu = state.step_size
+    if propagation is None:
+        propagation = propagation_matrix(m, mu, variant)
     noise = np.zeros_like(propagation)
     for n in _pair_range(variant):
         noise = noise + m.min_mse[n] * m.autocorr_terms[n]
@@ -267,14 +280,18 @@ def k_step(state: AnalysisState, m: MomentMatrices, variant: str) -> AnalysisSta
     return replace(state, weight_err_corr=_hermitize(updated))
 
 
-def g_step(state: AnalysisState, m: MomentMatrices, variant: str) -> AnalysisState:
+def g_step(state: AnalysisState, m: MomentMatrices, variant: str,
+           propagation: np.ndarray | None = None) -> AnalysisState:
     """One step of the optimum/error cross-correlation recursion.
 
-    ``G <- G * (mu * sum_n (F_n - R_n))``; the bracket omits the identity
-    so the cross term decays whenever its spectral radius is below one.
+    ``G <- G * (mu * sum_n (F_n - R_n))``, that is ``B - I`` for the
+    :func:`propagation_matrix` ``B`` (computed here, without its check,
+    unless given); the bracket omits the identity so the cross term
+    decays whenever its spectral radius is below one.
     """
-    mu = state.step_size
-    bracket = _transition(m, mu, variant) - np.eye(m.dim)
+    if propagation is None:
+        propagation = _transition(m, state.step_size, variant)
+    bracket = propagation - np.eye(m.dim)
     return replace(state, cross_corr=state.cross_corr @ bracket)
 
 

@@ -211,29 +211,36 @@ def isi_precursor(signature: np.ndarray, gain: int) -> np.ndarray:
 
 def conditional_covariance(signatures, gain: int, noise_variance: float, columns,
                            include_isi: bool = True) -> np.ndarray:
-    """Covariances, ``(len(columns), M, M)``, of :func:`received_block` columns.
+    """Covariances, ``(..., len(columns), M, M)``, of :func:`received_block` columns.
 
-    Given the users' ``(M, T)`` ``signatures``, each is ``noise_variance * I``
-    plus, user by user, the outer products of the signature, the previous
-    symbol's tail and the next symbol's precursor (zero past packet edges).
+    Given the users' ``(..., M, T)`` ``signatures`` (any leading batch
+    axes), each is ``noise_variance * I`` plus, user by user, the outer
+    products of the signature, the previous symbol's tail and the next
+    symbol's precursor (zero past packet edges).  The tail and precursor
+    fill only the ``M - N`` square corners they spill into, so only those
+    corners are added.
     """
     columns = np.asarray(columns, dtype=np.intp)
-    window, length = np.shape(signatures[0])
+    *batch, window, length = np.shape(signatures[0])
     n = columns.size
-    total = np.repeat(noise_variance * np.eye(window, dtype=np.complex128)[None], n, axis=0)
-    isi = include_isi and window > gain
-    index = np.concatenate([columns, columns - 1, columns + 1]) if isi else columns
+    total = np.empty((*batch, n, window, window), dtype=np.complex128)
+    total[...] = noise_variance * np.eye(window, dtype=np.complex128)
+    spill = window - gain if include_isi else 0
+    index = np.concatenate([columns, columns - 1, columns + 1]) if spill > 0 else columns
     inside = (index >= 0) & (index < length)
     index = np.where(inside, index, 0)
     for sig in signatures:
-        block = sig[:, index] * inside
-        parts = [block[:, :n]]
-        if isi:
-            parts += [isi_tail(block[:, n:2 * n], gain), isi_precursor(block[:, 2 * n:], gain)]
-        for part in parts:
-            rows = part.T
-            total += rows[:, :, None] * np.conj(rows)[:, None, :]
+        rows = np.swapaxes(sig[..., index] * inside, -1, -2)
+        _add_outer(total, rows[..., :n, :])
+        if spill > 0:
+            _add_outer(total[..., :spill, :spill], rows[..., n:2 * n, gain:])
+            _add_outer(total[..., gain:, gain:], rows[..., 2 * n:, :spill])
     return total
+
+
+def _add_outer(total: np.ndarray, rows: np.ndarray) -> None:
+    """Add ``outer(v, conj(v))`` of each row ``v`` of ``rows`` to the matching ``total`` matrix."""
+    total += rows[..., :, None] * np.conj(rows)[..., None, :]
 
 
 def synthesize_received(
@@ -288,24 +295,25 @@ def synthesize_received(
 def received_block(signatures, symbols, gain: int, noise=None, include_isi: bool = True) -> np.ndarray:
     """Vectorized packet synthesis from per-symbol signatures.
 
-    ``signatures[k]`` is the ``(M, T)`` array of user ``k``'s faded
-    signatures (amplitude folded in) and ``symbols[k]`` the matching
-    ``(T,)`` transmitted symbols.  Column ``i`` of the result equals
-    :func:`synthesize_received` for symbol ``i`` with the same noise.
+    ``signatures[k]`` is the ``(..., M, T)`` array of user ``k``'s faded
+    signatures (amplitude folded in; any leading batch axes) and
+    ``symbols[k]`` the matching ``(..., T)`` transmitted symbols.  Column
+    ``i`` of the result equals :func:`synthesize_received` for symbol ``i``
+    with the same noise.
     """
     first = np.asarray(signatures[0])
-    window, length = first.shape
-    r = np.zeros((window, length), dtype=np.complex128)
+    *batch, window, length = first.shape
+    r = np.zeros(first.shape, dtype=np.complex128)
     for sig, b in zip(signatures, symbols):
         sig = np.asarray(sig)
         b = np.asarray(b)
-        if sig.shape != (window, length) or b.shape != (length,):
+        if sig.shape != first.shape or b.shape != (*batch, length):
             raise ValueError("signature/symbol shapes are inconsistent")
-        x = sig * b
+        x = sig * b[..., None, :]
         r += x
         if include_isi and window > gain:
-            r[: window - gain, 1:] += x[gain:, :-1]
-            r[gain:, :-1] += x[: window - gain, 1:]
+            r[..., : window - gain, 1:] += x[..., gain:, :-1]
+            r[..., gain:, :-1] += x[..., : window - gain, 1:]
     if noise is not None:
         r = r + noise
     return r

@@ -20,6 +20,7 @@ __all__ = [
     "FadingConfig",
     "FadingSequence",
     "generate_fading",
+    "fading_windows",
     "clarke_autocorrelation",
     "correlation_factors",
     "empirical_autocorrelation",
@@ -95,6 +96,46 @@ class FadingSequence:
         return self.gains.shape[1]
 
 
+def _oscillators(normalized_doppler: float, power, rotation, phases):
+    """Angular Doppler rates and complex amplitudes of sum-of-sinusoids paths.
+
+    ``rotation`` (shape ``S``) turns each path's equally spaced arrival
+    angles; ``phases`` (shape ``S + (Q,)``) are the oscillators' initial
+    phases and ``power`` (broadcast to ``S``) the paths' mean-square gains.
+    Both outputs have the shape of ``phases``.
+    """
+    q = np.shape(phases)[-1]
+    angles = 2.0 * np.pi * (np.arange(q) + np.expand_dims(rotation, -1)) / q
+    omega = 2.0 * np.pi * normalized_doppler * np.cos(angles)
+    amplitude = np.expand_dims(np.sqrt(np.divide(power, q)), -1) * np.exp(1j * phases)
+    return omega, amplitude
+
+
+def fading_windows(config: FadingConfig, length: int, rng: np.random.Generator,
+                   batch: tuple[int, ...]) -> np.ndarray:
+    """Many independent short fading windows at once.
+
+    Returns ``(*batch, num_paths, length)`` gains; each window's paths
+    follow the model of :func:`generate_fading`.  Every rotation, then
+    every oscillator phase, is drawn from ``rng`` (``config.seed`` is not
+    used), and the samples come from advancing the oscillator phasors by
+    one exponential per oscillator, which suits windows of a few symbols.
+    """
+    if length < 1:
+        raise ValueError("length must be at least 1")
+    shape = (*batch, config.num_paths)
+    rotation = rng.uniform(size=shape)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(*shape, config.num_oscillators))
+    omega, phasors = _oscillators(config.normalized_doppler, config.power_profile,
+                                  rotation, phases)
+    step = np.exp(1j * omega)
+    gains = np.empty((*shape, length), dtype=np.complex128)
+    for t in range(length):
+        gains[..., t] = phasors.sum(axis=-1)
+        phasors *= step
+    return gains
+
+
 def generate_fading(config: FadingConfig, length: int) -> FadingSequence:
     """Generate a correlated Rayleigh fading sequence.
 
@@ -120,9 +161,7 @@ def generate_fading(config: FadingConfig, length: int) -> FadingSequence:
     for path, power in enumerate(config.power_profile):
         rotation = rng.uniform()
         phases = rng.uniform(0.0, 2.0 * np.pi, size=q)
-        angles = 2.0 * np.pi * (np.arange(q) + rotation) / q
-        omega = 2.0 * np.pi * config.normalized_doppler * np.cos(angles)
-        amplitude = np.sqrt(power / q) * np.exp(1j * phases)
+        omega, amplitude = _oscillators(config.normalized_doppler, power, rotation, phases)
         row = gains[path]
         # Only the first chunk's phases are exponentiated; later chunks
         # advance by a constant per-oscillator rotation, which is cheap

@@ -604,9 +604,10 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
     train_cfg = replace(cfg, train_len=cfg.packet_len)
     for variant, (alg_name, mu_variant) in pairs.items():
         state = analysis.make_analysis_state(moments.dim, mu_variant, g_init)
+        propagation = analysis.propagation_matrix(moments, mu_variant, variant)
         for i in range(length):
-            state = analysis.k_step(state, moments, variant)
-            state = analysis.g_step(state, moments, variant)
+            state = analysis.k_step(state, moments, variant, propagation)
+            state = analysis.g_step(state, moments, variant, propagation)
             records.append(MetricsRecord(
                 experiment="analyze", algorithm=f"{alg_name}-analytical",
                 sweep=float(rate), symbol=i, ber=None,

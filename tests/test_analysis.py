@@ -1,9 +1,11 @@
 """Moment estimation and the analytical SINR recursions."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from fadetrack import analysis
 from fadetrack.analysis import (
@@ -16,10 +18,11 @@ from fadetrack.analysis import (
     load_or_estimate,
     make_analysis_state,
     mmse_bound_db,
+    propagation_matrix,
     save_moments,
     simulated_sinr,
 )
-from fadetrack.dscdma import ChannelScenario
+from fadetrack.dscdma import ChannelScenario, code_convolution_operator
 
 
 def scalar_moments(r1=1.0, r2=0.0, r3=0.0, f1=0.0, f2=0.0, f3=0.0,
@@ -87,6 +90,142 @@ class TestEstimateMomentMatrices:
         assert abs(m.diagnostics["lag1_symbol_corr"]) < 0.1
 
 
+# Scenario with ISI, unequal path powers and a stronger interferer, at a
+# fading rate where the lag-1 and lag-2 correlations (0.904, 0.643) are
+# far from one.
+MODEL_SCENARIO = ChannelScenario(users=2, gain=4, paths=3, snr_db=10.0, fading_rate=0.1,
+                                 include_isi=True, interferer_amplitude=1.3,
+                                 power_profile=(0.5, 0.3, 0.2), code_seed=2)
+
+
+def model_moments(scenario, with_doppler=True, with_isi=True):
+    """Closed-form means of the ensemble matrices.
+
+    Under the sum-of-sinusoids model with a uniform random rotation every
+    path is zero-mean with power ``p_l``, paths are uncorrelated and the
+    lag-``m`` correlation is exactly ``J0(2 pi fd m)``.  With
+    ``S_k = A_k^2 C_k diag(p) C_k^T`` the signature correlation of user k,
+    the tail and precursor of a symbol fill the corners of the window
+    they spill into.
+    """
+    gain, window = scenario.gain, scenario.window
+    spill = window - gain
+    corr = [scenario.user_amplitude(k) ** 2 * op @ np.diag(scenario.power_profile) @ op.T
+            for k, op in enumerate(code_convolution_operator(c, scenario.paths)
+                                   for c in scenario.codes())]
+
+    def spilled(s):
+        out = np.zeros_like(s)
+        if not with_isi:
+            return out
+        out[:spill, :spill] += s[gain:, gain:]
+        out[gain:, gain:] += s[:spill, :spill]
+        return out
+
+    def tail_precursor(s):
+        out = np.zeros_like(s)
+        if not with_isi:
+            return out
+        out[:spill, gain:] = s[gain:, :spill]
+        return out
+
+    lag = [j0(2 * np.pi * scenario.fading_rate * m) if with_doppler else 1.0
+           for m in range(3)]
+    signal = corr[0]
+    interference = (scenario.noise_variance * np.eye(window) + sum(corr[1:])
+                    + sum(spilled(s) for s in corr))
+    cross = [lag[1] * (signal + tail_precursor(signal)), lag[2] * signal,
+             lag[1] * (signal + tail_precursor(signal))]
+    return signal, interference, cross
+
+
+def relative_error(estimate, target):
+    return float(np.linalg.norm(estimate - target) / np.linalg.norm(target))
+
+
+class TestChunkedEnsemble:
+    # Relative Frobenius errors of the matrices below ranged over
+    # 0.005-0.024 at 2*10^4 members (seeds 0-5, typically 0.01); against
+    # a target without the Doppler factor or without the ISI terms they
+    # are 0.09 or more.
+    TOL = 0.04
+
+    @pytest.fixture(scope="class")
+    def moments(self):
+        return estimate_moment_matrices(MODEL_SCENARIO, 20_000, seed=3)
+
+    def test_matrices_match_closed_form(self, moments):
+        signal, interference, cross = model_moments(MODEL_SCENARIO)
+        assert relative_error(moments.signal_corr, signal) < self.TOL
+        assert relative_error(moments.interference_corr, interference) < self.TOL
+        for n in range(3):
+            assert relative_error(moments.cross_terms[n], cross[n]) < self.TOL
+        for n in range(3):
+            assert relative_error(moments.autocorr_terms[n], signal + interference) < self.TOL
+
+    def test_closed_form_discriminates(self, moments):
+        _, interference, cross = model_moments(MODEL_SCENARIO, with_isi=False)
+        assert relative_error(moments.interference_corr, interference) > self.TOL
+        assert relative_error(moments.cross_terms[0], cross[0]) > self.TOL
+        _, _, cross = model_moments(MODEL_SCENARIO, with_doppler=False)
+        assert relative_error(moments.cross_terms[0], cross[0]) > self.TOL
+        assert relative_error(moments.cross_terms[1], cross[1]) > self.TOL
+
+    def test_same_inputs_same_output(self):
+        scenario = replace(MODEL_SCENARIO, users=3)
+        a = estimate_moment_matrices(scenario, 1000, seed=5)
+        b = estimate_moment_matrices(scenario, 1000, seed=5)
+        for name in ("signal_corr", "interference_corr", "autocorr_terms",
+                     "cross_terms", "min_mse"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert (a.p_s_opt, a.p_i_opt) == (b.p_s_opt, b.p_i_opt)
+        assert a.diagnostics == b.diagnostics
+
+    @pytest.mark.parametrize("size", [1008, 1000, 1001, 1017])  # 1008 = 63 chunks
+    def test_every_member_drawn_once(self, size, monkeypatch):
+        chunks = []
+        draw = analysis.fading_windows
+
+        def counted(config, length, rng, batch):
+            chunks.append(batch[0])
+            return draw(config, length, rng, batch)
+
+        monkeypatch.setattr(analysis, "fading_windows", counted)
+        m = estimate_moment_matrices(MODEL_SCENARIO, size, seed=1)
+        full = analysis._CHUNK_MEMBERS
+        assert sum(chunks) == size
+        assert all(c == full for c in chunks[:-1]) and 1 <= chunks[-1] <= full
+        # The lag-1 symbol correlation averages one +-1 product per member.
+        products = round(m.diagnostics["lag1_symbol_corr"] * size)
+        assert abs(products) <= size and (products - size) % 2 == 0
+        assert m.diagnostics["ensemble_size"] == size
+
+    # The version-1 estimator (one generator per member, one
+    # generate_fading call per user) at seeds 0-9 on this scenario with
+    # 2000 members: mean and sample standard deviation over the seeds.
+    PREVIOUS = {
+        "p_s_opt": (0.514143, 0.003553),
+        "p_i_opt": (0.457701, 0.006188),
+        "min_mse_0": (0.298740, 0.005203),
+        "min_mse_1": (0.301277, 0.007515),
+        "min_mse_2": (0.297614, 0.008431),
+    }
+
+    def test_agrees_with_previous_estimator(self):
+        scenario = ChannelScenario(users=3, gain=8, paths=2, snr_db=10.0, fading_rate=0.01,
+                                   include_isi=True, code_seed=3)
+        runs = [estimate_moment_matrices(scenario, 2000, seed=s) for s in (20, 21, 22, 23)]
+        values = {
+            "p_s_opt": [m.p_s_opt for m in runs],
+            "p_i_opt": [m.p_i_opt for m in runs],
+            **{f"min_mse_{n}": [m.min_mse[n] for m in runs] for n in range(3)},
+        }
+        for name, (mean, spread) in self.PREVIOUS.items():
+            # Difference of a 4-seed and a 10-seed mean, within 4 standard errors.
+            tol = 4.0 * spread * np.sqrt(1 / 4 + 1 / 10)
+            assert abs(np.mean(values[name]) - mean) < tol, name
+
+
 class TestKStep:
     def test_zero_step_freezes(self):
         m = scalar_moments(r1=0.5, f1=0.3, j1=0.2)
@@ -135,6 +274,30 @@ class TestKStep:
         state = make_analysis_state(1, step_size=0.5)
         with pytest.warns(RuntimeWarning):
             k_step(state, m, "bidirectional")
+
+    def test_given_propagation_is_bit_identical(self, single_user_moments):
+        _, m = single_user_moments
+        mu = 0.05 / float(np.real(np.trace(m.autocorr_terms[0])))
+        for variant in ("bidirectional", "differential"):
+            plain = hoisted = make_analysis_state(m.dim, mu)
+            propagation = propagation_matrix(m, mu, variant)
+            for _ in range(50):
+                plain = g_step(k_step(plain, m, variant), m, variant)
+                hoisted = g_step(k_step(hoisted, m, variant, propagation), m, variant,
+                                 propagation)
+            assert np.array_equal(plain.weight_err_corr, hoisted.weight_err_corr)
+            assert np.array_equal(plain.cross_corr, hoisted.cross_corr)
+
+    def test_non_contractive_warning_only_from_propagation(self):
+        m = scalar_moments(r1=0.0, f1=1.0)
+        state = make_analysis_state(1, step_size=0.5)
+        with pytest.warns(RuntimeWarning):
+            propagation = propagation_matrix(m, 0.5, "bidirectional")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3):
+                state = k_step(state, m, "bidirectional", propagation)
+                state = g_step(state, m, "bidirectional", propagation)
 
 
 class TestGStep:

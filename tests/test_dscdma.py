@@ -238,6 +238,50 @@ class TestReceivedBlock:
             assert np.allclose(block[:, i], direct.samples, atol=1e-12)
 
 
+def batched_signatures(rng, batch, users, gain, paths, length):
+    """Random complex signatures, ``users`` arrays of shape ``batch + (M, T)``."""
+    ops = [code_convolution_operator(random_code(gain, rng), paths) for _ in range(users)]
+    shape = (*batch, paths, length)
+    return [op @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) for op in ops]
+
+
+class TestBatchedHelpers:
+    @pytest.mark.parametrize("include_isi", [True, False])
+    def test_received_block_equals_loop(self, include_isi):
+        rng = np.random.default_rng(31)
+        batch, users, gain, paths, length = (3, 2), 3, 4, 3, 7
+        signatures = batched_signatures(rng, batch, users, gain, paths, length)
+        symbols = 2.0 * rng.integers(0, 2, size=(users, *batch, length)) - 1.0
+        window = gain + paths - 1
+        noise = rng.standard_normal((*batch, window, length)) + 0j
+        block = received_block(signatures, symbols, gain, noise=noise, include_isi=include_isi)
+        assert block.shape == (*batch, window, length)
+        for idx in np.ndindex(*batch):
+            single = received_block([sig[idx] for sig in signatures],
+                                    [b[idx] for b in symbols], gain, noise=noise[idx],
+                                    include_isi=include_isi)
+            assert np.array_equal(block[idx], single)
+
+    @pytest.mark.parametrize("include_isi", [True, False])
+    def test_conditional_covariance_equals_loop(self, include_isi):
+        rng = np.random.default_rng(32)
+        batch, users, gain, paths, length = (4,), 3, 4, 3, 6
+        signatures = batched_signatures(rng, batch, users, gain, paths, length)
+        columns = (5, 0, 2)
+        cov = conditional_covariance(signatures, gain, 0.4, columns, include_isi=include_isi)
+        assert cov.shape == (*batch, len(columns), gain + paths - 1, gain + paths - 1)
+        for idx in np.ndindex(*batch):
+            single = conditional_covariance([sig[idx] for sig in signatures], gain, 0.4,
+                                            columns, include_isi=include_isi)
+            assert np.array_equal(cov[idx], single)
+
+    def test_inconsistent_symbol_shape_rejected(self):
+        rng = np.random.default_rng(33)
+        signatures = batched_signatures(rng, (2,), 2, 4, 2, 5)
+        with pytest.raises(ValueError):
+            received_block(signatures, np.ones((2, 5)), 4)
+
+
 class TestConditionalCovariance:
     @pytest.mark.parametrize("include_isi", [True, False])
     def test_equals_symbol_average_at_every_column(self, include_isi):

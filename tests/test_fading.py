@@ -9,6 +9,7 @@ from fadetrack.fading import (
     clarke_autocorrelation,
     correlation_factors,
     empirical_autocorrelation,
+    fading_windows,
     generate_fading,
 )
 
@@ -110,6 +111,43 @@ class TestStatisticalInvariants:
     def test_marginal_near_gaussian(self, long_sequence):
         k = kurtosis(long_sequence.gains[0].real, fisher=False)
         assert 2.8 <= k <= 3.2
+
+
+class TestFadingWindows:
+    def test_power_and_correlation_match_model(self):
+        # Ensemble averages over 4*10^4 independent windows: the standard
+        # error of each is below 0.01 of the path power.
+        profile = (0.7, 0.3)
+        config = FadingConfig(0.1, num_paths=2, power_profile=profile)
+        gains = fading_windows(config, 3, np.random.default_rng(5), (20_000, 2))
+        assert gains.shape == (20_000, 2, 2, 3)
+        for path, power in enumerate(profile):
+            g = gains[:, :, path].reshape(-1, 3)
+            assert np.mean(np.abs(g) ** 2) == pytest.approx(power, rel=0.03)
+            for lag in (1, 2):
+                corr = np.mean(g[:, lag:] * np.conj(g[:, :-lag]))
+                assert corr.real / power == pytest.approx(
+                    clarke_autocorrelation(0.1, lag), abs=0.03)
+                assert abs(corr.imag) / power < 0.03
+        # Paths are uncorrelated.
+        cross = np.mean(gains[:, :, 0] * np.conj(gains[:, :, 1]))
+        assert abs(cross) < 0.03 * np.sqrt(profile[0] * profile[1])
+
+    def test_single_window_follows_generate_fading(self):
+        # One path, no batch axes: the draws come in generate_fading's
+        # order, so only the phasor stepping differs.
+        config = FadingConfig(0.02, num_oscillators=16, seed=11)
+        window = fading_windows(config, 6, np.random.default_rng(11), ())
+        assert np.allclose(window, generate_fading(config, 6).gains, rtol=0, atol=1e-12)
+
+    def test_zero_doppler_freezes_each_window(self):
+        config = FadingConfig(0.0, num_paths=3)
+        gains = fading_windows(config, 5, np.random.default_rng(2), (4,))
+        assert np.allclose(gains, gains[..., :1], rtol=0, atol=1e-12)
+
+    def test_zero_length_rejected(self):
+        with pytest.raises(ValueError):
+            fading_windows(FadingConfig(0.01), 0, np.random.default_rng(0), (2,))
 
 
 class TestCorrelationFactors:
