@@ -18,7 +18,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads over packets (default 1)")
+                        help="accepted and ignored: every run steps its packets as "
+                             "lanes of one array engine in one thread")
     parser.add_argument("--users", type=int, help="number of uplink users K")
     parser.add_argument("--gain", type=int, help="processing gain N (chips per symbol)")
     parser.add_argument("--paths", type=int, help="multipath taps L")
@@ -109,15 +110,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "ber":
-        records = harness.run_ber_curve(cfg, threads=args.threads)
+        records = harness.run_ber_curve(cfg)
         harness.emit_csv(records, args.out)
     elif args.command == "sinr-vs-fading":
-        records = harness.run_sinr_vs_fading(cfg, threads=args.threads)
+        records = harness.run_sinr_vs_fading(cfg)
         harness.emit_csv(records, args.out)
     elif args.command == "analyze":
         records = harness.run_analysis_comparison(
             cfg, ensemble_size=args.ensemble, cache_dir=args.cache_dir,
-            g_init=args.g_init, threads=args.threads)
+            g_init=args.g_init)
         harness.emit_csv(records, args.out)
     else:
         lags = tuple(int(tok) for tok in args.lags.replace(",", " ").split())

@@ -3,15 +3,15 @@
 Wires the channel model, the adaptive receivers and the SINR analysis
 into three experiments emitting CSV records: per-symbol BER learning
 curves, normalized SINR versus fading rate, and analytical-versus-
-simulated SINR convergence.  Packets are independent work items seeded
-from ``(master seed, packet index)``, so results are byte-reproducible
-regardless of packet count or thread count.
+simulated SINR convergence.  Packets draw from streams seeded by
+``(master seed, packet index)``; every receiver steps all (packet, grid
+point) lanes of a chunk at once, and no lane's bits depend on the chunk,
+so results are byte-reproducible regardless of the packet count.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -33,18 +33,15 @@ from .fading import (
     generate_fading,
 )
 from .receivers import (
-    History,
-    MixingState,
-    bidir_cg_step,
-    bidir_nlms_step,
-    compute_pair_errors,
-    conventional_nlms_step,
-    conventional_rls_step,
-    make_cg_state,
-    make_filter_state,
-    make_rls_state,
+    cg_step_lanes,
+    lane_dot,
     matched_filter_init,
-    update_mixing,
+    mixing_lanes,
+    nlms_lanes,
+    pair_errors_lanes,
+    pair_nlms_lanes,
+    rls_lanes,
+    update_mixing,  # noqa: F401  (unused; perfbench/test_perfbench.py removes harness.update_mixing)
 )
 
 __all__ = [
@@ -63,34 +60,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class _Receiver:
-    update: str                                    # "mmse" (oracle), "nlms", "rls" or "cg"
-    pair_weights: tuple[float, ...] | None = None  # initial mixing weights
-    adapt: bool = False                            # mixing follows the pair errors
-
-
-_THIRDS = (1.0 / 3.0,) * 3
-
-# Coherent baselines (no pair weights) use BPSK with coherent detection;
-# the pair-error trackers modulate and detect differentially.  One pair
-# weight selects the two-sample window.
-_RECEIVERS = {
-    "mmse": _Receiver("mmse"),
-    "nlms": _Receiver("nlms"),
-    "rls": _Receiver("rls"),
-    "diff-nlms": _Receiver("nlms", (1.0,)),
-    "diff-cg": _Receiver("cg", (1.0, 0.0, 0.0)),
-    "bidir-nlms": _Receiver("nlms", _THIRDS, adapt=True),
-    "bidir-nlms-equal": _Receiver("nlms", _THIRDS),
-    "bidir-cg": _Receiver("cg", _THIRDS, adapt=True),
-    "bidir-cg-equal": _Receiver("cg", _THIRDS),
-}
-ALGORITHMS = tuple(_RECEIVERS)
-
 _SINR_FLOOR = 1e-12  # linear floor applied before dB conversion
 
-_MMSE_BLOCK = 128  # symbols per batched oracle solve; bounds the (block, M, M) stack
+_MMSE_BLOCK = 64  # symbols per batched oracle solve; bounds the (block, M, M) stack
+
+# (packet, grid point) lanes stepped together.  A constant, not an
+# option: each lane's bits are the same in any chunk, and this bounds the
+# chunk's (lanes, M, T) received blocks.
+_CHUNK_LANES = 32
 
 
 @dataclass(frozen=True)
@@ -237,8 +214,54 @@ def make_experiment_config(file_values: dict[str, str] | None = None,
 
 
 # ----------------------------------------------------------------------
-# Packet environment: everything one packet's algorithms share.
+# Packet draws and environment: everything one lane's receivers share.
 # ----------------------------------------------------------------------
+
+class _PacketDraws:
+    """One packet's draws that no SNR point changes, made once per run.
+
+    Codes, data and unit-variance noise come from streams seeded by
+    ``(seed, packet index)``; the users' fading gains are drawn for one
+    rate at a time and kept until another rate is asked for.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, index: int, fixed_codes=None):
+        self.cfg, self.index = cfg, index
+        code_ss, fade_ss, data_ss, noise_ss = np.random.SeedSequence([cfg.seed, index]).spawn(4)
+        if fixed_codes is None:
+            code_rng = np.random.default_rng(code_ss)
+            self.codes = [random_code(cfg.gain, code_rng) for _ in range(cfg.users)]
+        else:
+            self.codes = list(fixed_codes)
+        self._fade_seeds = [int(child.generate_state(1, np.uint64)[0])
+                            for child in fade_ss.spawn(cfg.users)]
+        data_rng = np.random.default_rng(data_ss)
+        self.data = 2.0 * data_rng.integers(0, 2, size=(cfg.users, cfg.packet_len)) - 1.0
+        noise_rng = np.random.default_rng(noise_ss)
+        shape = (cfg.gain + cfg.paths - 1, cfg.packet_len)
+        self.unit_noise = noise_rng.standard_normal(shape) + 1j * noise_rng.standard_normal(shape)
+        self._rate, self._gains = None, []
+
+    def gains(self, scenario: ChannelScenario) -> list[np.ndarray]:
+        """Per user ``(L, T)`` path gains at the scenario's fading rate."""
+        cfg, rate = self.cfg, scenario.fading_rate
+        if rate != self._rate:
+            if rate == 0.0:
+                # Zero fading rate means a pure AWGN-style experiment: every
+                # path carries its mean-square gain deterministically, so
+                # the configured SNR is the realized one.
+                profile = np.full(cfg.paths, 1.0 / cfg.paths)
+                static = np.repeat(np.sqrt(profile)[:, None], cfg.packet_len,
+                                   axis=1).astype(complex)
+                self._gains = [static] * cfg.users
+            else:
+                self._gains = [generate_fading(FadingConfig(
+                    normalized_doppler=rate, num_paths=cfg.paths,
+                    num_oscillators=scenario.num_oscillators, seed=fade_seed,
+                ), cfg.packet_len).gains for fade_seed in self._fade_seeds]
+            self._rate = rate
+        return self._gains
+
 
 @dataclass
 class _PacketEnv:
@@ -256,51 +279,20 @@ def _mode_of(name: str) -> str:
 
 
 def _build_packet_env(cfg: ExperimentConfig, fading_rate: float, snr_db: float,
-                      packet_index: int, modes, fixed_codes=None) -> _PacketEnv:
+                      packet_index: int, modes, fixed_codes=None,
+                      draws: _PacketDraws | None = None) -> _PacketEnv:
+    """One packet at one grid point; ``draws`` reuses the packet's draws."""
     scenario = ChannelScenario(
         users=cfg.users, gain=cfg.gain, paths=cfg.paths,
         snr_db=snr_db, fading_rate=fading_rate, include_isi=cfg.isi,
     )
-    length = cfg.packet_len
-    root = np.random.SeedSequence([cfg.seed, packet_index])
-    code_ss, fade_ss, data_ss, noise_ss = root.spawn(4)
-
-    if fixed_codes is None:
-        code_rng = np.random.default_rng(code_ss)
-        codes = [random_code(cfg.gain, code_rng) for _ in range(cfg.users)]
-    else:
-        codes = list(fixed_codes)
-
-    signatures = []
-    gains_desired = None
-    for k, child in enumerate(fade_ss.spawn(cfg.users)):
-        if fading_rate == 0.0:
-            # Zero fading rate means a pure AWGN-style experiment: every
-            # path carries its mean-square gain deterministically, so the
-            # configured SNR is the realized one.
-            profile = np.full(cfg.paths, 1.0 / cfg.paths)
-            gains = np.repeat(np.sqrt(profile)[:, None], length, axis=1).astype(complex)
-        else:
-            fade_seed = int(child.generate_state(1, np.uint64)[0])
-            config = FadingConfig(
-                normalized_doppler=fading_rate, num_paths=cfg.paths,
-                num_oscillators=scenario.num_oscillators, seed=fade_seed,
-            )
-            gains = generate_fading(config, length).gains
-        if k == 0:
-            gains_desired = gains
-        operator = scenario.user_amplitude(k) * code_convolution_operator(codes[k], cfg.paths)
-        signatures.append(operator @ gains)
-
-    data_rng = np.random.default_rng(data_ss)
-    data = 2.0 * data_rng.integers(0, 2, size=(cfg.users, length)) - 1.0
-
-    noise_rng = np.random.default_rng(noise_ss)
-    sigma2 = scenario.noise_variance
-    noise = np.sqrt(sigma2 / 2.0) * (
-        noise_rng.standard_normal((scenario.window, length))
-        + 1j * noise_rng.standard_normal((scenario.window, length)))
-
+    if draws is None:
+        draws = _PacketDraws(cfg, packet_index, fixed_codes)
+    gains = draws.gains(scenario)
+    signatures = [scenario.user_amplitude(k) * code_convolution_operator(code, cfg.paths) @ g
+                  for k, (code, g) in enumerate(zip(draws.codes, gains))]
+    noise = np.sqrt(scenario.noise_variance / 2.0) * draws.unit_noise
+    data = draws.data
     refs: dict[str, np.ndarray] = {}
     received: dict[str, np.ndarray] = {}
     for mode in sorted(set(modes)):
@@ -316,43 +308,51 @@ def _build_packet_env(cfg: ExperimentConfig, fading_rate: float, snr_db: float,
         received[mode] = received_block(
             signatures, list(symbols), cfg.gain, noise=noise, include_isi=cfg.isi)
     return _PacketEnv(
-        scenario=scenario, code_chips=codes[0].chips, signatures=signatures,
-        gains_desired=gains_desired, data=data[0], refs=refs, received=received,
+        scenario=scenario, code_chips=draws.codes[0].chips, signatures=signatures,
+        gains_desired=gains[0], data=data[0], refs=refs, received=received,
     )
 
 
-def _normalized_sinr_db(w: np.ndarray, env: _PacketEnv, i: int) -> float:
-    """Instantaneous output SINR divided by the realized input SNR, in dB."""
-    s = env.signatures[0][:, i]
-    num = float(np.abs(np.vdot(w, s)) ** 2)
+def _sinr_terms(env: _PacketEnv, marks) -> list[tuple]:
+    """What scoring a filter at each mark needs: covariance, user 0's signature, input SNR."""
     scenario = env.scenario
-    cov = conditional_covariance(env.signatures, scenario.gain, scenario.noise_variance,
-                                 [i], include_isi=scenario.include_isi)[0]
+    terms = []
+    for i in marks:
+        cov = conditional_covariance(env.signatures, scenario.gain, scenario.noise_variance,
+                                     [i], include_isi=scenario.include_isi)[0]
+        snr_inst = (scenario.amplitude**2
+                    * float(np.sum(np.abs(env.gains_desired[:, i]) ** 2))
+                    / scenario.noise_variance)
+        terms.append((cov, env.signatures[0][:, i], snr_inst))
+    return terms
+
+
+def _normalized_sinr_db(w: np.ndarray, terms: tuple) -> float:
+    """Instantaneous output SINR divided by the realized input SNR, in dB."""
+    cov, signature, snr_inst = terms
+    num = float(np.abs(np.vdot(w, signature)) ** 2)
     den = float(np.real(np.vdot(w, cov @ w))) - num
-    snr_inst = (scenario.amplitude**2
-                * float(np.sum(np.abs(env.gains_desired[:, i]) ** 2))
-                / scenario.noise_variance)
     ratio = max(num / den / snr_inst, _SINR_FLOOR)
     return 10.0 * np.log10(ratio)
 
 
+def _score(filters: np.ndarray, terms) -> np.ndarray:
+    """Normalized SINR (dB) of ``(L, marks, M)`` filters against per-lane terms."""
+    return np.array([[_normalized_sinr_db(w, t) for w, t in zip(lane, lane_terms)]
+                     for lane, lane_terms in zip(filters, terms)]).reshape(filters.shape[:2])
+
+
 # ----------------------------------------------------------------------
-# Per-packet algorithm drivers.
+# The lane engine: every receiver steps a chunk of lanes at once.
 # ----------------------------------------------------------------------
 
-@dataclass
-class _AlgorithmRun:
-    errors: np.ndarray                    # per-symbol data errors; NaN where undefined
-    snapshots: dict[int, float]           # symbol index -> normalized SINR (dB)
-    weights: np.ndarray | None            # (M, T) trajectory when requested
+def _initial_power(received: np.ndarray) -> np.ndarray:
+    first = received[:, :, 0]
+    power = lane_dot(first, first).real
+    return np.where(power > 0, power, 1.0)
 
 
-def _initial_power(r_all: np.ndarray) -> float:
-    power = float(np.real(np.vdot(r_all[:, 0], r_all[:, 0])))
-    return power if power > 0 else 1.0
-
-
-def _unit_power_gain(z: complex, forget: float) -> float:
+def _unit_power_gain(z: np.ndarray, forget: float) -> np.ndarray:
     """Rescale enforcing the unit output-power constraint E|w^H r|^2 = 1.
 
     The pair-error cost is minimized by the zero correlator.  The power
@@ -362,89 +362,179 @@ def _unit_power_gain(z: complex, forget: float) -> float:
     blocking the slow collapse (and its direction-noise accumulation)
     observed without it.
     """
-    power = forget * 1.0 + (1.0 - forget) * abs(z) ** 2
-    return float(1.0 / np.sqrt(max(power, 1e-12)))
+    power = forget * 1.0 + (1.0 - forget) * np.abs(z) ** 2
+    return 1.0 / np.sqrt(np.maximum(power, 1e-12))
 
 
-def _run_algorithm(name: str, cfg: ExperimentConfig, env: _PacketEnv,
-                   snapshots=(), record_weights: bool = False) -> _AlgorithmRun:
+class _NlmsLanes:
+    """Conventional NLMS on known or decided symbols."""
+
+    depth = 1
+
+    def __init__(self, spec, cfg: ExperimentConfig, w_init, received):
+        self.weights, self.power = w_init.copy(), _initial_power(received)
+        self.step_size, self.forget = cfg.mu, cfg.lambda_m
+
+    def update(self, window, symbols, outputs) -> None:
+        self.weights, self.power = nlms_lanes(self.weights, self.power, self.step_size,
+                                              self.forget, window[..., -1], symbols[:, -1],
+                                              outputs)
+
+
+class _RlsLanes:
+    """Exponentially weighted RLS on known or decided symbols."""
+
+    depth = 1
+
+    def __init__(self, spec, cfg: ExperimentConfig, w_init, received):
+        lanes, dim = w_init.shape
+        self.weights, self.forget = w_init.copy(), cfg.lambda_rls
+        self.inv_corr = np.repeat(np.eye(dim, dtype=np.complex128)[None] / cfg.delta, lanes, axis=0)
+
+    def update(self, window, symbols, outputs) -> None:
+        self.weights, self.inv_corr = rls_lanes(self.weights, self.inv_corr, self.forget,
+                                                window[..., -1], symbols[:, -1], outputs)
+
+
+class _PairLanes:
+    """State every pair-error tracker shares: filter, mixing weights and the rescale."""
+
+    def __init__(self, spec, cfg: ExperimentConfig, w_init):
+        self.weights = w_init.copy()
+        self.mixing = np.tile(spec.pair_weights, (w_init.shape[0], 1))
+        self.adapt, self.mixing_forget = spec.adapt, cfg.lambda_e
+
+    def mixed_errors(self, window, symbols):
+        """Pair errors of the pre-update filter; adaptive mixing follows them."""
+        errors, total = pair_errors_lanes(self.weights, window, symbols)
+        if self.adapt:
+            self.mixing = mixing_lanes(self.mixing, errors, total, self.mixing_forget)
+        return errors
+
+    def rescale(self, gamma) -> None:
+        self.weights = gamma[:, None] * self.weights
+
+
+class _PairNlmsLanes(_PairLanes):
+    """Pair-error NLMS: three weights for the bidirectional window, one for the differential."""
+
+    def __init__(self, spec, cfg: ExperimentConfig, w_init, received):
+        super().__init__(spec, cfg, w_init)
+        self.depth = 2 if len(spec.pair_weights) == 1 else 3
+        self.power, self.step_size, self.forget = _initial_power(received), cfg.mu, cfg.lambda_m
+
+    def update(self, window, symbols, outputs) -> None:
+        errors = self.mixed_errors(window, symbols)
+        self.weights, self.power = pair_nlms_lanes(self.weights, self.power, self.step_size,
+                                                   self.forget, self.mixing, errors, window,
+                                                   symbols)
+
+
+class _CgLanes(_PairLanes):
+    """Correlation recursions re-solved by warm-started conjugate gradients."""
+
+    depth = 3
+
+    def __init__(self, spec, cfg: ExperimentConfig, w_init, received):
+        super().__init__(spec, cfg, w_init)
+        lanes, dim = w_init.shape
+        self.autocorr = np.zeros((lanes, 3, dim, dim), dtype=np.complex128)
+        self.autocorr[...] = cfg.delta * np.eye(dim)
+        self.crosscorr = np.zeros((lanes, 3, dim), dtype=np.complex128)
+        self.cfg = cfg
+
+    def update(self, window, symbols, outputs) -> None:
+        if self.adapt:
+            self.mixed_errors(window, symbols)
+        cfg = self.cfg
+        self.autocorr, self.crosscorr, self.weights = cg_step_lanes(
+            self.autocorr, self.crosscorr, self.weights, cfg.lambda_cg, cfg.jmax,
+            cfg.cg_loading, self.mixing, window, symbols, cfg.paper_literal_t1)
+
+    def rescale(self, gamma) -> None:
+        super().rescale(gamma)
+        # The cross vectors are linear in the filter, so they rescale too.
+        self.crosscorr = gamma[:, None, None] * self.crosscorr
+
+
+@dataclass(frozen=True)
+class _Receiver:
+    lanes: type | None                             # lane state; None: the mmse oracle
+    pair_weights: tuple[float, ...] | None = None  # initial mixing weights
+    adapt: bool = False                            # mixing follows the pair errors
+
+
+_THIRDS = (1.0 / 3.0,) * 3
+
+# Coherent baselines (no pair weights) use BPSK with coherent detection;
+# the pair-error trackers modulate and detect differentially.  One pair
+# weight selects the two-sample window.
+_RECEIVERS = {
+    "mmse": _Receiver(None),
+    "nlms": _Receiver(_NlmsLanes),
+    "rls": _Receiver(_RlsLanes),
+    "diff-nlms": _Receiver(_PairNlmsLanes, (1.0,)),
+    "diff-cg": _Receiver(_CgLanes, (1.0, 0.0, 0.0)),
+    "bidir-nlms": _Receiver(_PairNlmsLanes, _THIRDS, adapt=True),
+    "bidir-nlms-equal": _Receiver(_PairNlmsLanes, _THIRDS),
+    "bidir-cg": _Receiver(_CgLanes, _THIRDS, adapt=True),
+    "bidir-cg-equal": _Receiver(_CgLanes, _THIRDS),
+}
+ALGORITHMS = tuple(_RECEIVERS)
+
+
+def _step_lanes(name: str, cfg: ExperimentConfig, received, refs, data, w_init,
+                marks=(), record_weights: bool = False):
+    """One adaptive receiver on a chunk of lanes, one step per symbol.
+
+    ``received`` is the ``(L, M, T)`` block of the receiver's modulation,
+    ``refs`` its ``(L, T)`` transmitted symbols, ``data`` the desired
+    user's data and ``w_init`` the initial filters.  Returns the data
+    errors ``(L, T)`` (NaN where undefined), the filters right after each
+    of the sorted, distinct ``marks`` ``(L, len(marks), M)`` and, when
+    asked, the ``(L, M, T)`` filter trajectories.
+    """
     spec = _RECEIVERS[name]
-    snap_set = set(snapshots)
-    if spec.update == "mmse":
-        return _run_mmse(cfg, env, snap_set, record_weights)
-    mode = _mode_of(name)
-    r_all = env.received[mode]
-    b_true = env.refs[mode]
-    length = cfg.packet_len
-    window = env.scenario.window
-    snaps: dict[int, float] = {}
-    errors = np.full(length, np.nan)
-    trajectory = np.empty((window, length), dtype=np.complex128) if record_weights else None
-
-    w_init = matched_filter_init(env.code_chips, window)
-    if spec.update == "rls":
-        state = make_rls_state(w_init, delta=cfg.delta, forget=cfg.lambda_rls)
-    elif spec.update == "cg":
-        state = make_cg_state(w_init, forget=cfg.lambda_cg, max_iters=cfg.jmax,
-                              delta=cfg.delta, paper_literal_t1=cfg.paper_literal_t1,
-                              loading=cfg.cg_loading)
-    else:
-        state = make_filter_state(w_init, cfg.mu, cfg.lambda_m, _initial_power(r_all))
-    differential = mode == "differential"
-    if differential:
-        mix = MixingState(weights=np.array(spec.pair_weights), forget=cfg.lambda_e)
-        hist = History(depth=2 if len(spec.pair_weights) == 1 else 3)
-
-    z_prev = 0.0 + 0.0j
-    ref_prev = 1.0
+    tracker = spec.lanes(spec, cfg, w_init, received)
+    differential = spec.pair_weights is not None
+    depth = tracker.depth
+    lanes, window, length = received.shape
+    used = np.empty((lanes, length))  # the symbols the updates see: known or decided
+    errors = np.full((lanes, length), np.nan)
+    filters = np.empty((lanes, len(marks), window), dtype=np.complex128)
+    trajectory = np.empty((lanes, window, length), dtype=np.complex128) if record_weights else None
+    mark_of = {i: k for k, i in enumerate(marks)}
+    z_prev = None
     for i in range(length):
-        r_i = r_all[:, i]
-        z = complex(np.vdot(state.weights, r_i))
-
+        z = lane_dot(tracker.weights, received[:, :, i])
         if differential and i == 0:
             # Symbol 0 carries the protocol-known reference, no data.
-            ref = b_true[0]
+            used[:, 0] = refs[:, 0]
         else:
             statistic = z * np.conj(z_prev) if differential else z
-            decided = 1.0 if statistic.real >= 0 else -1.0
-            errors[i] = 0.0 if decided == env.data[i] else 1.0
-            tracked = decided * ref_prev if differential else decided
-            ref = b_true[i] if i < cfg.train_len else tracked
-
-        if spec.update == "rls":
-            state = conventional_rls_step(state, r_i, ref)
-        elif not differential:
-            state = conventional_nlms_step(state, r_i, ref)
-        else:
-            hist.push(r_i, ref)
-            if hist.full:
-                errs = None
-                if spec.adapt:
-                    errs = compute_pair_errors(state.weights, hist, hist.depth)
-                    mix = update_mixing(mix, errs)
-                if spec.update == "cg":
-                    state = bidir_cg_step(state, mix, hist)
-                else:
-                    state = bidir_nlms_step(state, mix, hist, errs)
-            gamma = _unit_power_gain(z, cfg.lambda_m)
-            rescaled = {"weights": gamma * state.weights}
-            if spec.update == "cg":
-                # The cross vectors are linear in the filter, so they rescale too.
-                rescaled["crosscorr"] = tuple(gamma * t for t in state.crosscorr)
-            state = replace(state, **rescaled)
-
+            decided = np.where(statistic.real >= 0, 1.0, -1.0)
+            errors[:, i] = decided != data[:, i]
+            if i < cfg.train_len:
+                used[:, i] = refs[:, i]
+            else:
+                used[:, i] = decided * used[:, i - 1] if differential else decided
+        if i + 1 >= depth:
+            tracker.update(received[:, :, i + 1 - depth:i + 1], used[:, i + 1 - depth:i + 1], z)
+        if differential:
+            tracker.rescale(_unit_power_gain(z, cfg.lambda_m))
         if record_weights:
-            trajectory[:, i] = state.weights
-        if i in snap_set:
-            snaps[i] = _normalized_sinr_db(state.weights, env, i)
+            trajectory[:, :, i] = tracker.weights
+        if i in mark_of:
+            filters[:, mark_of[i]] = tracker.weights
         z_prev = z
-        ref_prev = ref
-    return _AlgorithmRun(errors=errors, snapshots=snaps, weights=trajectory)
+    return errors, filters, trajectory
 
 
-def _run_mmse(cfg: ExperimentConfig, env: _PacketEnv, snap_set,
-              record_weights: bool) -> _AlgorithmRun:
-    """Per-symbol MMSE oracle, solved in blocks, with coherent detection."""
+def _run_mmse(cfg: ExperimentConfig, env: _PacketEnv, marks, record_weights: bool):
+    """Per-symbol MMSE oracle, solved in blocks, with coherent detection.
+
+    Returns what :func:`_step_lanes` returns, for this one packet.
+    """
     scenario = env.scenario
     length = cfg.packet_len
     filters = np.empty((length, scenario.window), dtype=np.complex128)  # row i: symbol i
@@ -454,9 +544,96 @@ def _run_mmse(cfg: ExperimentConfig, env: _PacketEnv, snap_set,
         filters[cols] = np.linalg.solve(cov, env.signatures[0][:, cols].T[..., None])[..., 0]
     z = np.einsum("im,mi->i", np.conj(filters), env.received["coherent"])
     errors = (np.where(z.real >= 0, 1.0, -1.0) != env.data).astype(float)
-    snaps = {i: _normalized_sinr_db(filters[i], env, i) for i in snap_set}
-    return _AlgorithmRun(errors=errors, snapshots=snaps,
-                         weights=filters.T if record_weights else None)
+    return (errors, filters[np.asarray(marks, dtype=np.intp)],
+            filters.T if record_weights else None)
+
+
+@dataclass
+class _AlgorithmRun:
+    errors: np.ndarray                    # per-symbol data errors; NaN where undefined
+    snapshots: dict[int, float]           # symbol index -> normalized SINR (dB)
+    weights: np.ndarray | None            # (M, T) trajectory when requested
+
+
+def _run_algorithm(name: str, cfg: ExperimentConfig, env: _PacketEnv,
+                   snapshots=(), record_weights: bool = False) -> _AlgorithmRun:
+    """One receiver on one packet: a one-lane run of the lane engine."""
+    marks = tuple(sorted(set(snapshots)))
+    if _RECEIVERS[name].lanes is None:
+        errors, filters, trajectory = _run_mmse(cfg, env, marks, record_weights)
+    else:
+        mode = _mode_of(name)
+        w_init = matched_filter_init(env.code_chips, env.scenario.window)
+        errors, filters, trajectory = _step_lanes(
+            name, cfg, env.received[mode][None], env.refs[mode][None], env.data[None],
+            w_init[None], marks, record_weights)
+        errors, filters = errors[0], filters[0]
+        trajectory = None if trajectory is None else trajectory[0]
+    sinr = _score(filters[None], [_sinr_terms(env, marks)])[0]
+    return _AlgorithmRun(errors=errors, snapshots=dict(zip(marks, sinr.tolist())),
+                         weights=trajectory)
+
+
+@dataclass
+class _LaneRuns:
+    errors: np.ndarray          # (L, T) data errors; NaN where undefined
+    sinr: np.ndarray            # (L, len(marks)) normalized SINR (dB) after each mark
+    weights: np.ndarray | None  # (L, M, T) trajectories when requested
+
+
+def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bool = False,
+              fixed_codes=None):
+    """Run receivers ``names`` on every (packet, grid point) lane, a chunk at a time.
+
+    ``points`` holds ``(fading rate, SNR dB)`` pairs.  Lanes go packet
+    by packet, so each packet's draws are made once and shared by its
+    points; chunks of ``_CHUNK_LANES`` consecutive lanes step together,
+    and no lane's result depends on the others.  Yields each chunk's
+    ``(packet, point index)`` lanes with ``{name: _LaneRuns}``, the SINR
+    scored after each of the sorted, distinct ``marks``.
+    """
+    modes = sorted({_mode_of(name) for name in names})
+    oracle_named = any(_RECEIVERS[name].lanes is None for name in names)
+    items = [(p, g) for p in range(cfg.packets) for g in range(len(points))]
+    window, length = cfg.gain + cfg.paths - 1, cfg.packet_len
+    draws = None
+    for start in range(0, len(items), _CHUNK_LANES):
+        lanes = items[start:start + _CHUNK_LANES]
+        num = len(lanes)
+        received = {mode: np.empty((num, window, length), dtype=np.complex128) for mode in modes}
+        refs = {mode: np.empty((num, length)) for mode in modes}
+        data = np.empty((num, length))
+        w_init = np.empty((num, window), dtype=np.complex128)
+        terms, oracle = [], []
+        for j, (packet, g) in enumerate(lanes):
+            if draws is None or draws.index != packet:
+                draws = None  # before the next packet's draws are made
+                draws = _PacketDraws(cfg, packet, fixed_codes)
+            env = _build_packet_env(cfg, *points[g], packet, modes, draws=draws)
+            if oracle_named:
+                oracle.append(_run_mmse(cfg, env, marks, record_weights))
+            terms.append(_sinr_terms(env, marks))
+            for mode in modes:
+                received[mode][j] = env.received[mode]
+                refs[mode][j] = env.refs[mode]
+            data[j] = env.data
+            w_init[j] = matched_filter_init(env.code_chips, window)
+            env = None  # before the next lane's env is built
+        # Keep a packet's draws only while its lanes run on into the next chunk.
+        if start + num == len(items) or items[start + num][0] != draws.index:
+            draws = None
+        runs = {}
+        for name in names:
+            if _RECEIVERS[name].lanes is None:
+                errors, filters, trajectory = (
+                    None if out[0] is None else np.stack(out) for out in zip(*oracle))
+            else:
+                mode = _mode_of(name)
+                errors, filters, trajectory = _step_lanes(
+                    name, cfg, received[mode], refs[mode], data, w_init, marks, record_weights)
+            runs[name] = _LaneRuns(errors, _score(filters, terms), trajectory)
+        del received, refs  # before the next chunk allocates its own
+        yield lanes, runs
 
 
 def _sole_point(cfg: ExperimentConfig, key: str) -> float:
@@ -467,19 +644,11 @@ def _sole_point(cfg: ExperimentConfig, key: str) -> float:
     return values[0]
 
 
-def _map_packets(worker, packets: int, threads: int) -> list:
-    """Run per-packet workers, reducing in packet order regardless of scheduling."""
-    if threads <= 1:
-        return [worker(p) for p in range(packets)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(packets)))
-
-
 # ----------------------------------------------------------------------
 # Experiments.
 # ----------------------------------------------------------------------
 
-def run_ber_curve(cfg: ExperimentConfig, threads: int = 1) -> list[MetricsRecord]:
+def run_ber_curve(cfg: ExperimentConfig) -> list[MetricsRecord]:
     """Per-symbol BER learning curves averaged over packets.
 
     One record per (SNR grid point, algorithm, symbol index); in
@@ -487,17 +656,17 @@ def run_ber_curve(cfg: ExperimentConfig, threads: int = 1) -> list[MetricsRecord
     fading grid must hold one rate.
     """
     fading_rate = _sole_point(cfg, "fading_grid")
+    points = [(fading_rate, snr_db) for snr_db in cfg.snr_db]
+    errors = {name: np.empty((len(points), cfg.packets, cfg.packet_len))
+              for name in cfg.algorithms}
+    for lanes, runs in _simulate(cfg, points, cfg.algorithms):
+        packets, grid = np.array(lanes).T
+        for name, run in runs.items():
+            errors[name][grid, packets] = run.errors
     records: list[MetricsRecord] = []
-    modes = {_mode_of(name) for name in cfg.algorithms}
-    for snr_db in cfg.snr_db:
-
-        def worker(packet: int) -> dict[str, np.ndarray]:
-            env = _build_packet_env(cfg, fading_rate, snr_db, packet, modes)
-            return {name: _run_algorithm(name, cfg, env).errors for name in cfg.algorithms}
-
-        results = _map_packets(worker, cfg.packets, threads)
+    for g, snr_db in enumerate(cfg.snr_db):
         for name in cfg.algorithms:
-            stacked = np.vstack([res[name] for res in results])
+            stacked = errors[name][g]
             counts = np.sum(~np.isnan(stacked), axis=0)
             means = np.nansum(stacked, axis=0) / np.maximum(counts, 1)
             for i in range(cfg.packet_len):
@@ -511,7 +680,7 @@ def run_ber_curve(cfg: ExperimentConfig, threads: int = 1) -> list[MetricsRecord
     return records
 
 
-def run_sinr_vs_fading(cfg: ExperimentConfig, threads: int = 1) -> list[MetricsRecord]:
+def run_sinr_vs_fading(cfg: ExperimentConfig) -> list[MetricsRecord]:
     """Mean normalized SINR at end of training and end of packet.
 
     For every fading rate and algorithm, two records are emitted: the
@@ -525,37 +694,33 @@ def run_sinr_vs_fading(cfg: ExperimentConfig, threads: int = 1) -> list[MetricsR
         raise ValueError("fading grid must span at least [0.001, 0.02]")
     if cfg.train_len < 1:
         raise ValueError("sinr-vs-fading needs a training prefix")
+    points = [(rate, snr_db) for rate in cfg.fading_grid]
+    marks = tuple(sorted({cfg.train_len - 1, cfg.packet_len - 1}))
+    shape = (len(points), cfg.packets)
+    sinr = {name: np.empty((*shape, len(marks))) for name in cfg.algorithms}
+    post_ber = {name: np.full(shape, np.nan) for name in cfg.algorithms}
+    for lanes, runs in _simulate(cfg, points, cfg.algorithms, marks=marks):
+        packets, grid = np.array(lanes).T
+        for name, run in runs.items():
+            sinr[name][grid, packets] = run.sinr
+            post = run.errors[:, cfg.train_len:]
+            if post.shape[1]:
+                post_ber[name][grid, packets] = np.nanmean(post, axis=1)
     records: list[MetricsRecord] = []
-    modes = {_mode_of(name) for name in cfg.algorithms}
-    marks = (cfg.train_len - 1, cfg.packet_len - 1)
-    for rate in cfg.fading_grid:
-
-        def worker(packet: int) -> dict[str, tuple[dict[int, float], float]]:
-            env = _build_packet_env(cfg, rate, snr_db, packet, modes)
-            out = {}
-            for name in cfg.algorithms:
-                run = _run_algorithm(name, cfg, env, snapshots=marks)
-                post = run.errors[cfg.train_len:]
-                post_ber = float(np.nanmean(post)) if post.size else float("nan")
-                out[name] = (run.snapshots, post_ber)
-            return out
-
-        results = _map_packets(worker, cfg.packets, threads)
+    for g, rate in enumerate(cfg.fading_grid):
         for name in cfg.algorithms:
-            bers = np.array([res[name][1] for res in results])
-            for mark in marks:
-                values = np.array([res[name][0][mark] for res in results])
+            for mark in (cfg.train_len - 1, cfg.packet_len - 1):
+                values = sinr[name][g, :, marks.index(mark)]
                 half = 1.96 * float(np.std(values)) / np.sqrt(cfg.packets)
                 records.append(MetricsRecord(
                     experiment="sinr-vs-fading", algorithm=name, sweep=float(rate),
-                    symbol=mark, ber=float(np.nanmean(bers)),
+                    symbol=mark, ber=float(np.nanmean(post_ber[name][g])),
                     sinr_db=float(np.mean(values)), ci=half, seed=cfg.seed))
     return records
 
 
 def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
-                            cache_dir=None, g_init: str = "identity",
-                            threads: int = 1) -> list[MetricsRecord]:
+                            cache_dir=None, g_init: str = "identity") -> list[MetricsRecord]:
     """Analytical SINR recursions against simulated learning curves.
 
     Takes one point of each grid (extra points raise) and ignores
@@ -601,7 +766,19 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
             experiment="analyze", algorithm="mmse-bound", sweep=float(rate),
             symbol=i, ber=None, sinr_db=mmse_ratio, ci=None, seed=cfg.seed))
 
+    names = [name for name, _ in pairs.values()]
+    curves = {name: np.empty((cfg.packets, length)) for name in names}
     train_cfg = replace(cfg, train_len=cfg.packet_len)
+    for lanes, runs in _simulate(train_cfg, [(rate, snr_db)], names, record_weights=True,
+                                 fixed_codes=fixed_codes):
+        for name, run in runs.items():
+            for (packet, _), weights in zip(lanes, run.weights):
+                sig_power = np.real(np.einsum(
+                    "mi,mi->i", np.conj(weights), moments.signal_corr @ weights))
+                int_power = np.real(np.einsum(
+                    "mi,mi->i", np.conj(weights), moments.interference_corr @ weights))
+                curves[name][packet] = sig_power / int_power
+
     for variant, (alg_name, mu_variant) in pairs.items():
         state = analysis.make_analysis_state(moments.dim, mu_variant, g_init)
         propagation = analysis.propagation_matrix(moments, mu_variant, variant)
@@ -614,20 +791,8 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
                 sinr_db=analysis.analytical_sinr(state, moments), ci=None,
                 seed=cfg.seed))
 
-        def worker(packet: int) -> np.ndarray:
-            env = _build_packet_env(train_cfg, rate, snr_db, packet,
-                                    {"differential"}, fixed_codes=fixed_codes)
-            run = _run_algorithm(alg_name, train_cfg, env, record_weights=True)
-            weights = run.weights
-            sig_power = np.real(np.einsum(
-                "mi,mi->i", np.conj(weights), moments.signal_corr @ weights))
-            int_power = np.real(np.einsum(
-                "mi,mi->i", np.conj(weights), moments.interference_corr @ weights))
-            return sig_power / int_power
-
-        curves = np.vstack(_map_packets(worker, cfg.packets, threads))
-        mean_linear = np.mean(curves, axis=0)
-        per_packet_db = 10.0 * np.log10(np.maximum(curves, _SINR_FLOOR))
+        mean_linear = np.mean(curves[alg_name], axis=0)
+        per_packet_db = 10.0 * np.log10(np.maximum(curves[alg_name], _SINR_FLOOR))
         ci = 1.96 * np.std(per_packet_db, axis=0) / np.sqrt(cfg.packets)
         for i in range(length):
             records.append(MetricsRecord(

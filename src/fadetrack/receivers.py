@@ -14,12 +14,22 @@ window: a normalized stochastic-gradient step and a conjugate-gradient
 solver over exponentially averaged correlation statistics.  The
 differential tracker is the one-pair restriction of the same updates.
 Conventional NLMS/RLS trackers serve as baselines.
+
+Every update is an array kernel over a leading *lane* axis: ``L``
+independent filters, each with its own observations, stepped at once
+(the ``*_lanes`` functions).  A window is an ``(L, M, D)`` slice of
+received vectors in time order, newest last, with its ``(L, D)``
+symbols.  Kernels reduce along non-lane axes only and take every dot
+product as one BLAS call per lane, so a lane's bits never depend on the
+other lanes.  The per-symbol functions (``bidir_nlms_step``,
+``bidir_cg_step`` and the rest) are one-lane calls of the same kernels.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -40,6 +50,15 @@ __all__ = [
     "update_cg_correlations",
     "cg_solve",
     "bidir_cg_step",
+    "lane_dot",
+    "pair_errors_lanes",
+    "mixing_lanes",
+    "pair_nlms_lanes",
+    "nlms_lanes",
+    "rls_lanes",
+    "cg_correlations_lanes",
+    "cg_solve_lanes",
+    "cg_step_lanes",
     "matched_filter_init",
     "make_filter_state",
     "make_mixing_state",
@@ -166,6 +185,229 @@ def pair_indices(depth: int) -> tuple[tuple[int, int], ...]:
     return tuple((d, l) for d in range(depth - 1) for l in range(d + 1, depth))
 
 
+# ----------------------------------------------------------------------
+# Lane kernels.
+# ----------------------------------------------------------------------
+
+_RLS_SYM_TOL = 1e-6
+
+
+def lane_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``vdot(a[l], b[l])`` of every lane: ``(L, M)`` and ``(L, M)`` give ``(L,)``."""
+    return np.matmul(np.conj(a)[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a[l] @ x[l]`` of every lane."""
+    return np.matmul(a, x[..., None])[..., 0]
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every lane's vector."""
+    return np.sqrt(lane_dot(x, x).real)
+
+
+def _real_mix(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``sum_k weights[l, p, k] * terms[l, k]`` with real weights, one BLAS call per lane."""
+    lanes, num = terms.shape[:2]
+    flat = np.ascontiguousarray(terms).reshape(lanes, num, -1).view(np.float64)
+    out = np.matmul(weights, flat).view(np.complex128)
+    return out.reshape(lanes, weights.shape[1], *terms.shape[2:])
+
+
+def _power_lanes(power: np.ndarray, forget: float, newest: np.ndarray) -> np.ndarray:
+    """Refreshed input-power normalization; raises if any lane underflows."""
+    power = forget * power + (1.0 - forget) * lane_dot(newest, newest).real
+    if not np.all(np.isfinite(power) & (power > 0.0)):
+        raise DegenerateInputError("input power normalization underflowed")
+    return power
+
+
+@cache
+def _pair_layout(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Window columns (oldest first) of each pair's newer sample ``d`` and older sample
+    ``l``, and the ``(P, D)`` matrix scattering the pairs onto their newer columns."""
+    newer = np.array([depth - 1 - d for d, _ in pair_indices(depth)])
+    older = np.array([depth - 1 - l for _, l in pair_indices(depth)])
+    scatter = np.zeros((newer.size, depth))
+    scatter[np.arange(newer.size), newer] = 1.0
+    for array in (newer, older, scatter):
+        array.setflags(write=False)
+    return newer, older, scatter
+
+
+def pair_errors_lanes(w: np.ndarray, window: np.ndarray, symbols: np.ndarray):
+    """Pair errors ``(L, P)`` of a ``D``-sample window and their magnitude sums ``(L,)``.
+
+    For each lag pair (d, l), d < l, enumerated lexicographically,
+
+        e_n = b[i-d] * w^H r[i-l] - b[i-l] * w^H r[i-d].
+    """
+    newer, older, _ = _pair_layout(window.shape[-1])
+    outputs = np.matmul(np.conj(w)[:, None, :], window)[:, 0]
+    errors = symbols[:, newer] * outputs[:, older] - symbols[:, older] * outputs[:, newer]
+    return errors, np.abs(errors).sum(axis=-1)
+
+
+def mixing_lanes(rho: np.ndarray, errors: np.ndarray, total: np.ndarray,
+                 forget: float) -> np.ndarray:
+    """:func:`update_mixing` on ``(L, P)`` weights, as its docstring's array formula
+    (clipped at 0 with ``maximum``).
+
+    Lanes with a zero total error, and every lane of a single pair, keep
+    their weights.
+    """
+    num = rho.shape[-1]
+    if num == 1:
+        return rho.copy()
+    silent = total == 0.0
+    scale = np.where(silent, 1.0, total)[:, None]
+    innovation = (scale - np.abs(errors)) / ((num - 1) * scale)
+    mixed = np.maximum(forget * rho + (1.0 - forget) * innovation, 0.0)
+    mixed = mixed / mixed.sum(axis=-1, keepdims=True)
+    return np.where(silent[:, None], rho, mixed)
+
+
+def pair_nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: float,
+                    rho: np.ndarray, errors: np.ndarray, window: np.ndarray,
+                    symbols: np.ndarray):
+    """The pair-window NLMS step of :func:`bidir_nlms_step`; returns ``(w, power)``.
+
+    Pair (d, l) adds ``rho_n b[i-l] conj(e_n) r[i-d]`` to the gradient.
+    """
+    power = _power_lanes(power, norm_forget, window[..., -1])
+    _, older, scatter = _pair_layout(window.shape[-1])
+    coefficients = np.matmul((rho * symbols[:, older] * np.conj(errors))[:, None, :], scatter)
+    return w + (step_size / power)[:, None] * _matvec(window, coefficients[:, 0]), power
+
+
+def nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: float,
+               x: np.ndarray, ref: np.ndarray, output: np.ndarray):
+    """The conventional NLMS step of :func:`conventional_nlms_step`; returns ``(w, power)``.
+
+    ``output`` is ``w^H x`` of every lane.
+    """
+    power = _power_lanes(power, norm_forget, x)
+    error = ref - output
+    return w + (step_size / power)[:, None] * x * np.conj(error)[:, None], power
+
+
+def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
+              ref: np.ndarray, output: np.ndarray):
+    """The RLS step of :func:`conventional_rls_step`; returns ``(w, inv_corr)``.
+
+    ``output`` is ``w^H x`` of every lane.  Lanes with a zero observation
+    keep their state; an inverse whose Hermitian asymmetry exceeds the
+    tolerance is re-symmetrized, lane by lane.
+    """
+    px = _matvec(inv_corr, x)
+    k = px / (forget + lane_dot(x, px).real)[:, None]
+    weights = w + k * np.conj(ref - output)[:, None]
+    # x^H P = (P x)^H for Hermitian P, saving one matrix-vector product.
+    inv = (inv_corr - k[:, :, None] * np.conj(px)[:, None, :]) / forget
+    adjoint = np.conj(np.swapaxes(inv, -1, -2))
+    drift = np.max(np.abs(inv - adjoint), axis=(-2, -1))
+    inv = np.where((drift > _RLS_SYM_TOL)[:, None, None], 0.5 * (inv + adjoint), inv)
+    seen = np.any(x != 0, axis=-1)
+    return (np.where(seen[:, None], weights, w),
+            np.where(seen[:, None, None], inv, inv_corr))
+
+
+def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray,
+                          forget: float, rho: np.ndarray, window: np.ndarray,
+                          symbols: np.ndarray, paper_literal_t1: bool = False):
+    """The recursions of :func:`update_cg_correlations` on ``(L, 3, M, M)`` / ``(L, 3, M)``.
+
+    Returns the advanced ``(autocorr, crosscorr)`` and the mixed system
+    ``(Rbar, tbar)``.
+    """
+    lanes = w.shape[0]
+    r0, r1, r2 = window[..., -1], window[..., -2], window[..., -3]
+    b0, b1, b2 = symbols[:, -1], symbols[:, -2], symbols[:, -3]
+    recent = np.stack([r0, r1], axis=1)
+    outers = recent[..., :, None] * np.conj(recent)[..., None, :]
+    # Pair n's rank-one increment: |b|^2 times the outer product of r[i] or r[i-1].
+    gains = np.zeros((lanes, 3, 2))
+    gains[:, 0, 0], gains[:, 1, 0], gains[:, 2, 1] = b1 * b1, b2 * b2, b2 * b2
+    auto = forget * autocorr + _real_mix(gains, outers)
+    # r^H w = conj(w^H r).
+    h1, h2 = np.conj(lane_dot(w, r1)), np.conj(lane_dot(w, r2))
+    cross = forget * crosscorr
+    if paper_literal_t1:
+        cross[:, 0] = forget * crosscorr[:, 2]
+    cross[:, 0] += (b1 * h1 * b0)[:, None] * r0
+    cross[:, 1] += (b2 * h2 * b0)[:, None] * r0
+    cross[:, 2] += (b2 * h2 * b1)[:, None] * r1
+    mix = rho[:, None, :]
+    return auto, cross, _real_mix(mix, auto)[:, 0], _real_mix(mix, cross)[:, 0]
+
+
+def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_max: int,
+                   tol: float = 1e-12, history: list | None = None) -> np.ndarray:
+    """The iterations of :func:`cg_solve` on every lane, each with its own exits.
+
+    A lane whose gradient falls below its exit threshold, or whose
+    curvature along the direction falls to its floor, stops at its
+    current iterate while the others go on.  When ``history`` is given,
+    the ``(L, M)`` iterates are appended after each iteration that moved
+    some lane.
+    """
+    w = np.array(w_init, dtype=np.complex128)
+    grad = _matvec(corr, w) - cross
+    direction = -grad
+    # Exponentially accumulated systems carry roundoff proportional to
+    # their scale, so both safeguards are scale-relative: the gradient
+    # exit threshold and the semi-definite curvature floor.  Without the
+    # scaling, a singular system's roundoff-level gradient eventually
+    # clears an absolute threshold and a junk direction's near-zero
+    # curvature produces a catastrophic step.
+    scale = np.trace(corr, axis1=-2, axis2=-1).real / max(w.shape[-1], 1)
+    grad_exit = tol * np.maximum(1.0, _norm(cross))
+    active = np.ones(w.shape[0], dtype=bool)
+    for _ in range(j_max):
+        active &= ~(_norm(grad) < grad_exit)
+        if not active.any():
+            break
+        corr_dir = _matvec(corr, direction)
+        curvature = lane_dot(direction, corr_dir).real
+        active &= ~(curvature <= 1e-13 * scale * lane_dot(direction, direction).real)
+        if not active.any():
+            break
+        curvature = np.where(active, curvature, 1.0)
+        alpha = -lane_dot(direction, grad) / curvature
+        w = np.where(active[:, None], w + alpha[:, None] * direction, w)
+        grad = _matvec(corr, w) - cross
+        beta = lane_dot(grad, corr_dir) / curvature
+        direction = -grad + beta[:, None] * direction
+        if history is not None:
+            history.append(w.copy())
+    return w
+
+
+def cg_step_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray, forget: float,
+                  max_iters: int, loading: float, rho: np.ndarray, window: np.ndarray,
+                  symbols: np.ndarray, paper_literal_t1: bool = False):
+    """The step of :func:`bidir_cg_step`; returns ``(autocorr, crosscorr, w)``."""
+    auto, cross, mixed_auto, mixed_cross = cg_correlations_lanes(
+        autocorr, crosscorr, w, forget, rho, window, symbols, paper_literal_t1)
+    if loading > 0:
+        dim = w.shape[-1]
+        load = loading * np.trace(mixed_auto, axis1=-2, axis2=-1).real / dim
+        mixed_auto = mixed_auto + load[:, None, None] * np.eye(dim)
+    return auto, cross, cg_solve_lanes(mixed_auto, mixed_cross, w, max_iters)
+
+
+# ----------------------------------------------------------------------
+# Per-symbol steps: one-lane calls of the kernels.
+# ----------------------------------------------------------------------
+
+def _one_lane(hist: History, depth: int):
+    """The newest ``depth`` samples of a history as a one-lane window and its symbols."""
+    lags = range(depth - 1, -1, -1)
+    window = np.stack([np.asarray(hist.vector(d), dtype=np.complex128) for d in lags], axis=-1)
+    return window[None], np.array([[hist.symbol(d) for d in lags]])
+
+
 def compute_pair_errors(w: np.ndarray, hist: History, depth: int = 3) -> PairErrors:
     """Evaluate every pair error of the ``depth``-sample window.
 
@@ -182,12 +424,9 @@ def compute_pair_errors(w: np.ndarray, hist: History, depth: int = 3) -> PairErr
     w = np.asarray(w)
     if w.shape != hist.vector(0).shape:
         raise ValueError("filter and stored vectors have different lengths")
-    outputs = np.array([np.vdot(w, hist.vector(d)) for d in range(depth)])
-    pairs = pair_indices(depth)
-    errors = np.array([hist.symbol(d) * outputs[l] - hist.symbol(l) * outputs[d]
-                       for d, l in pairs])
-    total = float(np.sum(np.abs(errors)))
-    return PairErrors(errors=errors, total=total, pairs=pairs)
+    window, symbols = _one_lane(hist, depth)
+    errors, total = pair_errors_lanes(w[None], window, symbols)
+    return PairErrors(errors=errors[0], total=float(total[0]), pairs=pair_indices(depth))
 
 
 def update_mixing(state: MixingState, errs: PairErrors) -> MixingState:
@@ -225,14 +464,6 @@ def update_mixing(state: MixingState, errs: PairErrors) -> MixingState:
                        forget=forget)
 
 
-def _updated_power_norm(fs: FilterState, newest: np.ndarray) -> float:
-    energy = float(np.real(np.vdot(newest, newest)))
-    power = fs.norm_forget * fs.power_norm + (1.0 - fs.norm_forget) * energy
-    if power <= 0.0 or not np.isfinite(power):
-        raise DegenerateInputError("input power normalization underflowed")
-    return power
-
-
 def bidir_nlms_step(fs: FilterState, mix: MixingState, hist: History,
                     errs: PairErrors | None = None) -> FilterState:
     """Normalized stochastic-gradient update over the pair window.
@@ -259,18 +490,11 @@ def bidir_nlms_step(fs: FilterState, mix: MixingState, hist: History,
         raise ValueError(f"update needs a history of {depth} samples")
     if errs is None:
         errs = compute_pair_errors(fs.weights, hist, depth)
-    power = _updated_power_norm(fs, hist.vector(0))
-    b1 = hist.symbol(1)
-    if depth == 2:
-        step = rho[0] * b1 * np.conj(errs.errors[0]) * hist.vector(0)
-    else:
-        b2 = hist.symbol(2)
-        e1, e2, e3 = errs.errors
-        step = (rho[0] * b1 * np.conj(e1) * hist.vector(0)
-                + rho[1] * b2 * np.conj(e2) * hist.vector(0)
-                + rho[2] * b2 * np.conj(e3) * hist.vector(1))
-    weights = fs.weights + (fs.step_size / power) * step
-    return replace(fs, weights=weights, power_norm=power)
+    window, symbols = _one_lane(hist, depth)
+    weights, power = pair_nlms_lanes(fs.weights[None], np.array([fs.power_norm]),
+                                     fs.step_size, fs.norm_forget, rho[None],
+                                     errs.errors[None], window, symbols)
+    return replace(fs, weights=weights[0], power_norm=float(power[0]))
 
 
 def conventional_nlms_step(fs: FilterState, r, b_ref: float) -> FilterState:
@@ -278,10 +502,10 @@ def conventional_nlms_step(fs: FilterState, r, b_ref: float) -> FilterState:
     x = _samples(r)
     if x.shape != fs.weights.shape:
         raise ValueError("filter and observation dimensions differ")
-    power = _updated_power_norm(fs, x)
-    error = b_ref - np.vdot(fs.weights, x)
-    weights = fs.weights + (fs.step_size / power) * x * np.conj(error)
-    return replace(fs, weights=weights, power_norm=power)
+    w, x = fs.weights[None], x[None]
+    weights, power = nlms_lanes(w, np.array([fs.power_norm]), fs.step_size, fs.norm_forget,
+                                x, np.array([float(b_ref)]), lane_dot(w, x))
+    return replace(fs, weights=weights[0], power_norm=float(power[0]))
 
 
 @dataclass(frozen=True)
@@ -308,9 +532,6 @@ def make_rls_state(weights, delta: float = 0.01, forget: float = 0.998) -> RlsSt
     return RlsState(weights=weights, inv_corr=inv_corr, forget=forget)
 
 
-_RLS_SYM_TOL = 1e-6
-
-
 def conventional_rls_step(state: RlsState, r, b_ref: float) -> RlsState:
     """One exponentially weighted recursive least-squares update.
 
@@ -321,19 +542,10 @@ def conventional_rls_step(state: RlsState, r, b_ref: float) -> RlsState:
     x = _samples(r)
     if x.shape != state.weights.shape:
         raise ValueError("filter and observation dimensions differ")
-    if not np.any(x):
-        return replace(state)
-    px = state.inv_corr @ x
-    denom = state.forget + float(np.real(np.vdot(x, px)))
-    k = px / denom
-    error = b_ref - np.vdot(state.weights, x)
-    weights = state.weights + k * np.conj(error)
-    # x^H P = (P x)^H for Hermitian P, saving one matrix-vector product.
-    inv_corr = (state.inv_corr - np.outer(k, np.conj(px))) / state.forget
-    drift = np.max(np.abs(inv_corr - inv_corr.conj().T))
-    if drift > _RLS_SYM_TOL:
-        inv_corr = 0.5 * (inv_corr + inv_corr.conj().T)
-    return RlsState(weights=weights, inv_corr=inv_corr, forget=state.forget)
+    w, x = state.weights[None], x[None]
+    weights, inv_corr = rls_lanes(w, state.inv_corr[None], state.forget, x,
+                                  np.array([float(b_ref)]), lane_dot(w, x))
+    return RlsState(weights=weights[0], inv_corr=inv_corr[0], forget=state.forget)
 
 
 @dataclass(frozen=True)
@@ -387,6 +599,18 @@ def make_cg_state(weights, forget: float = 0.998, max_iters: int = 5,
     )
 
 
+def _cg_lane(cs: CgState, mix: MixingState, hist: History):
+    """Checks and one-lane arrays of the CG correlation update."""
+    if not hist.full or hist.depth < 3:
+        raise ValueError("correlation update needs a full three-sample history")
+    if mix.weights.size != 3:
+        raise ValueError("correlation update needs three mixing weights")
+    if hist.vector(0).shape != cs.weights.shape:
+        raise ValueError("stored vectors and filter dimensions differ")
+    return (np.stack(cs.autocorr)[None], np.stack(cs.crosscorr)[None], cs.weights[None],
+            cs.forget, mix.weights[None], *_one_lane(hist, 3))
+
+
 def update_cg_correlations(cs: CgState, mix: MixingState, hist: History):
     """Advance the per-pair correlation averages and mix them.
 
@@ -402,32 +626,10 @@ def update_cg_correlations(cs: CgState, mix: MixingState, hist: History):
     where ``w`` is the pre-update filter.  Returns the mixed system
     ``(Rbar, tbar)`` together with the advanced state.
     """
-    if not hist.full or hist.depth < 3:
-        raise ValueError("correlation update needs a full three-sample history")
-    if mix.weights.size != 3:
-        raise ValueError("correlation update needs three mixing weights")
-    r0, r1, r2 = hist.vector(0), hist.vector(1), hist.vector(2)
-    if r0.shape != cs.weights.shape:
-        raise ValueError("stored vectors and filter dimensions differ")
-    b0, b1, b2 = hist.symbol(0), hist.symbol(1), hist.symbol(2)
-    lam = cs.forget
-    w = cs.weights
-    auto = (
-        lam * cs.autocorr[0] + (b1 * np.conj(b1)) * np.outer(r0, np.conj(r0)),
-        lam * cs.autocorr[1] + (b2 * np.conj(b2)) * np.outer(r0, np.conj(r0)),
-        lam * cs.autocorr[2] + (b2 * np.conj(b2)) * np.outer(r1, np.conj(r1)),
-    )
-    t1_prev = cs.crosscorr[2] if cs.paper_literal_t1 else cs.crosscorr[0]
-    cross = (
-        lam * t1_prev + b1 * np.vdot(r1, w) * np.conj(b0) * r0,
-        lam * cs.crosscorr[1] + b2 * np.vdot(r2, w) * np.conj(b0) * r0,
-        lam * cs.crosscorr[2] + b2 * np.vdot(r2, w) * np.conj(b1) * r1,
-    )
-    rho = mix.weights
-    mixed_auto = rho[0] * auto[0] + rho[1] * auto[1] + rho[2] * auto[2]
-    mixed_cross = rho[0] * cross[0] + rho[1] * cross[1] + rho[2] * cross[2]
-    advanced = replace(cs, autocorr=auto, crosscorr=cross)
-    return mixed_auto, mixed_cross, advanced
+    auto, cross, mixed_auto, mixed_cross = cg_correlations_lanes(
+        *_cg_lane(cs, mix, hist), cs.paper_literal_t1)
+    advanced = replace(cs, autocorr=tuple(auto[0]), crosscorr=tuple(cross[0]))
+    return mixed_auto[0], mixed_cross[0], advanced
 
 
 def cg_solve(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray,
@@ -448,32 +650,11 @@ def cg_solve(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray,
         raise ValueError("system dimensions are inconsistent")
     if j_max < 0:
         raise ValueError("j_max must be nonnegative")
-    grad = corr @ w - cross
-    direction = -grad
-    # Exponentially accumulated systems carry roundoff proportional to
-    # their scale, so both safeguards are scale-relative: the gradient
-    # exit threshold and the semi-definite curvature floor.  Without the
-    # scaling, a singular system's roundoff-level gradient eventually
-    # clears an absolute threshold and a junk direction's near-zero
-    # curvature produces a catastrophic step.
-    scale = float(np.real(np.trace(corr))) / max(w.size, 1)
-    grad_exit = tol * max(1.0, float(np.linalg.norm(cross)))
-    for _ in range(j_max):
-        if np.linalg.norm(grad) < grad_exit:
-            break
-        corr_dir = corr @ direction
-        curvature = float(np.real(np.vdot(direction, corr_dir)))
-        floor = 1e-13 * scale * float(np.real(np.vdot(direction, direction)))
-        if curvature <= floor:
-            break
-        alpha = -np.vdot(direction, grad) / curvature
-        w = w + alpha * direction
-        grad = corr @ w - cross
-        beta = np.vdot(grad, corr_dir) / curvature
-        direction = -grad + beta * direction
-        if history is not None:
-            history.append(w.copy())
-    return w
+    iterates = None if history is None else []
+    w = cg_solve_lanes(corr[None], cross[None], w[None], j_max, tol, iterates)
+    if history is not None:
+        history.extend(step[0] for step in iterates)
+    return w[0]
 
 
 def bidir_cg_step(cs: CgState, mix: MixingState, hist: History) -> CgState:
@@ -485,13 +666,10 @@ def bidir_cg_step(cs: CgState, mix: MixingState, hist: History) -> CgState:
     loads the solved system's diagonal, which stabilizes a
     sample-starved system; the stored statistics stay unloaded.
     """
-    mixed_auto, mixed_cross, advanced = update_cg_correlations(cs, mix, hist)
-    if advanced.loading > 0:
-        dim = advanced.weights.size
-        load = advanced.loading * float(np.real(np.trace(mixed_auto))) / dim
-        mixed_auto = mixed_auto + load * np.eye(dim)
-    weights = cg_solve(mixed_auto, mixed_cross, advanced.weights, advanced.max_iters)
-    return replace(advanced, weights=weights)
+    auto, cross, w, forget, rho, window, symbols = _cg_lane(cs, mix, hist)
+    auto, cross, weights = cg_step_lanes(auto, cross, w, forget, cs.max_iters, cs.loading,
+                                         rho, window, symbols, cs.paper_literal_t1)
+    return replace(cs, autocorr=tuple(auto[0]), crosscorr=tuple(cross[0]), weights=weights[0])
 
 
 def matched_filter_init(code_chips: np.ndarray, window: int) -> np.ndarray:

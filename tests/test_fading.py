@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kurtosis
 
+from fadetrack import fading
 from fadetrack.fading import (
     FadingConfig,
     clarke_autocorrelation,
@@ -148,6 +149,42 @@ class TestFadingWindows:
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
             fading_windows(FadingConfig(0.01), 0, np.random.default_rng(0), (2,))
+
+
+class TestRealPhasors:
+    """Phasors filled from real cos/sin keep the bits of ``exp(1j * x)``."""
+
+    @staticmethod
+    def both(monkeypatch, produce):
+        new = produce()
+        with monkeypatch.context() as patch:
+            patch.setattr(fading, "_phasor", lambda angle: np.exp(1j * np.asarray(angle)))
+            old = produce()
+        return new, old
+
+    def test_generate_fading_bits(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        for trial in range(40):
+            paths = int(rng.integers(1, 4))
+            config = FadingConfig(float(rng.choice([0.0, rng.uniform(0, 0.1), rng.uniform(0, 2)])),
+                                  num_paths=paths, num_oscillators=int(rng.integers(8, 80)),
+                                  seed=int(rng.integers(2**31)))
+            # Two configs run past one phasor chunk.
+            length = fading._CHUNK + 5 if trial < 2 else int(rng.choice([1, rng.integers(2, 400)]))
+            new, old = self.both(monkeypatch, lambda: generate_fading(config, length).gains)
+            assert np.array_equal(new, old)
+
+    def test_fading_windows_bits(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            config = FadingConfig(float(rng.uniform(0, 0.2)), num_paths=int(rng.integers(1, 4)),
+                                  num_oscillators=int(rng.integers(8, 80)))
+            batch = tuple(int(n) for n in rng.integers(1, 5, size=rng.integers(0, 3)))
+            length = int(rng.integers(1, 8))
+            seed = int(rng.integers(2**31))
+            new, old = self.both(monkeypatch, lambda: fading_windows(
+                config, length, np.random.default_rng(seed), batch))
+            assert np.array_equal(new, old)
 
 
 class TestCorrelationFactors:

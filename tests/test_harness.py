@@ -5,11 +5,13 @@ import io
 import math
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fadetrack.fading import generate_fading
 from fadetrack.harness import (
     ALGORITHMS,
     ExperimentConfig,
@@ -297,6 +299,45 @@ class TestSeedPartitioning:
         env0 = _build_packet_env(cfg, 0.005, 12.0, 0, {"coherent"})
         env1 = _build_packet_env(cfg, 0.005, 12.0, 1, {"coherent"})
         assert not np.array_equal(env0.received["coherent"], env1.received["coherent"])
+
+
+class TestPacketDraws:
+    @pytest.mark.parametrize("experiment", ["ber", "analyze"])
+    def test_each_packet_fades_once(self, experiment, monkeypatch, tmp_path):
+        # Two SNR points on ber and two receivers on analyze share every
+        # packet's fading: one generate_fading call per user and packet.
+        import fadetrack.harness as harness
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return generate_fading(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "generate_fading", counted)
+        cfg = ExperimentConfig(**{**SMALL, "users": 3, "packets": 5})
+        if experiment == "ber":
+            run_ber_curve(replace(cfg, snr_db=(0.0, 6.0, 12.0)))
+        else:
+            run_analysis_comparison(replace(cfg, algorithms=("bidir-nlms",)),
+                                    cache_dir=tmp_path)
+        assert len(calls) == cfg.users * cfg.packets
+
+    @pytest.mark.parametrize("command, extra", [
+        ("ber", ["--snr-db", "4,12", "--fading-grid", "0.005"]),
+        ("sinr-vs-fading", ["--snr-db", "12", "--fading-grid", "0.001,0.005,0.02"]),
+    ])
+    def test_csv_bytes_do_not_depend_on_the_chunk(self, command, extra, monkeypatch, tmp_path):
+        import fadetrack.harness as harness
+        from fadetrack.cli import main
+        outputs = []
+        for chunk in (1, 2, 5, 16):
+            monkeypatch.setattr(harness, "_CHUNK_LANES", chunk)
+            out = tmp_path / f"{chunk}.csv"
+            main([command, "--out", str(out), "--users", "2", "--gain", "8", "--paths", "2",
+                  "--packet-len", "40", "--train-len", "12", "--packets", "3", "--seed", "4",
+                  "--algorithms", ",".join(ALGORITHMS), *extra])
+            outputs.append(out.read_bytes())
+        assert all(out == outputs[0] for out in outputs[1:])
 
 
 class TestRunSinrVsFading:
