@@ -527,6 +527,10 @@ def _step_lanes(name: str, cfg: ExperimentConfig, received, refs, data, w_init,
         if i in mark_of:
             filters[:, mark_of[i]] = tracker.weights
         z_prev = z
+    # A non-finite filter stays non-finite, so one check after the packet
+    # catches an overflow at any symbol.
+    if not np.all(np.isfinite(tracker.weights)):
+        raise ValueError(f"{name} filter weights became non-finite")
     return errors, filters, trajectory
 
 

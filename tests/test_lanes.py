@@ -233,6 +233,16 @@ class TestLaneRules:
             pair_nlms_lanes(w, np.ones(3), 0.1, 0.0, np.full((3, 3), 1 / 3), errors,
                             window, symbols)
 
+    @pytest.mark.parametrize("name", ["nlms", "bidir-nlms", "rls"])
+    def test_non_finite_filter_raises(self, name):
+        # An overflowing step size or forgetting factor: the engine raises
+        # rather than return non-finite filters and decisions made from them.
+        cfg = ExperimentConfig(**{**small_config(isi=True).__dict__,
+                                  "mu": 1e300, "lambda_rls": 1e-300})
+        env = _build_packet_env(cfg, *POINTS[0], 0, {_mode_of(name)})
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+            _run_algorithm(name, cfg, env)
+
     def test_cg_exits_lane_by_lane(self):
         # Lane 0 starts at its solution (gradient exit), lane 1 on a
         # rank-one system (curvature floor after one step), lane 2 runs
