@@ -32,20 +32,10 @@ from .dscdma import (
     synthesize_received,
 )
 from .receivers import (
-    CgState,
     DegenerateInputError,
-    FilterState,
-    History,
     MixingState,
     PairErrors,
-    RlsState,
-    bidir_cg_step,
-    bidir_nlms_step,
     cg_solve,
-    compute_pair_errors,
-    conventional_nlms_step,
-    conventional_rls_step,
-    update_cg_correlations,
     update_mixing,
 )
 from .analysis import (

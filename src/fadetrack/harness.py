@@ -101,6 +101,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {name!r}; known: {', '.join(ALGORITHMS)}")
         # Each check is a plain or chained comparison, which NaN fails.
         checks = (
+            (self.users >= 1, "users must be at least 1"),
+            (self.gain >= 2, "gain must be at least 2"),
+            (self.paths >= 1, "paths must be at least 1"),
             (self.packet_len >= 3, "packet_len must be at least 3"),
             (0 <= self.train_len <= self.packet_len, "train_len must lie in [0, packet_len]"),
             (self.packets >= 1, "packets must be at least 1"),
@@ -553,32 +556,6 @@ def _run_mmse(cfg: ExperimentConfig, env: _PacketEnv, marks, record_weights: boo
 
 
 @dataclass
-class _AlgorithmRun:
-    errors: np.ndarray                    # per-symbol data errors; NaN where undefined
-    snapshots: dict[int, float]           # symbol index -> normalized SINR (dB)
-    weights: np.ndarray | None            # (M, T) trajectory when requested
-
-
-def _run_algorithm(name: str, cfg: ExperimentConfig, env: _PacketEnv,
-                   snapshots=(), record_weights: bool = False) -> _AlgorithmRun:
-    """One receiver on one packet: a one-lane run of the lane engine."""
-    marks = tuple(sorted(set(snapshots)))
-    if _RECEIVERS[name].lanes is None:
-        errors, filters, trajectory = _run_mmse(cfg, env, marks, record_weights)
-    else:
-        mode = _mode_of(name)
-        w_init = matched_filter_init(env.code_chips, env.scenario.window)
-        errors, filters, trajectory = _step_lanes(
-            name, cfg, env.received[mode][None], env.refs[mode][None], env.data[None],
-            w_init[None], marks, record_weights)
-        errors, filters = errors[0], filters[0]
-        trajectory = None if trajectory is None else trajectory[0]
-    sinr = _score(filters[None], [_sinr_terms(env, marks)])[0]
-    return _AlgorithmRun(errors=errors, snapshots=dict(zip(marks, sinr.tolist())),
-                         weights=trajectory)
-
-
-@dataclass
 class _LaneRuns:
     errors: np.ndarray          # (L, T) data errors; NaN where undefined
     sinr: np.ndarray            # (L, len(marks)) normalized SINR (dB) after each mark
@@ -698,23 +675,23 @@ def run_sinr_vs_fading(cfg: ExperimentConfig) -> list[MetricsRecord]:
         raise ValueError("fading grid must span at least [0.001, 0.02]")
     if cfg.train_len < 1:
         raise ValueError("sinr-vs-fading needs a training prefix")
+    if cfg.train_len == cfg.packet_len:
+        raise ValueError("sinr-vs-fading needs symbols after training")
     points = [(rate, snr_db) for rate in cfg.fading_grid]
-    marks = tuple(sorted({cfg.train_len - 1, cfg.packet_len - 1}))
+    marks = (cfg.train_len - 1, cfg.packet_len - 1)
     shape = (len(points), cfg.packets)
     sinr = {name: np.empty((*shape, len(marks))) for name in cfg.algorithms}
-    post_ber = {name: np.full(shape, np.nan) for name in cfg.algorithms}
+    post_ber = {name: np.empty(shape) for name in cfg.algorithms}
     for lanes, runs in _simulate(cfg, points, cfg.algorithms, marks=marks):
         packets, grid = np.array(lanes).T
         for name, run in runs.items():
             sinr[name][grid, packets] = run.sinr
-            post = run.errors[:, cfg.train_len:]
-            if post.shape[1]:
-                post_ber[name][grid, packets] = np.nanmean(post, axis=1)
+            post_ber[name][grid, packets] = np.nanmean(run.errors[:, cfg.train_len:], axis=1)
     records: list[MetricsRecord] = []
     for g, rate in enumerate(cfg.fading_grid):
         for name in cfg.algorithms:
-            for mark in (cfg.train_len - 1, cfg.packet_len - 1):
-                values = sinr[name][g, :, marks.index(mark)]
+            for k, mark in enumerate(marks):
+                values = sinr[name][g, :, k]
                 half = 1.96 * float(np.std(values)) / np.sqrt(cfg.packets)
                 records.append(MetricsRecord(
                     experiment="sinr-vs-fading", algorithm=name, sweep=float(rate),

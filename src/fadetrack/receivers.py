@@ -19,37 +19,27 @@ Every update is an array kernel over a leading *lane* axis: ``L``
 independent filters, each with its own observations, stepped at once
 (the ``*_lanes`` functions).  A window is an ``(L, M, D)`` slice of
 received vectors in time order, newest last, with its ``(L, D)``
-symbols.  Kernels reduce along non-lane axes only and take every dot
-product as one BLAS call per lane, so a lane's bits never depend on the
-other lanes.  The per-symbol functions (``bidir_nlms_step``,
-``bidir_cg_step`` and the rest) are one-lane calls of the same kernels.
+symbols; one filter is one lane.  Kernels reduce along non-lane axes
+only and take every dot product as one BLAS call per lane, so a lane's
+bits never depend on the other lanes.  Two plain per-symbol functions
+remain: :func:`update_mixing`, the reference :func:`mixing_lanes` is
+pinned to, and :func:`cg_solve`, one system at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 __all__ = [
     "DegenerateInputError",
-    "FilterState",
     "MixingState",
     "PairErrors",
-    "History",
-    "CgState",
-    "RlsState",
     "pair_indices",
-    "compute_pair_errors",
     "update_mixing",
-    "bidir_nlms_step",
-    "conventional_nlms_step",
-    "conventional_rls_step",
-    "update_cg_correlations",
     "cg_solve",
-    "bidir_cg_step",
     "lane_dot",
     "pair_errors_lanes",
     "mixing_lanes",
@@ -60,52 +50,12 @@ __all__ = [
     "cg_solve_lanes",
     "cg_step_lanes",
     "matched_filter_init",
-    "make_filter_state",
     "make_mixing_state",
-    "make_cg_state",
-    "make_rls_state",
 ]
 
 
 class DegenerateInputError(ValueError):
-    """Raised when an all-zero input history collapses the normalization."""
-
-
-def _samples(r) -> np.ndarray:
-    """Accept either a ReceivedVector or a bare complex vector."""
-    return np.asarray(getattr(r, "samples", r))
-
-
-@dataclass(frozen=True)
-class FilterState:
-    """Receive filter with its running power normalization.
-
-    ``power_norm`` tracks the exponentially averaged input energy that
-    divides the step size; it must stay positive.
-    """
-
-    weights: np.ndarray
-    power_norm: float
-    step_size: float
-    norm_forget: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.complex128))
-        if self.power_norm <= 0:
-            raise ValueError("power_norm must be positive")
-        if self.step_size < 0:
-            raise ValueError("step_size must be nonnegative")
-        if not 0.0 <= self.norm_forget <= 1.0:
-            raise ValueError("norm_forget must lie in [0, 1]")
-        if not np.all(np.isfinite(self.weights)):
-            raise ValueError("weights must be finite")
-
-
-def make_filter_state(weights, step_size: float, norm_forget: float = 0.9,
-                      power_norm: float = 1.0) -> FilterState:
-    return FilterState(weights=np.asarray(weights, dtype=np.complex128),
-                       power_norm=power_norm, step_size=step_size,
-                       norm_forget=norm_forget)
+    """Raised when all-zero observations collapse the power normalization."""
 
 
 @dataclass(frozen=True)
@@ -143,41 +93,6 @@ class PairErrors:
     errors: np.ndarray
     total: float
     pairs: tuple[tuple[int, int], ...]
-
-
-class History:
-    """Sliding window of the last ``depth`` observations and references.
-
-    ``vector(d)`` and ``symbol(d)`` return the entry ``d`` symbols back
-    from the most recent push.
-    """
-
-    def __init__(self, depth: int = 3):
-        if depth < 2:
-            raise ValueError("depth must be at least 2")
-        self.depth = depth
-        self._r: deque = deque(maxlen=depth)
-        self._b: deque = deque(maxlen=depth)
-
-    def push(self, received, symbol: float) -> None:
-        samples = _samples(received)
-        if self._r and samples.shape != self._r[-1].shape:
-            raise ValueError("received vectors must share their length")
-        self._r.append(samples)
-        self._b.append(float(symbol))
-
-    @property
-    def full(self) -> bool:
-        return len(self._r) == self.depth
-
-    def count(self) -> int:
-        return len(self._r)
-
-    def vector(self, lag: int) -> np.ndarray:
-        return self._r[-1 - lag]
-
-    def symbol(self, lag: int) -> float:
-        return self._b[-1 - lag]
 
 
 def pair_indices(depth: int) -> tuple[tuple[int, int], ...]:
@@ -239,7 +154,8 @@ def _pair_layout(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def pair_errors_lanes(w: np.ndarray, window: np.ndarray, symbols: np.ndarray):
     """Pair errors ``(L, P)`` of a ``D``-sample window and their magnitude sums ``(L,)``.
 
-    For each lag pair (d, l), d < l, enumerated lexicographically,
+    For each lag pair (d, l), d < l, enumerated lexicographically
+    (:func:`pair_indices`),
 
         e_n = b[i-d] * w^H r[i-l] - b[i-l] * w^H r[i-d].
     """
@@ -271,9 +187,22 @@ def mixing_lanes(rho: np.ndarray, errors: np.ndarray, total: np.ndarray,
 def pair_nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: float,
                     rho: np.ndarray, errors: np.ndarray, window: np.ndarray,
                     symbols: np.ndarray):
-    """The pair-window NLMS step of :func:`bidir_nlms_step`; returns ``(w, power)``.
+    """Normalized stochastic-gradient update over the pair window; returns ``(w, power)``.
 
-    Pair (d, l) adds ``rho_n b[i-l] conj(e_n) r[i-d]`` to the gradient.
+    ``errors`` are the pair errors of the pre-update filter
+    (:func:`pair_errors_lanes`).  The power normalization is refreshed
+    from the newest observation, ``p <- norm_forget p + (1 - norm_forget)
+    |r[i]|^2``, and the filter moves along the mixed one-sided gradient:
+    pair (d, l) adds ``rho_n b[i-l] conj(e_n) r[i-d]``.  Three mixing
+    weights select the three-sample window,
+
+        w <- w + mu / p * ( rho_1 b[i-1] conj(e_1) r[i]
+                          + rho_2 b[i-2] conj(e_2) r[i]
+                          + rho_3 b[i-2] conj(e_3) r[i-1] );
+
+    one weight (a two-sample window) selects its two-sample restriction,
+    the differential tracker, which keeps only the first term.  Reference
+    symbols are real (+-1) so their conjugation is implicit.
     """
     power = _power_lanes(power, norm_forget, window[..., -1])
     _, older, scatter = _pair_layout(window.shape[-1])
@@ -283,9 +212,12 @@ def pair_nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_for
 
 def nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: float,
                x: np.ndarray, ref: np.ndarray, output: np.ndarray):
-    """The conventional NLMS step of :func:`conventional_nlms_step`; returns ``(w, power)``.
+    """Standard NLMS tracking of a known (or decided) reference; returns ``(w, power)``.
 
-    ``output`` is ``w^H x`` of every lane.
+    With ``output = w^H x`` of every lane,
+
+        p <- norm_forget p + (1 - norm_forget) |x|^2,
+        w <- w + mu / p * x conj(ref - output).
     """
     power = _power_lanes(power, norm_forget, x)
     error = ref - output
@@ -294,11 +226,16 @@ def nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: 
 
 def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
               ref: np.ndarray, output: np.ndarray):
-    """The RLS step of :func:`conventional_rls_step`; returns ``(w, inv_corr)``.
+    """One exponentially weighted least-squares update; returns ``(w, inv_corr)``.
 
-    ``output`` is ``w^H x`` of every lane.  Lanes with a zero observation
-    keep their state; an inverse whose Hermitian asymmetry exceeds the
-    tolerance is re-symmetrized, lane by lane.
+    With ``output = w^H x`` of every lane and ``P`` the inverse correlation,
+
+        k = P x / (lambda + x^H P x),
+        w <- w + k conj(ref - output),
+        P <- (P - k (P x)^H) / lambda.
+
+    Lanes with a zero observation keep their state.  An inverse whose
+    Hermitian asymmetry exceeds ``1e-6`` is re-symmetrized, lane by lane.
     """
     px = _matvec(inv_corr, x)
     k = px / (forget + lane_dot(x, px).real)[:, None]
@@ -316,10 +253,23 @@ def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
 def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray,
                           forget: float, rho: np.ndarray, window: np.ndarray,
                           symbols: np.ndarray, paper_literal_t1: bool = False):
-    """The recursions of :func:`update_cg_correlations` on ``(L, 3, M, M)`` / ``(L, 3, M)``.
+    """Advance the per-pair correlation averages and mix them.
 
-    Returns the advanced ``(autocorr, crosscorr)`` and the mixed system
-    ``(Rbar, tbar)``.
+    The averages are ``(L, 3, M, M)`` autocorrelations and ``(L, 3, M)``
+    cross vectors.  Rank-one updates with forgetting factor ``lambda``:
+
+        Rbar_1 <- lam Rbar_1 + |b[i-1]|^2 r[i]   r[i]^H
+        Rbar_2 <- lam Rbar_2 + |b[i-2]|^2 r[i]   r[i]^H
+        Rbar_3 <- lam Rbar_3 + |b[i-2]|^2 r[i-1] r[i-1]^H
+        tbar_1 <- lam tbar_1 + b[i-1] (r[i-1]^H w) r[i]   conj(b[i])
+        tbar_2 <- lam tbar_2 + b[i-2] (r[i-2]^H w) r[i]   conj(b[i])
+        tbar_3 <- lam tbar_3 + b[i-2] (r[i-2]^H w) r[i-1] conj(b[i-1])
+
+    where ``w`` is the pre-update filter.  ``paper_literal_t1``
+    reproduces a published variant in which ``tbar_1`` is chained to the
+    past value of ``tbar_3``.  Returns the advanced ``(autocorr,
+    crosscorr)`` and the mixed system ``(Rbar, tbar) = sum_n rho_n
+    (Rbar_n, tbar_n)``.
     """
     lanes = w.shape[0]
     r0, r1, r2 = window[..., -1], window[..., -2], window[..., -3]
@@ -387,7 +337,15 @@ def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_ma
 def cg_step_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray, forget: float,
                   max_iters: int, loading: float, rho: np.ndarray, window: np.ndarray,
                   symbols: np.ndarray, paper_literal_t1: bool = False):
-    """The step of :func:`bidir_cg_step`; returns ``(autocorr, crosscorr, w)``."""
+    """Advance the correlations and re-solve the mixed system; returns ``(auto, cross, w)``.
+
+    :func:`cg_correlations_lanes` advances the statistics, then
+    :func:`cg_solve_lanes` runs ``max_iters`` iterations warm-started at
+    the previous filter, which suffices to track the solution of the
+    mixed normal equations.  A positive ``loading`` adds ``loading *
+    tr(Rbar) / M * I`` to the solved system only, which stabilizes a
+    sample-starved system; the stored statistics stay unloaded.
+    """
     auto, cross, mixed_auto, mixed_cross = cg_correlations_lanes(
         autocorr, crosscorr, w, forget, rho, window, symbols, paper_literal_t1)
     if loading > 0:
@@ -395,38 +353,6 @@ def cg_step_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray, fo
         load = loading * np.trace(mixed_auto, axis1=-2, axis2=-1).real / dim
         mixed_auto = mixed_auto + load[:, None, None] * np.eye(dim)
     return auto, cross, cg_solve_lanes(mixed_auto, mixed_cross, w, max_iters)
-
-
-# ----------------------------------------------------------------------
-# Per-symbol steps: one-lane calls of the kernels.
-# ----------------------------------------------------------------------
-
-def _one_lane(hist: History, depth: int):
-    """The newest ``depth`` samples of a history as a one-lane window and its symbols."""
-    lags = range(depth - 1, -1, -1)
-    window = np.stack([np.asarray(hist.vector(d), dtype=np.complex128) for d in lags], axis=-1)
-    return window[None], np.array([[hist.symbol(d) for d in lags]])
-
-
-def compute_pair_errors(w: np.ndarray, hist: History, depth: int = 3) -> PairErrors:
-    """Evaluate every pair error of the ``depth``-sample window.
-
-    For each lag pair (d, l) with d < l,
-
-        e_n = b[i-d] * w^H r[i-l] - b[i-l] * w^H r[i-d],
-
-    enumerated lexicographically; ``total`` is the sum of magnitudes.
-    """
-    if depth < 2:
-        raise ValueError("depth must be at least 2")
-    if hist.count() < depth:
-        raise ValueError("history does not cover the requested depth")
-    w = np.asarray(w)
-    if w.shape != hist.vector(0).shape:
-        raise ValueError("filter and stored vectors have different lengths")
-    window, symbols = _one_lane(hist, depth)
-    errors, total = pair_errors_lanes(w[None], window, symbols)
-    return PairErrors(errors=errors[0], total=float(total[0]), pairs=pair_indices(depth))
 
 
 def update_mixing(state: MixingState, errs: PairErrors) -> MixingState:
@@ -464,174 +390,6 @@ def update_mixing(state: MixingState, errs: PairErrors) -> MixingState:
                        forget=forget)
 
 
-def bidir_nlms_step(fs: FilterState, mix: MixingState, hist: History,
-                    errs: PairErrors | None = None) -> FilterState:
-    """Normalized stochastic-gradient update over the pair window.
-
-    Pair errors are evaluated with the pre-update filter, the power
-    normalization is refreshed from the newest observation, and the
-    filter moves along the mixed one-sided gradient.  Three mixing
-    weights select the three-sample window,
-
-        w <- w + mu / M * ( rho_1 b[i-1] conj(e_1) r[i]
-                          + rho_2 b[i-2] conj(e_2) r[i]
-                          + rho_3 b[i-2] conj(e_3) r[i-1] );
-
-    one weight selects its two-sample restriction, the differential
-    tracker, which keeps only the first term.
-
-    Reference symbols are real (+-1) so their conjugation is implicit.
-    """
-    rho = mix.weights
-    if rho.size not in (1, 3):
-        raise ValueError("bidirectional update needs one or three mixing weights")
-    depth = 2 if rho.size == 1 else 3
-    if hist.count() < depth:
-        raise ValueError(f"update needs a history of {depth} samples")
-    if errs is None:
-        errs = compute_pair_errors(fs.weights, hist, depth)
-    window, symbols = _one_lane(hist, depth)
-    weights, power = pair_nlms_lanes(fs.weights[None], np.array([fs.power_norm]),
-                                     fs.step_size, fs.norm_forget, rho[None],
-                                     errs.errors[None], window, symbols)
-    return replace(fs, weights=weights[0], power_norm=float(power[0]))
-
-
-def conventional_nlms_step(fs: FilterState, r, b_ref: float) -> FilterState:
-    """Standard NLMS tracking of a known (or decided) reference symbol."""
-    x = _samples(r)
-    if x.shape != fs.weights.shape:
-        raise ValueError("filter and observation dimensions differ")
-    w, x = fs.weights[None], x[None]
-    weights, power = nlms_lanes(w, np.array([fs.power_norm]), fs.step_size, fs.norm_forget,
-                                x, np.array([float(b_ref)]), lane_dot(w, x))
-    return replace(fs, weights=weights[0], power_norm=float(power[0]))
-
-
-@dataclass(frozen=True)
-class RlsState:
-    """Exponentially weighted RLS state: filter and inverse correlation."""
-
-    weights: np.ndarray
-    inv_corr: np.ndarray
-    forget: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.complex128))
-        object.__setattr__(self, "inv_corr", np.asarray(self.inv_corr, dtype=np.complex128))
-        if not 0.0 < self.forget <= 1.0:
-            raise ValueError("forget must lie in (0, 1]")
-
-
-def make_rls_state(weights, delta: float = 0.01, forget: float = 0.998) -> RlsState:
-    """Fresh RLS state with regularized initial inverse correlation ``I/delta``."""
-    weights = np.asarray(weights, dtype=np.complex128)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    inv_corr = np.eye(weights.size, dtype=np.complex128) / delta
-    return RlsState(weights=weights, inv_corr=inv_corr, forget=forget)
-
-
-def conventional_rls_step(state: RlsState, r, b_ref: float) -> RlsState:
-    """One exponentially weighted recursive least-squares update.
-
-    A zero observation leaves the state unchanged.  The inverse
-    correlation is re-symmetrized whenever round-off drives its Hermitian
-    asymmetry beyond ``1e-6``.
-    """
-    x = _samples(r)
-    if x.shape != state.weights.shape:
-        raise ValueError("filter and observation dimensions differ")
-    w, x = state.weights[None], x[None]
-    weights, inv_corr = rls_lanes(w, state.inv_corr[None], state.forget, x,
-                                  np.array([float(b_ref)]), lane_dot(w, x))
-    return RlsState(weights=weights[0], inv_corr=inv_corr[0], forget=state.forget)
-
-
-@dataclass(frozen=True)
-class CgState:
-    """Exponentially averaged correlation statistics for the CG receiver.
-
-    ``autocorr[n]`` and ``crosscorr[n]`` hold the per-pair time averages;
-    the solver runs ``max_iters`` iterations per symbol from the previous
-    filter.  ``loading`` adds ``loading * tr(R) / M * I`` to the mixed
-    system at solve time only; zero solves the plain recursion.
-    ``paper_literal_t1`` reproduces a published variant in which the first
-    cross vector is chained to the third one's past value.
-    """
-
-    autocorr: tuple[np.ndarray, np.ndarray, np.ndarray]
-    crosscorr: tuple[np.ndarray, np.ndarray, np.ndarray]
-    forget: float
-    max_iters: int
-    weights: np.ndarray
-    paper_literal_t1: bool = False
-    loading: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=np.complex128))
-        if not 0.0 <= self.forget <= 1.0:
-            raise ValueError("forget must lie in [0, 1]")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
-        if not self.loading >= 0.0:
-            raise ValueError("loading must be nonnegative")
-
-
-def make_cg_state(weights, forget: float = 0.998, max_iters: int = 5,
-                  delta: float = 0.01, paper_literal_t1: bool = False,
-                  loading: float = 0.0) -> CgState:
-    """Fresh CG state with ``delta * I`` autocorrelation regularization."""
-    weights = np.asarray(weights, dtype=np.complex128)
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    dim = weights.size
-    eye = np.eye(dim, dtype=np.complex128)
-    zeros = np.zeros(dim, dtype=np.complex128)
-    return CgState(
-        autocorr=tuple(delta * eye.copy() for _ in range(3)),
-        crosscorr=tuple(zeros.copy() for _ in range(3)),
-        forget=forget,
-        max_iters=max_iters,
-        weights=weights,
-        paper_literal_t1=paper_literal_t1,
-        loading=loading,
-    )
-
-
-def _cg_lane(cs: CgState, mix: MixingState, hist: History):
-    """Checks and one-lane arrays of the CG correlation update."""
-    if not hist.full or hist.depth < 3:
-        raise ValueError("correlation update needs a full three-sample history")
-    if mix.weights.size != 3:
-        raise ValueError("correlation update needs three mixing weights")
-    if hist.vector(0).shape != cs.weights.shape:
-        raise ValueError("stored vectors and filter dimensions differ")
-    return (np.stack(cs.autocorr)[None], np.stack(cs.crosscorr)[None], cs.weights[None],
-            cs.forget, mix.weights[None], *_one_lane(hist, 3))
-
-
-def update_cg_correlations(cs: CgState, mix: MixingState, hist: History):
-    """Advance the per-pair correlation averages and mix them.
-
-    Rank-one updates with forgetting factor ``lambda``:
-
-        Rbar_1 <- lam Rbar_1 + |b[i-1]|^2 r[i]   r[i]^H
-        Rbar_2 <- lam Rbar_2 + |b[i-2]|^2 r[i]   r[i]^H
-        Rbar_3 <- lam Rbar_3 + |b[i-2]|^2 r[i-1] r[i-1]^H
-        tbar_1 <- lam tbar_1 + b[i-1] (r[i-1]^H w) r[i]   conj(b[i])
-        tbar_2 <- lam tbar_2 + b[i-2] (r[i-2]^H w) r[i]   conj(b[i])
-        tbar_3 <- lam tbar_3 + b[i-2] (r[i-2]^H w) r[i-1] conj(b[i-1])
-
-    where ``w`` is the pre-update filter.  Returns the mixed system
-    ``(Rbar, tbar)`` together with the advanced state.
-    """
-    auto, cross, mixed_auto, mixed_cross = cg_correlations_lanes(
-        *_cg_lane(cs, mix, hist), cs.paper_literal_t1)
-    advanced = replace(cs, autocorr=tuple(auto[0]), crosscorr=tuple(cross[0]))
-    return mixed_auto[0], mixed_cross[0], advanced
-
-
 def cg_solve(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray,
              j_max: int, tol: float = 1e-12, history: list | None = None) -> np.ndarray:
     """Conjugate-gradient iterations toward ``corr @ w = cross``.
@@ -655,21 +413,6 @@ def cg_solve(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray,
     if history is not None:
         history.extend(step[0] for step in iterates)
     return w[0]
-
-
-def bidir_cg_step(cs: CgState, mix: MixingState, hist: History) -> CgState:
-    """Advance the correlations and re-solve the mixed system.
-
-    The solver is warm-started at the previous filter, so ``max_iters``
-    conjugate-gradient iterations per symbol suffice to track the
-    solution of the mixed normal equations.  A positive ``cs.loading``
-    loads the solved system's diagonal, which stabilizes a
-    sample-starved system; the stored statistics stay unloaded.
-    """
-    auto, cross, w, forget, rho, window, symbols = _cg_lane(cs, mix, hist)
-    auto, cross, weights = cg_step_lanes(auto, cross, w, forget, cs.max_iters, cs.loading,
-                                         rho, window, symbols, cs.paper_literal_t1)
-    return replace(cs, autocorr=tuple(auto[0]), crosscorr=tuple(cross[0]), weights=weights[0])
 
 
 def matched_filter_init(code_chips: np.ndarray, window: int) -> np.ndarray:

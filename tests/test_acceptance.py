@@ -13,11 +13,9 @@ import numpy as np
 import pytest
 
 from fadetrack.analysis import (
-    analytical_sinr,
     g_step,
     k_step,
     make_analysis_state,
-    mmse_bound_db,
 )
 from fadetrack.fading import (
     FadingConfig,
@@ -32,21 +30,19 @@ from fadetrack.harness import (
     run_sinr_vs_fading,
 )
 from fadetrack.receivers import (
-    History,
     MixingState,
     PairErrors,
-    bidir_cg_step,
-    bidir_nlms_step,
     cg_solve,
-    compute_pair_errors,
-    make_cg_state,
-    make_filter_state,
+    cg_step_lanes,
     make_mixing_state,
+    pair_errors_lanes,
     pair_indices,
+    pair_nlms_lanes,
     update_mixing,
 )
 
 from test_analysis import scalar_moments
+from test_receivers import pair_nlms_step
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -120,31 +116,32 @@ def test_criterion_4_static_channel_fixed_point():
     signature = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     symbols = 2.0 * rng.integers(0, 2, size=1000) - 1.0
 
+    received = np.stack([b * signature for b in symbols], axis=-1)
+
     # Pair errors vanish identically for arbitrary filters.
-    hist = History(depth=3)
-    for b in symbols[:3]:
-        hist.push(b * signature, b)
     max_err = 0.0
     for _ in range(100):
         w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        errs = compute_pair_errors(w, hist, 3)
-        max_err = max(max_err, float(np.max(np.abs(errs.errors))))
+        errors, _ = pair_errors_lanes(w[None], received[None, :, :3], symbols[None, :3])
+        max_err = max(max_err, float(np.max(np.abs(errors))))
 
     # Both trackers hold their initial filter over 1000 symbols.  The CG
     # statistics start unregularized so the accumulated system satisfies
     # the normal equations at the initial filter exactly.
     w0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    fs = make_filter_state(w0, step_size=0.5, norm_forget=0.9, power_norm=1.0)
-    cs = make_cg_state(w0, forget=0.998, max_iters=5, delta=0.0)
-    mix = make_mixing_state(3)
-    hist = History(depth=3)
-    for b in symbols:
-        hist.push(b * signature, b)
-        if hist.full:
-            fs = bidir_nlms_step(fs, mix, hist)
-            cs = bidir_cg_step(cs, mix, hist)
-    nlms_drift = float(np.max(np.abs(fs.weights - w0)))
-    cg_drift = float(np.max(np.abs(cs.weights - w0)))
+    rho = make_mixing_state(3).weights[None]
+    w_nlms, power, w_cg = w0[None], np.ones(1), w0[None]
+    autocorr = np.zeros((1, 3, dim, dim), dtype=complex)
+    crosscorr = np.zeros((1, 3, dim), dtype=complex)
+    for i in range(2, symbols.size):
+        window, window_symbols = received[None, :, i - 2:i + 1], symbols[None, i - 2:i + 1]
+        errors, _ = pair_errors_lanes(w_nlms, window, window_symbols)
+        w_nlms, power = pair_nlms_lanes(w_nlms, power, 0.5, 0.9, rho, errors, window,
+                                        window_symbols)
+        autocorr, crosscorr, w_cg = cg_step_lanes(autocorr, crosscorr, w_cg, 0.998, 5, 0.0,
+                                                  rho, window, window_symbols)
+    nlms_drift = float(np.max(np.abs(w_nlms[0] - w0)))
+    cg_drift = float(np.max(np.abs(w_cg[0] - w0)))
     elapsed = time.time() - start
     report("criterion 4 (static-channel fixed point)",
            max_err <= 1e-14 and nlms_drift <= 1e-12 and cg_drift <= 1e-12
@@ -156,25 +153,19 @@ def test_criterion_4_static_channel_fixed_point():
 def test_criterion_5_degeneracy_equivalences():
     start = time.time()
     rng = np.random.default_rng(1005)
-    mix = MixingState(np.array([1.0, 0.0, 0.0]), forget=0.9)
-    one_pair = MixingState(np.array([1.0]), forget=0.9)
     worst = 0.0
     for _ in range(10_000):
         dim = 4
         vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                    for _ in range(3)]
         symbols = list(2.0 * rng.integers(0, 2, size=3) - 1.0)
-        hist = History(depth=3)
-        for r, b in zip(vectors, symbols):
-            hist.push(r, b)
-        fs = make_filter_state(
-            rng.standard_normal(dim) + 1j * rng.standard_normal(dim),
-            step_size=float(rng.uniform(0.01, 1.0)),
-            norm_forget=float(rng.uniform()),
-            power_norm=float(rng.uniform(0.5, 2.0)))
-        bidir = bidir_nlms_step(fs, mix, hist)
-        diff = bidir_nlms_step(fs, one_pair, hist)
-        worst = max(worst, float(np.max(np.abs(bidir.weights - diff.weights))))
+        w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        step_size, norm_forget = float(rng.uniform(0.01, 1.0)), float(rng.uniform())
+        state = (w, float(rng.uniform(0.5, 2.0)), step_size, norm_forget)
+        # First pair only against the two-sample window of the newest samples.
+        bidir, _ = pair_nlms_step(*state, [1.0, 0.0, 0.0], vectors, symbols)
+        diff, _ = pair_nlms_step(*state, [1.0], vectors, symbols)
+        worst = max(worst, float(np.max(np.abs(bidir - diff))))
 
     # Analysis recursions collapse when the extra moments vanish.
     m = scalar_moments(r1=0.5, f1=0.3, j1=0.2, r2=0.0, f2=0.0, r3=0.0, f3=0.0)
@@ -227,14 +218,12 @@ def test_criterion_6_fading_sweep_trends(fading_sweep_records):
     # twin on per-packet paired channels; the stochastic-gradient variant
     # is the one whose update actually scales with the weights (the CG
     # solve is invariant to a common weight scale).
-    from fadetrack.harness import _build_packet_env, _run_algorithm
+    from fadetrack.harness import _simulate
     mark = DESK_SWEEP.packet_len - 1
     gaps = []
-    for packet in range(DESK_SWEEP.packets):
-        env = _build_packet_env(DESK_SWEEP, 0.02, 15.0, packet, {"differential"})
-        mixed = _run_algorithm("bidir-nlms", DESK_SWEEP, env, snapshots=(mark,))
-        equal = _run_algorithm("bidir-nlms-equal", DESK_SWEEP, env, snapshots=(mark,))
-        gaps.append(mixed.snapshots[mark] - equal.snapshots[mark])
+    for _, runs in _simulate(DESK_SWEEP, [(0.02, 15.0)], ("bidir-nlms", "bidir-nlms-equal"),
+                             marks=(mark,)):
+        gaps.extend(runs["bidir-nlms"].sinr[:, 0] - runs["bidir-nlms-equal"].sinr[:, 0])
     gap_mix = float(np.mean(gaps))
     elapsed = time.time() - start
     report("criterion 6 (fading-sweep trends)",

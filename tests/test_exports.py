@@ -1,0 +1,29 @@
+"""Every exported name resolves: each module's ``__all__`` and the package's imports."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import fadetrack
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(fadetrack.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_exist(name):
+    module = importlib.import_module(f"fadetrack.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_package_imports_exist():
+    tree = ast.parse(Path(fadetrack.__file__).read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert imported
+    for module_name, name in imported:
+        module = importlib.import_module(f"fadetrack.{module_name}")
+        assert getattr(fadetrack, name) is getattr(module, name), name

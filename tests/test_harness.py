@@ -84,6 +84,10 @@ class TestConfigHandling:
         {"delta": -0.01},
         {"delta": 0.0, "algorithms": ("rls",)},
         {"cg_loading": -0.1},
+        {"users": -1},
+        {"users": 0},
+        {"gain": 1},
+        {"paths": 0},
     ]
 
     @pytest.mark.parametrize("bad", BAD_VALUES, ids=lambda bad: str(bad))
@@ -102,14 +106,14 @@ class TestConfigHandling:
             argv += ["--" + key.replace("_", "-"), text]
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code != 0
+        assert exc.value.code == 2
         assert next(iter(bad)) in capsys.readouterr().err
         assert not out.exists()
 
     def test_boundary_values_accepted(self):
         make_experiment_config(mu=0.0, lambda_e=0.0, lambda_m=1.0, lambda_cg=1.0,
                                lambda_rls=1.0, jmax=0, delta=0.0, cg_loading=0.0,
-                               algorithms=("bidir-cg", "nlms"))
+                               algorithms=("bidir-cg", "nlms"), users=1, gain=2, paths=1)
 
 
 class TestEmitCsv:
@@ -222,18 +226,19 @@ class TestMmseOracle:
     def test_filters_equal_per_symbol_solve(self, rate, isi):
         # 300 symbols: the batched solves end on a partial block.
         from fadetrack.dscdma import conditional_covariance
-        from fadetrack.harness import _build_packet_env, _run_algorithm
+        from fadetrack.harness import _build_packet_env, _simulate
         cfg = ExperimentConfig(users=3, gain=8, paths=3, snr_db=(10.0,),
                                fading_grid=(rate,), packet_len=300, train_len=0,
                                packets=1, algorithms=("mmse",), isi=isi, seed=17)
+        _, runs = next(_simulate(cfg, [(rate, 10.0)], ("mmse",), record_weights=True))
+        weights = runs["mmse"].weights[0]
         env = _build_packet_env(cfg, rate, 10.0, 0, {"coherent"})
-        run = _run_algorithm("mmse", cfg, env, record_weights=True)
         scenario = env.scenario
         for i in range(cfg.packet_len):
             cov = conditional_covariance(env.signatures, scenario.gain,
                                          scenario.noise_variance, [i], include_isi=isi)[0]
             expected = np.linalg.solve(cov, env.signatures[0][:, i])
-            assert np.array_equal(run.weights[:, i], expected), i
+            assert np.array_equal(weights[:, i], expected), i
 
 
 class TestIgnoredGridPoints:
@@ -346,6 +351,29 @@ class TestRunSinrVsFading:
         with pytest.raises(ValueError):
             run_sinr_vs_fading(cfg)
 
+    def test_training_over_the_whole_packet_rejected(self, monkeypatch):
+        # Both marks would be the last symbol, with no post-training BER.
+        import fadetrack.harness as harness
+
+        def no_packets(*args, **kwargs):
+            raise AssertionError("a packet ran")
+
+        monkeypatch.setattr(harness, "_build_packet_env", no_packets)
+        cfg = ExperimentConfig(**{**SMALL, "fading_grid": (0.001, 0.02), "train_len": 60})
+        with pytest.raises(ValueError, match="after training"):
+            run_sinr_vs_fading(cfg)
+
+    def test_training_over_the_whole_packet_rejected_by_cli(self, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = [sys.executable, "-m", "fadetrack.cli", "sinr-vs-fading", "--out", str(out),
+                "--users", "1", "--gain", "4", "--paths", "1", "--packets", "1",
+                "--packet-len", "10", "--train-len", "10", "--snr-db", "10",
+                "--fading-grid", "0.001,0.02"]
+        result = subprocess.run(argv, capture_output=True, text=True)
+        assert result.returncode != 0
+        assert "after training" in result.stderr.strip().splitlines()[-1]
+        assert not out.exists()
+
     def test_emits_train_and_end_points(self):
         cfg = ExperimentConfig(**{**SMALL, "fading_grid": (0.001, 0.02),
                                   "algorithms": ("mmse", "rls")})
@@ -368,47 +396,40 @@ class TestRunSinrVsFading:
 
 
 class TestTrackingQuality:
+    @staticmethod
+    def packet_means(cfg, names, marks):
+        """Each receiver's SINR averaged over the marks of a packet, then over packets."""
+        from fadetrack.harness import _simulate
+        point = (cfg.fading_grid[0], cfg.snr_db[0])
+        vals = {name: [] for name in names}
+        for _, runs in _simulate(cfg, [point], names, marks=marks):
+            for name in names:
+                vals[name].extend(np.mean(runs[name].sinr, axis=1))
+        return {name: float(np.mean(v)) for name, v in vals.items()}
+
     def test_slow_fading_tracker_near_oracle(self):
         # At fd*Ts = 0.001 on the desk-scale channel, the three-sample CG
         # tracker lands within 2 dB of the per-symbol MMSE solve.  The
         # window matches the coherence time and the solve is diagonally
         # loaded; the SINR is averaged over the last hundred symbols of a
         # fully trained packet.
-        from fadetrack.harness import _build_packet_env, _run_algorithm
         cfg = ExperimentConfig(users=5, gain=16, paths=3, snr_db=(15.0,),
                                fading_grid=(0.001,), packet_len=1000,
                                train_len=1000, packets=16, algorithms=("mmse",),
                                lambda_cg=0.95, jmax=5, cg_loading=0.1, seed=77)
         marks = tuple(range(899, 1000, 10))
-        means = {}
-        for alg in ("mmse", "bidir-cg"):
-            vals = []
-            for p in range(cfg.packets):
-                env = _build_packet_env(cfg, 0.001, 15.0, p,
-                                        {"coherent", "differential"})
-                run = _run_algorithm(alg, cfg, env, snapshots=marks)
-                vals.append(np.mean([run.snapshots[m] for m in marks]))
-            means[alg] = float(np.mean(vals))
+        means = self.packet_means(cfg, ("mmse", "bidir-cg"), marks)
         assert means["mmse"] - means["bidir-cg"] <= 2.0
 
     def test_static_channel_scheme_ordering(self):
         # Frozen flat channel, full training: the oracle tops the CG
         # tracker, which tops the stochastic-gradient tracker, and every
         # adaptive scheme lands within 3 dB of the oracle.
-        from fadetrack.harness import _build_packet_env, _run_algorithm
         cfg = ExperimentConfig(users=3, gain=16, paths=1, snr_db=(15.0,),
                                fading_grid=(0.0,), packet_len=1500,
                                train_len=1500, packets=12, algorithms=("mmse",),
                                mu=0.3, lambda_cg=0.99, jmax=5, isi=False, seed=78)
-        means = {}
-        for alg in ("mmse", "bidir-cg", "bidir-nlms"):
-            vals = []
-            for p in range(cfg.packets):
-                env = _build_packet_env(cfg, 0.0, 15.0, p,
-                                        {"coherent", "differential"})
-                run = _run_algorithm(alg, cfg, env, snapshots=(1499,))
-                vals.append(run.snapshots[1499])
-            means[alg] = float(np.mean(vals))
+        means = self.packet_means(cfg, ("mmse", "bidir-cg", "bidir-nlms"), (1499,))
         assert means["mmse"] >= means["bidir-cg"] >= means["bidir-nlms"]
         assert means["mmse"] - means["bidir-nlms"] <= 3.0
 

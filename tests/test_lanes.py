@@ -10,8 +10,8 @@ from fadetrack.harness import (
     ExperimentConfig,
     _build_packet_env,
     _mode_of,
-    _run_algorithm,
     _score,
+    _simulate,
     _sinr_terms,
     _step_lanes,
 )
@@ -238,10 +238,9 @@ class TestLaneRules:
         # An overflowing step size or forgetting factor: the engine raises
         # rather than return non-finite filters and decisions made from them.
         cfg = ExperimentConfig(**{**small_config(isi=True).__dict__,
-                                  "mu": 1e300, "lambda_rls": 1e-300})
-        env = _build_packet_env(cfg, *POINTS[0], 0, {_mode_of(name)})
+                                  "mu": 1e300, "lambda_rls": 1e-300, "packets": 1})
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-            _run_algorithm(name, cfg, env)
+            next(_simulate(cfg, POINTS[:1], (name,)))
 
     def test_cg_exits_lane_by_lane(self):
         # Lane 0 starts at its solution (gradient exit), lane 1 on a
@@ -297,7 +296,8 @@ def test_lane_bits_do_not_depend_on_the_chunk(name, isi, lanes, chunk):
         assert np.array_equal(out, np.concatenate([part[k] for part in parts]), equal_nan=True)
     sinr = _score(whole[1], [_sinr_terms(env, marks) for env in envs])
     for j, env in enumerate(envs):
-        alone = _run_algorithm(name, cfg, env, snapshots=marks, record_weights=True)
-        assert np.array_equal(alone.errors, whole[0][j], equal_nan=True)
-        assert np.array_equal(alone.weights, whole[2][j])
-        assert [alone.snapshots[m] for m in marks] == sinr[j].tolist()
+        alone = _step_lanes(name, cfg, *(a[j:j + 1] for a in stacked), marks,
+                            record_weights=True)
+        for k, out in enumerate(alone):
+            assert np.array_equal(out[0], whole[k][j], equal_nan=True)
+        assert _score(alone[1], [_sinr_terms(env, marks)]).tolist() == sinr[j:j + 1].tolist()

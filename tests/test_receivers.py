@@ -1,33 +1,80 @@
-"""Pair errors, mixing, NLMS/CG trackers and the baseline estimators."""
+"""Pair errors, mixing, NLMS/CG trackers and the baseline estimators.
+
+Each receiver update is called as a one-lane run of its lane kernel.
+"""
 
 import numpy as np
 import pytest
 
+from fadetrack.harness import ExperimentConfig
 from fadetrack.receivers import (
-    CgState,
     DegenerateInputError,
-    History,
     MixingState,
-    bidir_cg_step,
-    bidir_nlms_step,
+    cg_correlations_lanes,
     cg_solve,
-    compute_pair_errors,
-    conventional_nlms_step,
-    conventional_rls_step,
-    make_cg_state,
-    make_filter_state,
+    cg_step_lanes,
+    lane_dot,
     make_mixing_state,
-    make_rls_state,
-    update_cg_correlations,
+    nlms_lanes,
+    pair_errors_lanes,
+    pair_indices,
+    pair_nlms_lanes,
+    rls_lanes,
     update_mixing,
 )
 
 
-def history_of(vectors, symbols, depth=None):
-    hist = History(depth=depth or len(vectors))
-    for r, b in zip(vectors, symbols):
-        hist.push(np.asarray(r, dtype=complex), b)
-    return hist
+def window_of(vectors, symbols):
+    """A one-lane ``(1, M, D)`` window and its ``(1, D)`` symbols; vectors oldest first."""
+    window = np.stack([np.asarray(r, dtype=complex) for r in vectors], axis=-1)
+    return window[None], np.array([symbols], dtype=float)
+
+
+def pair_errors(w, vectors, symbols):
+    """Pair errors and their magnitude sum for one filter and one window."""
+    errors, total = pair_errors_lanes(np.asarray(w)[None], *window_of(vectors, symbols))
+    return errors[0], float(total[0])
+
+
+def pair_nlms_step(w, power, step_size, norm_forget, rho, vectors, symbols):
+    """One pair-window NLMS step of one filter over the newest samples.
+
+    Three mixing weights use the newest three samples, one weight the
+    newest two; the pair errors are those of the pre-update filter.
+    """
+    rho = np.asarray(rho, dtype=float)
+    depth = 2 if rho.size == 1 else 3
+    window, syms = window_of(vectors[-depth:], symbols[-depth:])
+    w = np.asarray(w, dtype=complex)[None]
+    errors, _ = pair_errors_lanes(w, window, syms)
+    w, power = pair_nlms_lanes(w, np.array([power], dtype=float), step_size, norm_forget,
+                               rho[None], errors, window, syms)
+    return w[0], float(power[0])
+
+
+def nlms_step(w, power, step_size, norm_forget, x, ref):
+    """One conventional NLMS step of one filter."""
+    w, x = np.asarray(w, dtype=complex)[None], np.asarray(x)[None]
+    w, power = nlms_lanes(w, np.array([power], dtype=float), step_size, norm_forget,
+                          x, np.array([float(ref)]), lane_dot(w, x))
+    return w[0], float(power[0])
+
+
+def rls_run(w, delta, forget, observations, refs):
+    """RLS from ``I / delta`` over the observations; returns the filter and the inverse."""
+    w = np.asarray(w, dtype=complex)[None]
+    inv_corr = np.eye(w.shape[-1], dtype=complex)[None] / delta
+    for x, ref in zip(observations, refs):
+        x = np.asarray(x)[None]
+        w, inv_corr = rls_lanes(w, inv_corr, forget, x, np.array([float(ref)]), lane_dot(w, x))
+    return w[0], inv_corr[0]
+
+
+def cg_statistics(dim, delta):
+    """Fresh one-lane CG statistics: ``delta * I`` autocorrelations and zero cross vectors."""
+    autocorr = np.zeros((1, 3, dim, dim), dtype=complex)
+    autocorr[...] = delta * np.eye(dim)
+    return autocorr, np.zeros((1, 3, dim), dtype=complex)
 
 
 def random_hermitian_pd(rng, dim, eig_low=0.1, eig_high=10.0):
@@ -40,45 +87,37 @@ def random_hermitian_pd(rng, dim, eig_low=0.1, eig_high=10.0):
 class TestComputePairErrors:
     def test_identical_samples_cancel(self):
         r = np.array([0.4 + 0.1j, -0.2j, 1.0])
-        hist = history_of([r, r, r], [1.0, 1.0, 1.0])
         w = np.array([1.0, 2.0, -1.0j])
-        errs = compute_pair_errors(w, hist, 3)
-        assert np.allclose(errs.errors, 0.0)
-        assert errs.total == 0.0
+        errors, total = pair_errors(w, [r, r, r], [1.0, 1.0, 1.0])
+        assert np.allclose(errors, 0.0)
+        assert total == 0.0
 
     def test_hand_evaluation(self):
-        # Window pushed oldest-first: r[i-2]=0, r[i-1]=2e1, r[i]=e1.
+        # Window oldest first: r[i-2]=0, r[i-1]=2e1, r[i]=e1.
         vectors = [np.zeros(3), np.array([2.0, 0, 0]), np.array([1.0, 0, 0])]
-        hist = history_of(vectors, [1.0, 1.0, 1.0])
         w = np.array([1.0, 0.0, 0.0])
-        errs = compute_pair_errors(w, hist, 3)
-        assert np.allclose(errs.errors, [1.0, -1.0, -2.0])
-        assert errs.total == pytest.approx(4.0)
-        assert errs.pairs == ((0, 1), (0, 2), (1, 2))
+        errors, total = pair_errors(w, vectors, [1.0, 1.0, 1.0])
+        assert np.allclose(errors, [1.0, -1.0, -2.0])
+        assert total == pytest.approx(4.0)
+        assert pair_indices(3) == ((0, 1), (0, 2), (1, 2))
 
     def test_static_channel_annihilates_every_filter(self):
         # r[j] = b[j] * v makes every pair error vanish identically.
         rng = np.random.default_rng(8)
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         symbols = [1.0, -1.0, 1.0]
-        hist = history_of([b * v for b in symbols], symbols)
+        vectors = [b * v for b in symbols]
         for _ in range(20):
             w = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            errs = compute_pair_errors(w, hist, 3)
-            assert np.max(np.abs(errs.errors)) < 1e-14
+            errors, _ = pair_errors(w, vectors, symbols)
+            assert np.max(np.abs(errors)) < 1e-14
 
     def test_total_bounds(self):
         rng = np.random.default_rng(3)
         vectors = [rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(3)]
-        hist = history_of(vectors, [1.0, -1.0, -1.0])
-        errs = compute_pair_errors(rng.standard_normal(4), hist, 3)
-        assert errs.total == pytest.approx(np.sum(np.abs(errs.errors)))
-        assert errs.total >= np.max(np.abs(errs.errors))
-
-    def test_depth_exceeding_history(self):
-        hist = history_of([np.ones(2), np.ones(2)], [1.0, 1.0])
-        with pytest.raises(ValueError):
-            compute_pair_errors(np.ones(2), hist, 3)
+        errors, total = pair_errors(rng.standard_normal(4), vectors, [1.0, -1.0, -1.0])
+        assert total == pytest.approx(np.sum(np.abs(errors)))
+        assert total >= np.max(np.abs(errors))
 
 
 class TestUpdateMixing:
@@ -194,122 +233,93 @@ class TestMixingStateValidation:
 class TestBidirNlmsStep:
     def test_zero_errors_leave_weights(self):
         r = np.array([0.5, -1.0 + 0.2j])
-        hist = history_of([r, r, r], [1.0, 1.0, 1.0])
-        fs = make_filter_state(np.array([1.0, 2.0j]), step_size=0.5,
-                               norm_forget=0.5, power_norm=2.0)
-        out = bidir_nlms_step(fs, make_mixing_state(3), hist)
-        assert np.array_equal(out.weights, fs.weights)
+        w0 = np.array([1.0, 2.0j])
+        w, power = pair_nlms_step(w0, 2.0, 0.5, 0.5, make_mixing_state(3).weights,
+                                  [r, r, r], [1.0, 1.0, 1.0])
+        assert np.array_equal(w, w0)
         expected_power = 0.5 * 2.0 + 0.5 * float(np.vdot(r, r).real)
-        assert out.power_norm == pytest.approx(expected_power)
+        assert power == pytest.approx(expected_power)
 
     def test_zero_step_size(self):
         rng = np.random.default_rng(2)
         vectors = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
-        hist = history_of(vectors, [1.0, -1.0, 1.0])
-        fs = make_filter_state(rng.standard_normal(3), step_size=0.0)
-        out = bidir_nlms_step(fs, make_mixing_state(3), hist)
-        assert np.array_equal(out.weights, fs.weights)
+        w0 = rng.standard_normal(3)
+        w, _ = pair_nlms_step(w0, 1.0, 0.0, 0.9, make_mixing_state(3).weights,
+                              vectors, [1.0, -1.0, 1.0])
+        assert np.array_equal(w, w0)
 
     def test_scalar_hand_case(self):
         # w=1, r[i]=2, r[i-1]=r[i-2]=1, all b=+1 gives errors (-1,-1,0)
         # and, at unit step and unit normalization, w' = -1/3.
-        hist = history_of([[1.0], [1.0], [2.0]], [1.0, 1.0, 1.0])
-        fs = make_filter_state(np.array([1.0]), step_size=1.0,
-                               norm_forget=1.0, power_norm=1.0)
-        errs = compute_pair_errors(fs.weights, hist, 3)
-        assert np.allclose(errs.errors, [-1.0, -1.0, 0.0])
-        out = bidir_nlms_step(fs, make_mixing_state(3), hist)
-        assert out.weights[0] == pytest.approx(-1.0 / 3.0)
+        vectors, symbols = [[1.0], [1.0], [2.0]], [1.0, 1.0, 1.0]
+        errors, _ = pair_errors(np.array([1.0 + 0j]), vectors, symbols)
+        assert np.allclose(errors, [-1.0, -1.0, 0.0])
+        w, _ = pair_nlms_step(np.array([1.0]), 1.0, 1.0, 1.0, make_mixing_state(3).weights,
+                              vectors, symbols)
+        assert w[0] == pytest.approx(-1.0 / 3.0)
 
     def test_degenerate_equivalence_with_differential(self):
         rng = np.random.default_rng(23)
-        mix = MixingState(np.array([1.0, 0.0, 0.0]), forget=0.9)
         for _ in range(200):
             vectors = [rng.standard_normal(4) + 1j * rng.standard_normal(4)
                        for _ in range(3)]
             symbols = list(2.0 * rng.integers(0, 2, size=3) - 1.0)
-            hist = history_of(vectors, symbols)
             w = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            fs = make_filter_state(w, step_size=rng.uniform(0.01, 1.0),
-                                   norm_forget=rng.uniform(), power_norm=rng.uniform(0.5, 2.0))
-            bidir = bidir_nlms_step(fs, mix, hist)
-            diff = bidir_nlms_step(fs, MixingState(np.array([1.0]), forget=0.9), hist)
-            assert np.allclose(bidir.weights, diff.weights, atol=1e-12, rtol=0)
+            step_size, norm_forget = rng.uniform(0.01, 1.0), rng.uniform()
+            state = (w, rng.uniform(0.5, 2.0), step_size, norm_forget)
+            bidir, _ = pair_nlms_step(*state, [1.0, 0.0, 0.0], vectors, symbols)
+            diff, _ = pair_nlms_step(*state, [1.0], vectors, symbols)
+            assert np.allclose(bidir, diff, atol=1e-12, rtol=0)
 
     def test_all_zero_history_degenerates(self):
-        zeros = np.zeros(3)
-        hist = history_of([zeros, zeros, zeros], [1.0, 1.0, 1.0])
-        fs = make_filter_state(np.ones(3), step_size=0.1, norm_forget=0.0,
-                               power_norm=1.0)
+        window, symbols = window_of([np.zeros(3)] * 3, [1.0, 1.0, 1.0])
+        w = np.ones((1, 3), dtype=complex)
+        errors, _ = pair_errors_lanes(w, window, symbols)
         with pytest.raises(DegenerateInputError):
-            bidir_nlms_step(fs, make_mixing_state(3), hist)
-
-    def test_two_mixing_weights_rejected(self):
-        hist = history_of([[1.0], [1.0], [2.0]], [1.0, 1.0, 1.0])
-        fs = make_filter_state(np.array([1.0]), step_size=1.0)
-        with pytest.raises(ValueError, match="one or three"):
-            bidir_nlms_step(fs, make_mixing_state(2), hist)
-
-    @pytest.mark.parametrize("num_weights, stored", [(3, 2), (1, 1)])
-    def test_history_shorter_than_window_rejected(self, num_weights, stored):
-        hist = history_of([[1.0]] * stored, [1.0] * stored, depth=3)
-        fs = make_filter_state(np.array([1.0]), step_size=1.0)
-        with pytest.raises(ValueError, match="history"):
-            bidir_nlms_step(fs, make_mixing_state(num_weights), hist)
+            pair_nlms_lanes(w, np.ones(1), 0.1, 0.0, make_mixing_state(3).weights[None],
+                            errors, window, symbols)
 
 
 class TestDifferentialNlmsStep:
-    """The two-sample restriction: ``bidir_nlms_step`` with one weight."""
-
-    ONE_PAIR = MixingState(np.array([1.0]), forget=0.9)
+    """The two-sample restriction: the pair-window step with one weight."""
 
     def test_zero_error_no_update(self):
         r = np.array([1.0, 1.0j])
-        hist = history_of([r, r], [1.0, 1.0])
-        fs = make_filter_state(np.array([0.3, -0.4j]), step_size=0.7,
-                               norm_forget=1.0, power_norm=1.0)
-        out = bidir_nlms_step(fs, self.ONE_PAIR, hist)
-        assert np.array_equal(out.weights, fs.weights)
+        w0 = np.array([0.3, -0.4j])
+        w, _ = pair_nlms_step(w0, 1.0, 0.7, 1.0, [1.0], [r, r], [1.0, 1.0])
+        assert np.array_equal(w, w0)
 
     def test_scalar_hand_case(self):
-        hist = history_of([[1.0], [2.0]], [1.0, 1.0])
-        fs = make_filter_state(np.array([1.0]), step_size=1.0,
-                               norm_forget=1.0, power_norm=1.0)
-        out = bidir_nlms_step(fs, self.ONE_PAIR, hist)
+        w, _ = pair_nlms_step(np.array([1.0]), 1.0, 1.0, 1.0, [1.0], [[1.0], [2.0]], [1.0, 1.0])
         # e1 = 1*1 - 1*2 = -1, so w' = 1 + 2*(-1) = -1.
-        assert out.weights[0] == pytest.approx(-1.0)
+        assert w[0] == pytest.approx(-1.0)
 
 
 class TestConventionalNlms:
     def test_exact_output_no_update(self):
-        w = np.array([0.5, -0.5j])
+        w0 = np.array([0.5, -0.5j])
         r = np.array([1.0, 1.0j])
-        fs = make_filter_state(w, step_size=0.5, norm_forget=1.0, power_norm=1.0)
-        b = complex(np.vdot(w, r)).real  # already matched
-        out = conventional_nlms_step(fs, r, b)
-        assert np.allclose(out.weights, w)
+        b = complex(np.vdot(w0, r)).real  # already matched
+        w, _ = nlms_step(w0, 1.0, 0.5, 1.0, r, b)
+        assert np.allclose(w, w0)
 
     def test_hand_lms_step(self):
-        fs = make_filter_state(np.zeros(2), step_size=1.0, norm_forget=1.0,
-                               power_norm=1.0)
-        out = conventional_nlms_step(fs, np.array([1.0, 0.0]), 1.0)
-        assert np.allclose(out.weights, [1.0, 0.0])
+        w, _ = nlms_step(np.zeros(2), 1.0, 1.0, 1.0, np.array([1.0, 0.0]), 1.0)
+        assert np.allclose(w, [1.0, 0.0])
 
     def test_zero_step(self):
-        fs = make_filter_state(np.array([1.0, 1.0]), step_size=0.0)
-        out = conventional_nlms_step(fs, np.array([2.0, -1.0]), -1.0)
-        assert np.array_equal(out.weights, fs.weights)
+        w0 = np.array([1.0, 1.0])
+        w, _ = nlms_step(w0, 1.0, 0.0, 0.9, np.array([2.0, -1.0]), -1.0)
+        assert np.array_equal(w, w0)
 
 
 class TestConventionalRls:
     def test_static_noiseless_convergence(self):
         rng = np.random.default_rng(4)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        state = make_rls_state(np.zeros(4), delta=1e-8, forget=1.0)
         symbols = 2.0 * rng.integers(0, 2, size=100) - 1.0
-        for b in symbols:
-            state = conventional_rls_step(state, b * v, b)
-        final = complex(np.vdot(state.weights, symbols[-1] * v))
+        w, _ = rls_run(np.zeros(4), 1e-8, 1.0, [b * v for b in symbols], symbols)
+        final = complex(np.vdot(w, symbols[-1] * v))
         assert abs(final - symbols[-1]) < 1e-6
 
     def test_min_norm_ls_limit(self):
@@ -317,26 +327,22 @@ class TestConventionalRls:
         x1 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         x2 = np.array([0.0, 1.0 + 1.0j, 0.0, 0.0]) / np.sqrt(2.0)
         targets = [1.0, -1.0]
-        state = make_rls_state(np.zeros(4), delta=1e-10, forget=1.0)
-        for x, b in zip((x1, x2), targets):
-            state = conventional_rls_step(state, x, b)
+        w, _ = rls_run(np.zeros(4), 1e-10, 1.0, (x1, x2), targets)
         rows = np.vstack([x1.conj(), x2.conj()])
         oracle = np.linalg.pinv(rows) @ np.asarray(targets, dtype=complex)
-        assert np.allclose(state.weights, oracle, atol=1e-6)
+        assert np.allclose(w, oracle, atol=1e-6)
 
     def test_zero_input_no_update(self):
-        state = make_rls_state(np.array([1.0, 2.0]), delta=0.1, forget=0.9)
-        out = conventional_rls_step(state, np.zeros(2), 1.0)
-        assert np.array_equal(out.weights, state.weights)
-        assert np.array_equal(out.inv_corr, state.inv_corr)
+        w0 = np.array([1.0, 2.0])
+        w, inv_corr = rls_run(w0, 0.1, 0.9, [np.zeros(2)], [1.0])
+        assert np.array_equal(w, w0)
+        assert np.array_equal(inv_corr, np.eye(2) / 0.1)
 
     def test_inverse_correlation_stays_hermitian(self):
         rng = np.random.default_rng(12)
-        state = make_rls_state(np.zeros(5), delta=0.01, forget=0.95)
-        for _ in range(300):
-            x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            state = conventional_rls_step(state, x, 1.0)
-        drift = np.max(np.abs(state.inv_corr - state.inv_corr.conj().T))
+        observations = [rng.standard_normal(5) + 1j * rng.standard_normal(5) for _ in range(300)]
+        _, inv_corr = rls_run(np.zeros(5), 0.01, 0.95, observations, [1.0] * 300)
+        drift = np.max(np.abs(inv_corr - inv_corr.conj().T))
         assert drift <= 1e-6
 
 
@@ -391,85 +397,101 @@ class TestCgSolve:
 
 class TestUpdateCgCorrelations:
     def test_single_outer_product_at_zero_forgetting(self):
-        hist = history_of([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
-        cs = make_cg_state(np.zeros(2), forget=0.0, delta=0.5)
-        mixed_auto, _, advanced = update_cg_correlations(cs, make_mixing_state(3), hist)
-        assert np.allclose(advanced.autocorr[0], [[1.0, 0.0], [0.0, 0.0]])
+        window, symbols = window_of([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
+        autocorr, crosscorr = cg_statistics(2, 0.5)
+        advanced, _, _, _ = cg_correlations_lanes(autocorr, crosscorr, np.zeros((1, 2)), 0.0,
+                                                  make_mixing_state(3).weights[None],
+                                                  window, symbols)
+        assert np.allclose(advanced[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_degenerate_mixing_selects_first_pair(self):
         rng = np.random.default_rng(31)
         vectors = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
-        hist = history_of(vectors, [1.0, -1.0, 1.0])
-        cs = make_cg_state(rng.standard_normal(3), forget=0.9, delta=0.01)
-        mix = MixingState(np.array([1.0, 0.0, 0.0]), forget=0.9)
-        mixed_auto, mixed_cross, advanced = update_cg_correlations(cs, mix, hist)
-        assert np.array_equal(mixed_auto, advanced.autocorr[0])
-        assert np.array_equal(mixed_cross, advanced.crosscorr[0])
+        w = rng.standard_normal(3).astype(complex)[None]
+        auto, cross, mixed_auto, mixed_cross = cg_correlations_lanes(
+            *cg_statistics(3, 0.01), w, 0.9, np.array([[1.0, 0.0, 0.0]]),
+            *window_of(vectors, [1.0, -1.0, 1.0]))
+        assert np.array_equal(mixed_auto[0], auto[0, 0])
+        assert np.array_equal(mixed_cross[0], cross[0, 0])
 
     def test_matches_weighted_sum_oracle(self):
         rng = np.random.default_rng(14)
         lam = 0.93
         dim = 3
-        cs = make_cg_state(rng.standard_normal(dim), forget=lam, delta=0.0)
-        mix = make_mixing_state(3)
+        w = rng.standard_normal(dim).astype(complex)[None]
+        auto, cross = cg_statistics(dim, 0.0)
+        rho = make_mixing_state(3).weights[None]
         increments_r1, increments_t1 = [], []
-        windows = []
         for _ in range(100):
             vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                        for _ in range(3)]
             symbols = list(2.0 * rng.integers(0, 2, size=3) - 1.0)
-            windows.append((vectors, symbols))
-            hist = history_of(vectors, symbols)
-            w_before = cs.weights
-            _, _, cs = update_cg_correlations(cs, mix, hist)
+            w_before = w.copy()
+            auto, cross, _, _ = cg_correlations_lanes(auto, cross, w, lam, rho,
+                                                      *window_of(vectors, symbols))
             r0 = vectors[2]
             r1v = vectors[1]
             b0, b1 = symbols[2], symbols[1]
             increments_r1.append(b1 * b1 * np.outer(r0, r0.conj()))
-            increments_t1.append(b1 * np.vdot(r1v, w_before) * b0 * r0)
-            # weights unchanged by the correlation update itself
-            assert np.array_equal(cs.weights, w_before)
+            increments_t1.append(b1 * np.vdot(r1v, w_before[0]) * b0 * r0)
+            # the filter is left alone by the correlation update itself
+            assert np.array_equal(w, w_before)
         steps = len(increments_r1)
         oracle_r1 = sum(lam ** (steps - 1 - j) * increments_r1[j] for j in range(steps))
         oracle_t1 = sum(lam ** (steps - 1 - j) * increments_t1[j] for j in range(steps))
-        assert np.allclose(cs.autocorr[0], oracle_r1, atol=1e-9)
-        assert np.allclose(cs.crosscorr[0], oracle_t1, atol=1e-9)
+        assert np.allclose(auto[0, 0], oracle_r1, atol=1e-9)
+        assert np.allclose(cross[0, 0], oracle_t1, atol=1e-9)
 
     def test_mixed_matrix_hermitian(self):
         rng = np.random.default_rng(41)
-        cs = make_cg_state(rng.standard_normal(4), forget=0.97, delta=0.01)
-        mix = make_mixing_state(3)
+        w = rng.standard_normal(4).astype(complex)[None]
+        auto, cross = cg_statistics(4, 0.01)
+        rho = make_mixing_state(3).weights[None]
         for _ in range(100):
             vectors = [rng.standard_normal(4) + 1j * rng.standard_normal(4)
                        for _ in range(3)]
-            hist = history_of(vectors, list(2.0 * rng.integers(0, 2, size=3) - 1.0))
-            mixed_auto, _, cs = update_cg_correlations(cs, mix, hist)
-            assert np.max(np.abs(mixed_auto - mixed_auto.conj().T)) < 1e-10
+            window = window_of(vectors, list(2.0 * rng.integers(0, 2, size=3) - 1.0))
+            auto, cross, mixed_auto, _ = cg_correlations_lanes(auto, cross, w, 0.97, rho,
+                                                               *window)
+            assert np.max(np.abs(mixed_auto[0] - mixed_auto[0].conj().T)) < 1e-10
 
     def test_literal_t1_chaining_differs(self):
         rng = np.random.default_rng(55)
         vectors1 = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
         vectors2 = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        mix = make_mixing_state(3)
+        rho = make_mixing_state(3).weights[None]
         results = {}
         for literal in (False, True):
-            cs = make_cg_state(np.ones(2), forget=0.9, delta=0.0,
-                               paper_literal_t1=literal)
+            auto, cross = cg_statistics(2, 0.0)
             for vectors in (vectors1, vectors2):
-                hist = history_of(vectors, [1.0, 1.0, 1.0])
-                _, _, cs = update_cg_correlations(cs, mix, hist)
-            results[literal] = cs.crosscorr[0]
+                auto, cross, _, _ = cg_correlations_lanes(
+                    auto, cross, np.ones((1, 2), dtype=complex), 0.9, rho,
+                    *window_of(vectors, [1.0, 1.0, 1.0]), paper_literal_t1=literal)
+            results[literal] = cross[0, 0]
         assert not np.allclose(results[False], results[True])
+
+
+def cg_track(w0, forget, max_iters, delta, rho, received, symbols):
+    """The CG tracker over a one-lane stream, one step per full three-sample window."""
+    w = np.asarray(w0, dtype=complex)[None]
+    auto, cross = cg_statistics(w.shape[-1], delta)
+    rho = np.asarray(rho, dtype=float)[None]
+    for i in range(2, len(symbols)):
+        auto, cross, w = cg_step_lanes(auto, cross, w, forget, max_iters, 0.0, rho,
+                                       received[None, :, i - 2:i + 1],
+                                       np.asarray(symbols[i - 2:i + 1], dtype=float)[None])
+    return auto[0], cross[0], w[0]
 
 
 class TestBidirCgStep:
     def test_jmax_zero_keeps_weights(self):
         rng = np.random.default_rng(62)
         vectors = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
-        hist = history_of(vectors, [1.0, 1.0, -1.0])
-        cs = make_cg_state(rng.standard_normal(3), max_iters=0)
-        out = bidir_cg_step(cs, make_mixing_state(3), hist)
-        assert np.array_equal(out.weights, cs.weights)
+        w0 = rng.standard_normal(3).astype(complex)[None]
+        _, _, w = cg_step_lanes(*cg_statistics(3, 0.01), w0, 0.998, 0, 0.0,
+                                make_mixing_state(3).weights[None],
+                                *window_of(vectors, [1.0, 1.0, -1.0]))
+        assert np.array_equal(w, w0)
 
     def test_static_channel_fixed_point_with_first_pair(self):
         # Unregularized statistics on a static channel satisfy the normal
@@ -477,15 +499,10 @@ class TestBidirCgStep:
         rng = np.random.default_rng(77)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         w0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        cs = make_cg_state(w0, forget=1.0, max_iters=4, delta=0.0)
-        mix = MixingState(np.array([1.0, 0.0, 0.0]), forget=0.9)
         symbols = 2.0 * rng.integers(0, 2, size=60) - 1.0
-        hist = History(depth=3)
-        for b in symbols:
-            hist.push(b * v, b)
-            if hist.full:
-                cs = bidir_cg_step(cs, mix, hist)
-        assert np.allclose(cs.weights, w0, atol=1e-10)
+        received = np.stack([b * v for b in symbols], axis=-1)
+        _, _, w = cg_track(w0, 1.0, 4, 0.0, [1.0, 0.0, 0.0], received, symbols)
+        assert np.allclose(w, w0, atol=1e-10)
 
     def test_converges_to_accumulated_normal_equations(self):
         # With forgetting 1 and the first pair only, the iterate settles
@@ -495,73 +512,70 @@ class TestBidirCgStep:
         rng = np.random.default_rng(13)
         dim = 4
         base = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        cs = make_cg_state(base / np.linalg.norm(base), forget=1.0,
-                           max_iters=dim + 2, delta=1e-6)
-        mix = MixingState(np.array([1.0, 0.0, 0.0]), forget=0.9)
-        hist = History(depth=3)
+        vectors, symbols = [], []
         for step in range(300):
             b = float(2 * rng.integers(0, 2) - 1)
-            r = b * base + 0.05 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-            hist.push(r, b)
-            if hist.full:
-                cs = bidir_cg_step(cs, mix, hist)
-        direct = np.linalg.solve(cs.autocorr[0], cs.crosscorr[0])
-        assert np.linalg.norm(cs.weights) > 0.1  # did not collapse to zero
-        assert np.allclose(cs.weights, direct, atol=1e-8)
+            vectors.append(b * base + 0.05 * (rng.standard_normal(dim)
+                                              + 1j * rng.standard_normal(dim)))
+            symbols.append(b)
+        auto, cross, w = cg_track(base / np.linalg.norm(base), 1.0, dim + 2, 1e-6,
+                                  [1.0, 0.0, 0.0], np.stack(vectors, axis=-1), symbols)
+        direct = np.linalg.solve(auto[0], cross[0])
+        assert np.linalg.norm(w) > 0.1  # did not collapse to zero
+        assert np.allclose(w, direct, atol=1e-8)
 
     def test_single_update_from_zero_state(self):
         # One update from zeroed statistics is a rank-one system; the
         # safeguard returns a finite iterate consistent with cg_solve.
         rng = np.random.default_rng(19)
         vectors = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
-        hist = history_of(vectors, [1.0, -1.0, 1.0])
+        window = window_of(vectors, [1.0, -1.0, 1.0])
         w0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        cs = make_cg_state(w0, forget=0.5, max_iters=3, delta=0.0)
-        mix = make_mixing_state(3)
-        mixed_auto, mixed_cross, _ = update_cg_correlations(cs, mix, hist)
-        expected = cg_solve(mixed_auto, mixed_cross, w0, 3)
-        out = bidir_cg_step(cs, mix, hist)
-        assert np.allclose(out.weights, expected)
-        assert np.all(np.isfinite(out.weights))
+        rho = make_mixing_state(3).weights[None]
+        _, _, mixed_auto, mixed_cross = cg_correlations_lanes(
+            *cg_statistics(3, 0.0), w0[None], 0.5, rho, *window)
+        expected = cg_solve(mixed_auto[0], mixed_cross[0], w0, 3)
+        _, _, w = cg_step_lanes(*cg_statistics(3, 0.0), w0[None], 0.5, 3, 0.0, rho, *window)
+        assert np.allclose(w[0], expected)
+        assert np.all(np.isfinite(w))
 
-    def _loaded_case(self, loading):
+    def _loaded_case(self):
         rng = np.random.default_rng(31)
         dim = 4
         vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                    for _ in range(3)]
-        hist = history_of(vectors, [1.0, -1.0, 1.0])
+        window = window_of(vectors, [1.0, -1.0, 1.0])
         w0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        cs = make_cg_state(w0, forget=0.9, max_iters=3, delta=0.05, loading=loading)
-        mix = MixingState(np.array([0.5, 0.3, 0.2]), forget=0.9)
-        return cs, mix, hist
+        rho = np.array([[0.5, 0.3, 0.2]])
+        return (*cg_statistics(dim, 0.05), w0[None], 0.9), rho, window
 
     def test_loading_solves_the_loaded_mixed_system(self):
         loading = 0.1
-        cs, mix, hist = self._loaded_case(loading)
-        mixed_auto, mixed_cross, advanced = update_cg_correlations(cs, mix, hist)
-        dim = cs.weights.size
+        (auto, cross, w0, forget), rho, window = self._loaded_case()
+        advanced, _, mixed_auto, mixed_cross = cg_correlations_lanes(
+            auto, cross, w0, forget, rho, *window)
+        mixed_auto, mixed_cross = mixed_auto[0], mixed_cross[0]
+        dim = w0.shape[-1]
         loaded = mixed_auto + loading * np.real(np.trace(mixed_auto)) / dim * np.eye(dim)
-        expected = cg_solve(loaded, mixed_cross, cs.weights, cs.max_iters)
-        out = bidir_cg_step(cs, mix, hist)
-        assert np.allclose(out.weights, expected, atol=1e-12, rtol=0)
-        unloaded = cg_solve(mixed_auto, mixed_cross, cs.weights, cs.max_iters)
-        assert not np.allclose(out.weights, unloaded)
+        expected = cg_solve(loaded, mixed_cross, w0[0], 3)
+        stored, _, w = cg_step_lanes(auto, cross, w0, forget, 3, loading, rho, *window)
+        assert np.allclose(w[0], expected, atol=1e-12, rtol=0)
+        unloaded = cg_solve(mixed_auto, mixed_cross, w0[0], 3)
+        assert not np.allclose(w[0], unloaded)
         # Only the solve is loaded: the stored statistics are not.
-        for stored, plain in zip(out.autocorr, advanced.autocorr):
-            assert np.array_equal(stored, plain)
+        assert np.array_equal(stored, advanced)
 
     def test_zero_loading_is_the_plain_solve(self):
-        cs, mix, hist = self._loaded_case(0.0)
-        mixed_auto, mixed_cross, _ = update_cg_correlations(cs, mix, hist)
-        expected = cg_solve(mixed_auto, mixed_cross, cs.weights, cs.max_iters)
-        out = bidir_cg_step(cs, mix, hist)
-        assert np.array_equal(out.weights, expected)
+        (auto, cross, w0, forget), rho, window = self._loaded_case()
+        _, _, mixed_auto, mixed_cross = cg_correlations_lanes(
+            auto, cross, w0, forget, rho, *window)
+        expected = cg_solve(mixed_auto[0], mixed_cross[0], w0[0], 3)
+        _, _, w = cg_step_lanes(auto, cross, w0, forget, 3, 0.0, rho, *window)
+        assert np.array_equal(w[0], expected)
 
     @pytest.mark.parametrize("loading", [-0.1, float("nan")])
     def test_negative_loading_rejected(self, loading):
-        cs, _, _ = self._loaded_case(0.0)
+        # The kernel applies only a positive loading; the configuration,
+        # which is where the engine takes it from, rejects the rest.
         with pytest.raises(ValueError, match="loading"):
-            CgState(autocorr=cs.autocorr, crosscorr=cs.crosscorr, forget=0.9,
-                     max_iters=3, weights=cs.weights, loading=loading)
-        with pytest.raises(ValueError, match="loading"):
-            make_cg_state(cs.weights, loading=loading)
+            ExperimentConfig(cg_loading=loading)
