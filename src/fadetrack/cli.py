@@ -107,8 +107,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        if args.command == "channel-stats":
+            lags = tuple(int(tok) for tok in args.lags.replace(",", " ").split())
     except ValueError as exc:
         parser.error(str(exc))
+    if args.command == "channel-stats":
+        if args.samples < 1:
+            parser.error("--samples must be at least 1")
+        if not all(0 <= lag < args.samples for lag in lags):
+            parser.error("every --lags value must lie in [0, samples)")
     if args.command == "ber":
         records = harness.run_ber_curve(cfg)
         harness.emit_csv(records, args.out)
@@ -121,7 +128,6 @@ def main(argv=None) -> int:
             g_init=args.g_init)
         harness.emit_csv(records, args.out)
     else:
-        lags = tuple(int(tok) for tok in args.lags.replace(",", " ").split())
         rows = harness.run_channel_stats(cfg, samples=args.samples, lags=lags)
         harness.emit_channel_stats(rows, args.out)
     print(f"wrote {args.out}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0
 
 __all__ = [
     "FadingConfig",
@@ -191,6 +190,10 @@ def clarke_autocorrelation(normalized_doppler: float, lag: int) -> float:
     Returns ``J0(2*pi*normalized_doppler*lag)`` for a unit-power path;
     equals 1 at lag 0 and lies in ``[-1, 1]``.
     """
+    # Imported here: scipy costs most of the package's import time, and
+    # only this function needs it.
+    from scipy.special import j0
+
     if lag < 0:
         raise ValueError("lag must be nonnegative")
     return float(j0(2.0 * np.pi * normalized_doppler * lag))

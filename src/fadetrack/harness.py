@@ -4,14 +4,16 @@ Wires the channel model, the adaptive receivers and the SINR analysis
 into three experiments emitting CSV records: per-symbol BER learning
 curves, normalized SINR versus fading rate, and analytical-versus-
 simulated SINR convergence.  Packets draw from streams seeded by
-``(master seed, packet index)``; every receiver steps all (packet, grid
-point) lanes of a chunk at once, and no lane's bits depend on the chunk,
-so results are byte-reproducible regardless of the packet count.
+``(master seed, packet index)``.  A lane is one (receiver, packet, grid
+point) item: the receivers of one kind step all their lanes of a chunk in
+one loop, and no lane's bits depend on the lanes stepped beside it, so
+results are byte-reproducible regardless of the packet count.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -64,9 +66,9 @@ _SINR_FLOOR = 1e-12  # linear floor applied before dB conversion
 
 _MMSE_BLOCK = 64  # symbols per batched oracle solve; bounds the (block, M, M) stack
 
-# (packet, grid point) lanes stepped together.  A constant, not an
-# option: each lane's bits are the same in any chunk, and this bounds the
-# chunk's (lanes, M, T) received blocks.
+# (packet, grid point) lanes per chunk, and stacked (receiver, packet,
+# grid point) lanes per step loop.  A constant, not an option: each lane's
+# bits are the same in any chunk, and this bounds the (lanes, M, T) blocks.
 _CHUNK_LANES = 32
 
 
@@ -109,6 +111,9 @@ class ExperimentConfig:
             (self.packets >= 1, "packets must be at least 1"),
             (all(map(len, (self.snr_db, self.fading_grid, self.algorithms))),
              "snr_db, fading_grid and algorithms must be nonempty"),
+            (all(map(math.isfinite, self.snr_db)), "every snr_db must be finite"),
+            (all(0 <= rate < math.inf for rate in self.fading_grid),
+             "every fading_grid rate must be finite and nonnegative"),
             (self.mu >= 0, "mu must be nonnegative"),
             (0 <= self.lambda_e <= 1, "lambda_e must lie in [0, 1]"),
             (0 <= self.lambda_m <= 1, "lambda_m must lie in [0, 1]"),
@@ -372,9 +377,7 @@ def _unit_power_gain(z: np.ndarray, forget: float) -> np.ndarray:
 class _NlmsLanes:
     """Conventional NLMS on known or decided symbols."""
 
-    depth = 1
-
-    def __init__(self, spec, cfg: ExperimentConfig, w_init, received):
+    def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
         self.weights, self.power = w_init.copy(), _initial_power(received)
         self.step_size, self.forget = cfg.mu, cfg.lambda_m
 
@@ -387,9 +390,7 @@ class _NlmsLanes:
 class _RlsLanes:
     """Exponentially weighted RLS on known or decided symbols."""
 
-    depth = 1
-
-    def __init__(self, spec, cfg: ExperimentConfig, w_init, received):
+    def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
         lanes, dim = w_init.shape
         self.weights, self.forget = w_init.copy(), cfg.lambda_rls
         self.inv_corr = np.repeat(np.eye(dim, dtype=np.complex128)[None] / cfg.delta, lanes, axis=0)
@@ -400,18 +401,28 @@ class _RlsLanes:
 
 
 class _PairLanes:
-    """State every pair-error tracker shares: filter, mixing weights and the rescale."""
+    """State every pair-error tracker shares: filter, mixing weights and the rescale.
 
-    def __init__(self, spec, cfg: ExperimentConfig, w_init):
+    ``specs`` holds one receiver per equal block of lanes; each lane
+    starts from its receiver's mixing weights, and only the lanes of an
+    adaptive receiver move them.
+    """
+
+    def __init__(self, specs, cfg: ExperimentConfig, w_init):
         self.weights = w_init.copy()
-        self.mixing = np.tile(spec.pair_weights, (w_init.shape[0], 1))
-        self.adapt, self.mixing_forget = spec.adapt, cfg.lambda_e
+        per_receiver = w_init.shape[0] // len(specs)
+        self.mixing = np.repeat([spec.pair_weights for spec in specs], per_receiver, axis=0)
+        self.adapt = np.repeat([spec.adapt for spec in specs], per_receiver)
+        self.adaptive, self.mixing_forget = bool(self.adapt.any()), cfg.lambda_e
 
     def mixed_errors(self, window, symbols):
         """Pair errors of the pre-update filter; adaptive mixing follows them."""
         errors, total = pair_errors_lanes(self.weights, window, symbols)
-        if self.adapt:
-            self.mixing = mixing_lanes(self.mixing, errors, total, self.mixing_forget)
+        if self.adaptive:
+            # Elementwise per lane, so an adaptive lane's weights have the
+            # same bits beside fixed-weight lanes as alone.
+            mixed = mixing_lanes(self.mixing, errors, total, self.mixing_forget)
+            self.mixing = np.where(self.adapt[:, None], mixed, self.mixing)
         return errors
 
     def rescale(self, gamma) -> None:
@@ -421,9 +432,8 @@ class _PairLanes:
 class _PairNlmsLanes(_PairLanes):
     """Pair-error NLMS: three weights for the bidirectional window, one for the differential."""
 
-    def __init__(self, spec, cfg: ExperimentConfig, w_init, received):
-        super().__init__(spec, cfg, w_init)
-        self.depth = 2 if len(spec.pair_weights) == 1 else 3
+    def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
+        super().__init__(specs, cfg, w_init)
         self.power, self.step_size, self.forget = _initial_power(received), cfg.mu, cfg.lambda_m
 
     def update(self, window, symbols, outputs) -> None:
@@ -436,10 +446,8 @@ class _PairNlmsLanes(_PairLanes):
 class _CgLanes(_PairLanes):
     """Correlation recursions re-solved by warm-started conjugate gradients."""
 
-    depth = 3
-
-    def __init__(self, spec, cfg: ExperimentConfig, w_init, received):
-        super().__init__(spec, cfg, w_init)
+    def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
+        super().__init__(specs, cfg, w_init)
         lanes, dim = w_init.shape
         self.autocorr = np.zeros((lanes, 3, dim, dim), dtype=np.complex128)
         self.autocorr[...] = cfg.delta * np.eye(dim)
@@ -447,7 +455,7 @@ class _CgLanes(_PairLanes):
         self.cfg = cfg
 
     def update(self, window, symbols, outputs) -> None:
-        if self.adapt:
+        if self.adaptive:
             self.mixed_errors(window, symbols)
         cfg = self.cfg
         self.autocorr, self.crosscorr, self.weights = cg_step_lanes(
@@ -465,6 +473,13 @@ class _Receiver:
     lanes: type | None                             # lane state; None: the mmse oracle
     pair_weights: tuple[float, ...] | None = None  # initial mixing weights
     adapt: bool = False                            # mixing follows the pair errors
+
+    @property
+    def depth(self) -> int:
+        """Symbols per update window; one pair weight selects the two-sample window."""
+        if self.pair_weights is None:
+            return 1
+        return 2 if len(self.pair_weights) == 1 else 3
 
 
 _THIRDS = (1.0 / 3.0,) * 3
@@ -486,21 +501,44 @@ _RECEIVERS = {
 ALGORITHMS = tuple(_RECEIVERS)
 
 
-def _step_lanes(name: str, cfg: ExperimentConfig, received, refs, data, w_init,
-                marks=(), record_weights: bool = False):
-    """One adaptive receiver on a chunk of lanes, one step per symbol.
+def _groups(names) -> list[tuple[str, ...]]:
+    """The adaptive receivers that share one step loop, in order of first appearance.
 
-    ``received`` is the ``(L, M, T)`` block of the receiver's modulation,
-    ``refs`` its ``(L, T)`` transmitted symbols, ``data`` the desired
-    user's data and ``w_init`` the initial filters.  Returns the data
-    errors ``(L, T)`` (NaN where undefined), the filters right after each
-    of the sorted, distinct ``marks`` ``(L, len(marks), M)`` and, when
-    asked, the ``(L, M, T)`` filter trajectories.
+    A group holds the receivers of one lane class and window depth: every
+    CG receiver, or the three-weight pair NLMS receivers; the others step
+    alone.  The oracle belongs to no group.
     """
-    spec = _RECEIVERS[name]
-    tracker = spec.lanes(spec, cfg, w_init, received)
-    differential = spec.pair_weights is not None
-    depth = tracker.depth
+    groups: dict[tuple, list[str]] = {}
+    for name in names:
+        spec = _RECEIVERS[name]
+        if spec.lanes is not None:
+            groups.setdefault((spec.lanes, spec.depth), []).append(name)
+    return [tuple(group) for group in groups.values()]
+
+
+def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
+                marks=(), record_weights: bool = False):
+    """Receivers ``names`` of one group on a chunk of lanes, one step per symbol.
+
+    ``received`` is the ``(L, M, T)`` block of the group's modulation,
+    ``refs`` its ``(L, T)`` transmitted symbols, ``data`` the desired
+    user's data and ``w_init`` the initial filters.  Each receiver steps
+    its own copy of the lanes, stacked receiver by receiver into one lane
+    set.  A lane's bits depend on the layout of its operands, so the
+    stack is one contiguous ``(len(names) L, M, T)`` block, laid out like
+    ``received``, whose windows stay strided slices.  Returns, per
+    receiver, the data errors ``(L, T)`` (NaN where undefined), the
+    filters right after each of the sorted, distinct ``marks``
+    ``(L, len(marks), M)`` and, when asked, the ``(L, M, T)`` filter
+    trajectories.
+    """
+    specs = [_RECEIVERS[name] for name in names]
+    if len(names) > 1:
+        received, refs, data, w_init = (np.concatenate([a] * len(names))
+                                        for a in (received, refs, data, w_init))
+    tracker = specs[0].lanes(specs, cfg, w_init, received)
+    differential = specs[0].pair_weights is not None
+    depth = specs[0].depth
     lanes, window, length = received.shape
     used = np.empty((lanes, length))  # the symbols the updates see: known or decided
     errors = np.full((lanes, length), np.nan)
@@ -532,9 +570,15 @@ def _step_lanes(name: str, cfg: ExperimentConfig, received, refs, data, w_init,
         z_prev = z
     # A non-finite filter stays non-finite, so one check after the packet
     # catches an overflow at any symbol.
-    if not np.all(np.isfinite(tracker.weights)):
-        raise ValueError(f"{name} filter weights became non-finite")
-    return errors, filters, trajectory
+    finite = np.isfinite(tracker.weights).all(axis=-1)
+    for name, ok in zip(names, np.split(finite, len(names))):
+        if not ok.all():
+            raise ValueError(f"{name} filter weights became non-finite")
+
+    def per_receiver(a):
+        return [None] * len(names) if a is None else np.split(a, len(names))
+
+    return list(zip(per_receiver(errors), per_receiver(filters), per_receiver(trajectory)))
 
 
 def _run_mmse(cfg: ExperimentConfig, env: _PacketEnv, marks, record_weights: bool):
@@ -568,10 +612,13 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
 
     ``points`` holds ``(fading rate, SNR dB)`` pairs.  Lanes go packet
     by packet, so each packet's draws are made once and shared by its
-    points; chunks of ``_CHUNK_LANES`` consecutive lanes step together,
-    and no lane's result depends on the others.  Yields each chunk's
-    ``(packet, point index)`` lanes with ``{name: _LaneRuns}``, the SINR
-    scored after each of the sorted, distinct ``marks``.
+    points; chunks of ``_CHUNK_LANES`` consecutive lanes step together.
+    The receivers of a group (:func:`_groups`) share one step loop over
+    as many whole receivers' lanes as fit in ``_CHUNK_LANES`` stacked
+    lanes, one receiver at least, and no lane's result depends on the
+    others.  Yields each chunk's ``(packet, point index)`` lanes with
+    ``{name: _LaneRuns}``, the SINR scored after each of the sorted,
+    distinct ``marks``.
     """
     modes = sorted({_mode_of(name) for name in names})
     oracle_named = any(_RECEIVERS[name].lanes is None for name in names)
@@ -603,17 +650,23 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
         # Keep a packet's draws only while its lanes run on into the next chunk.
         if start + num == len(items) or items[start + num][0] != draws.index:
             draws = None
+        outputs = {}
+        per_batch = max(1, _CHUNK_LANES // num)
+        for group in _groups(names):
+            mode = _mode_of(group[0])
+            for k in range(0, len(group), per_batch):
+                batch = group[k:k + per_batch]
+                outputs.update(zip(batch, _step_lanes(batch, cfg, received[mode], refs[mode],
+                                                      data, w_init, marks, record_weights)))
+        del received, refs  # before the next chunk allocates its own
         runs = {}
         for name in names:
             if _RECEIVERS[name].lanes is None:
                 errors, filters, trajectory = (
                     None if out[0] is None else np.stack(out) for out in zip(*oracle))
             else:
-                mode = _mode_of(name)
-                errors, filters, trajectory = _step_lanes(
-                    name, cfg, received[mode], refs[mode], data, w_init, marks, record_weights)
+                errors, filters, trajectory = outputs[name]
             runs[name] = _LaneRuns(errors, _score(filters, terms), trajectory)
-        del received, refs  # before the next chunk allocates its own
         yield lanes, runs
 
 

@@ -20,8 +20,10 @@ independent filters, each with its own observations, stepped at once
 (the ``*_lanes`` functions).  A window is an ``(L, M, D)`` slice of
 received vectors in time order, newest last, with its ``(L, D)``
 symbols; one filter is one lane.  Kernels reduce along non-lane axes
-only and take every dot product as one BLAS call per lane, so a lane's
-bits never depend on the other lanes.  Two plain per-symbol functions
+only, so a lane's bits never depend on the other lanes.  They can depend
+on the memory layout of its operands: a dot product with a strided
+window column may differ in the last bit from one with a contiguous
+copy, so callers keep one layout.  Two plain per-symbol functions
 remain: :func:`update_mixing`, the reference :func:`mixing_lanes` is
 pinned to, and :func:`cg_solve`, one system at a time.
 """

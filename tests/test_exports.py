@@ -1,8 +1,11 @@
-"""Every exported name resolves: each module's ``__all__`` and the package's imports."""
+"""Every exported name resolves (each module's ``__all__`` and the package's imports), and the
+package imports without scipy."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,10 @@ def test_package_imports_exist():
     for module_name, name in imported:
         module = importlib.import_module(f"fadetrack.{module_name}")
         assert getattr(fadetrack, name) is getattr(module, name), name
+
+
+def test_engine_imports_without_scipy():
+    # Only the theoretical fading autocorrelation needs scipy; the CLI and
+    # every experiment start without paying for its import.
+    code = "import sys, fadetrack.cli; assert 'scipy' not in sys.modules, 'scipy'"
+    subprocess.run([sys.executable, "-c", code], check=True)

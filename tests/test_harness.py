@@ -88,6 +88,11 @@ class TestConfigHandling:
         {"users": 0},
         {"gain": 1},
         {"paths": 0},
+        {"snr_db": (float("nan"),)},
+        {"snr_db": (5.0, float("inf"))},
+        {"fading_grid": (-0.01,)},
+        {"fading_grid": (float("nan"),)},
+        {"fading_grid": (float("inf"),)},
     ]
 
     @pytest.mark.parametrize("bad", BAD_VALUES, ids=lambda bad: str(bad))
@@ -102,7 +107,7 @@ class TestConfigHandling:
         argv = ["ber", "--out", str(out), "--packets", "1", "--packet-len", "10",
                 "--train-len", "5", "--users", "1", "--gain", "4", "--paths", "1"]
         for key, value in {"algorithms": ("bidir-cg",), **bad}.items():
-            text = ",".join(value) if isinstance(value, tuple) else str(value)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
             argv += ["--" + key.replace("_", "-"), text]
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -442,6 +447,21 @@ class TestRunChannelStats:
         for rate, lag, emp_re, emp_im, theory in rows:
             assert emp_re == pytest.approx(theory, abs=0.02)
             assert abs(emp_im) < 0.02
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--samples", "0"], "--samples"),
+        (["--samples", "-3"], "--samples"),
+        (["--samples", "10", "--lags", "1,10"], "--lags"),
+        (["--lags", "-1"], "--lags"),
+    ])
+    def test_bad_arguments_rejected_by_cli(self, extra, message, tmp_path, capsys):
+        from fadetrack.cli import main
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["channel-stats", "--out", str(out), "--fading-grid", "0.01", *extra])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

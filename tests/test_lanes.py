@@ -242,6 +242,23 @@ class TestLaneRules:
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
             next(_simulate(cfg, POINTS[:1], (name,)))
 
+    @pytest.mark.parametrize("group", [("bidir-cg", "bidir-cg-equal"),
+                                       ("bidir-cg-equal", "bidir-cg")])
+    def test_non_finite_filter_names_its_receiver(self, group, monkeypatch):
+        # Two receivers share one step loop; only the second one's lanes
+        # (the upper half of the stack) overflow, and the error names it.
+        import fadetrack.harness as harness
+
+        def overflowing(*args):
+            auto, cross, w = cg_step_lanes(*args)
+            w[w.shape[0] // 2:] = np.inf
+            return auto, cross, w
+
+        monkeypatch.setattr(harness, "cg_step_lanes", overflowing)
+        cfg = ExperimentConfig(**{**small_config(isi=False).__dict__, "packets": 1})
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"^{group[1]} filter"):
+            next(_simulate(cfg, POINTS[:2], group))
+
     def test_cg_exits_lane_by_lane(self):
         # Lane 0 starts at its solution (gradient exit), lane 1 on a
         # rank-one system (curvature floor after one step), lane 2 runs
@@ -275,29 +292,57 @@ def small_config(isi):
                             isi=isi, seed=5)
 
 
-@settings(max_examples=30, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(name=st.sampled_from(ADAPTIVE), isi=st.booleans(),
-       lanes=st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(POINTS) - 1)),
-                      min_size=2, max_size=6),
-       chunk=st.integers(1, 4))
-def test_lane_bits_do_not_depend_on_the_chunk(name, isi, lanes, chunk):
-    cfg = small_config(isi)
-    mode = _mode_of(name)
-    marks = (cfg.train_len - 1, cfg.packet_len - 1)
+def lane_inputs(cfg, lanes, mode):
+    """Each ``(packet, point index)`` lane's packet, and the stacked inputs of a step call."""
     envs = [_build_packet_env(cfg, *POINTS[g], packet, {mode}) for packet, g in lanes]
     stacked = [np.stack(arrays) for arrays in zip(*(
         (env.received[mode], env.refs[mode], env.data,
          matched_filter_init(env.code_chips, env.scenario.window)) for env in envs))]
-    whole = _step_lanes(name, cfg, *stacked, marks, record_weights=True)
-    parts = [_step_lanes(name, cfg, *(a[start:start + chunk] for a in stacked), marks,
-                         record_weights=True) for start in range(0, len(lanes), chunk)]
+    return envs, stacked
+
+
+LANE_LISTS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(POINTS) - 1)),
+                      min_size=2, max_size=6)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(ADAPTIVE), isi=st.booleans(), lanes=LANE_LISTS,
+       chunk=st.integers(1, 4))
+def test_lane_bits_do_not_depend_on_the_chunk(name, isi, lanes, chunk):
+    cfg = small_config(isi)
+    marks = (cfg.train_len - 1, cfg.packet_len - 1)
+    envs, stacked = lane_inputs(cfg, lanes, _mode_of(name))
+    (whole,) = _step_lanes((name,), cfg, *stacked, marks, record_weights=True)
+    parts = [_step_lanes((name,), cfg, *(a[start:start + chunk] for a in stacked), marks,
+                         record_weights=True)[0] for start in range(0, len(lanes), chunk)]
     for k, out in enumerate(whole):
         assert np.array_equal(out, np.concatenate([part[k] for part in parts]), equal_nan=True)
     sinr = _score(whole[1], [_sinr_terms(env, marks) for env in envs])
     for j, env in enumerate(envs):
-        alone = _step_lanes(name, cfg, *(a[j:j + 1] for a in stacked), marks,
-                            record_weights=True)
+        (alone,) = _step_lanes((name,), cfg, *(a[j:j + 1] for a in stacked), marks,
+                               record_weights=True)
         for k, out in enumerate(alone):
             assert np.array_equal(out[0], whole[k][j], equal_nan=True)
         assert _score(alone[1], [_sinr_terms(env, marks)]).tolist() == sinr[j:j + 1].tolist()
+
+
+# Receivers that share one step loop (harness._groups), in any order.
+GROUPS = st.sampled_from([("diff-cg", "bidir-cg", "bidir-cg-equal"),
+                          ("bidir-nlms", "bidir-nlms-equal")]).flatmap(st.permutations)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(group=GROUPS, isi=st.booleans(), lanes=LANE_LISTS, chunk=st.integers(1, 4))
+def test_fused_receivers_match_each_stepped_alone(group, isi, lanes, chunk):
+    cfg = small_config(isi)
+    marks = (cfg.train_len - 1, cfg.packet_len - 1)
+    _, stacked = lane_inputs(cfg, lanes, "differential")
+    fused = [_step_lanes(group, cfg, *(a[start:start + chunk] for a in stacked), marks,
+                         record_weights=True) for start in range(0, len(lanes), chunk)]
+    for r, name in enumerate(group):
+        (alone,) = _step_lanes((name,), cfg, *stacked, marks, record_weights=True)
+        for k, out in enumerate(alone):
+            assert np.array_equal(out, np.concatenate([part[r][k] for part in fused]),
+                                  equal_nan=True)
