@@ -53,7 +53,7 @@ _SPECTRAL_TOL = 1e-9
 
 # Part of the moment-cache key: bump it whenever a change to
 # estimate_moment_matrices changes its output, so no stale entry is reused.
-_ESTIMATOR_VERSION = 2
+_ESTIMATOR_VERSION = 3
 
 # Ensemble members drawn and processed together; a fixed constant, so the
 # seeding layout (one generator per chunk) never depends on an option.  At

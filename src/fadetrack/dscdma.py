@@ -365,10 +365,12 @@ class ChannelScenario:
             raise ValueError("gain must be at least 2")
         if self.paths < 1:
             raise ValueError("paths must be at least 1")
-        if self.fading_rate < 0:
-            raise ValueError("fading_rate must be nonnegative")
-        if self.amplitude <= 0 or self.interferer_amplitude <= 0:
-            raise ValueError("amplitudes must be positive")
+        if not 0 <= self.fading_rate < np.inf:
+            raise ValueError("fading_rate must be finite and nonnegative")
+        if not -np.inf < self.snr_db < np.inf:
+            raise ValueError("snr_db must be finite")
+        if not (0 < self.amplitude < np.inf and 0 < self.interferer_amplitude < np.inf):
+            raise ValueError("amplitudes must be finite and positive")
 
     @property
     def window(self) -> int:

@@ -25,9 +25,8 @@ __all__ = [
     "empirical_autocorrelation",
 ]
 
-# Time-chunk size used when expanding the oscillator-by-time phase matrix;
-# bounds peak memory at num_oscillators * _CHUNK complex entries.
-_CHUNK = 1 << 15
+# Samples per block of generate_fading, which takes one exact anchor phasor per block.
+_BLOCK = 32
 
 _PROFILE_TOL = 1e-12
 
@@ -59,22 +58,21 @@ class FadingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.normalized_doppler < 0:
-            raise ValueError("normalized_doppler must be nonnegative")
+        if not 0 <= self.normalized_doppler < np.inf:
+            raise ValueError("normalized_doppler must be finite and nonnegative")
         if self.num_paths < 1:
             raise ValueError("num_paths must be at least 1")
         if self.num_oscillators < 8:
             raise ValueError("num_oscillators must be at least 8")
-        if self.power_profile is None:
-            profile = tuple(1.0 / self.num_paths for _ in range(self.num_paths))
-            object.__setattr__(self, "power_profile", profile)
-        else:
-            object.__setattr__(self, "power_profile", tuple(float(p) for p in self.power_profile))
         profile = self.power_profile
+        if profile is None:
+            profile = (1.0 / self.num_paths,) * self.num_paths
+        profile = tuple(float(p) for p in profile)
+        object.__setattr__(self, "power_profile", profile)
         if len(profile) != self.num_paths:
             raise ValueError("power_profile length must equal num_paths")
-        if any(p < 0 for p in profile):
-            raise ValueError("path powers must be nonnegative")
+        if not all(0 <= p < np.inf for p in profile):
+            raise ValueError("path powers must be finite and nonnegative")
         if abs(sum(profile) - 1.0) > _PROFILE_TOL:
             raise ValueError("power_profile must sum to 1 within 1e-12")
 
@@ -98,8 +96,8 @@ class FadingSequence:
 def _phasor(angle) -> np.ndarray:
     """``exp(1j * angle)`` filled from real cosines and sines (the same bits, fewer complex ops)."""
     out = np.empty(np.shape(angle), dtype=np.complex128)
-    out.real = np.cos(angle)
-    out.imag = np.sin(angle)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
     return out
 
 
@@ -112,8 +110,9 @@ def _oscillators(normalized_doppler: float, power, rotation, phases):
     Both outputs have the shape of ``phases``.
     """
     q = np.shape(phases)[-1]
-    angles = 2.0 * np.pi * (np.arange(q) + np.expand_dims(rotation, -1)) / q
-    omega = 2.0 * np.pi * normalized_doppler * np.cos(angles)
+    # cos(2*pi*(k + rotation)/q) by angle addition: trig per path, not per oscillator.
+    turn = _phasor(2.0 * np.pi * np.expand_dims(rotation, -1) / q)
+    omega = 2.0 * np.pi * normalized_doppler * (_phasor(2.0 * np.pi * np.arange(q) / q) * turn).real
     amplitude = np.expand_dims(np.sqrt(np.divide(power, q)), -1) * _phasor(phases)
     return omega, amplitude
 
@@ -163,25 +162,23 @@ def generate_fading(config: FadingConfig, length: int) -> FadingSequence:
     if length < 1:
         raise ValueError("length must be at least 1")
     rng = np.random.default_rng(config.seed)
-    q = config.num_oscillators
-    gains = np.empty((config.num_paths, length), dtype=np.complex128)
-    for path, power in enumerate(config.power_profile):
-        rotation = rng.uniform()
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=q)
-        omega, amplitude = _oscillators(config.normalized_doppler, power, rotation, phases)
-        row = gains[path]
-        # Only the first chunk's phases are exponentiated; later chunks
-        # advance by a constant per-oscillator rotation, which is cheap
-        # and drifts by at most a few ulps over the handful of chunks.
-        first = _phasor(np.outer(omega, np.arange(min(_CHUNK, length))))
-        step = _phasor(omega * _CHUNK)[:, None]
-        phasors = first
-        for start in range(0, length, _CHUNK):
-            stop = min(start + _CHUNK, length)
-            row[start:stop] = amplitude @ phasors[:, : stop - start]
-            if stop < length:
-                phasors = phasors * step
-    return FadingSequence(gains=gains, config=config)
+    draws = [(rng.uniform(), rng.uniform(0.0, 2.0 * np.pi, size=config.num_oscillators))
+             for _ in range(config.num_paths)]
+    rotation, phases = map(np.array, zip(*draws))
+    omega, amplitude = _oscillators(config.normalized_doppler, config.power_profile,
+                                    rotation, phases)
+    # Sample b*_BLOCK + j sums amplitude * exp(1j*omega*b*_BLOCK) * exp(1j*omega*j) over
+    # oscillators.  Splitting omega*_BLOCK (Veltkamp) into a head, whose products with all
+    # block indices b are exact, and a small tail rounds no large angle: no drift with length.
+    index = np.arange(-(-length // _BLOCK))[:, None]
+    stride = omega[:, None, :] * _BLOCK
+    scaled = stride * (2.0 ** (len(index) - 1).bit_length() + 1.0)
+    head = scaled - (scaled - stride)
+    anchors = _phasor(index * head)
+    anchors *= _phasor(index * (stride - head))
+    anchors *= amplitude[:, None, :]
+    gains = (anchors @ _phasor(omega[..., None] * np.arange(_BLOCK))).reshape(len(omega), -1)
+    return FadingSequence(gains=np.ascontiguousarray(gains[:, :length]), config=config)
 
 
 def clarke_autocorrelation(normalized_doppler: float, lag: int) -> float:

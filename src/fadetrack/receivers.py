@@ -267,11 +267,12 @@ def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.nda
         tbar_2 <- lam tbar_2 + b[i-2] (r[i-2]^H w) r[i]   conj(b[i])
         tbar_3 <- lam tbar_3 + b[i-2] (r[i-2]^H w) r[i-1] conj(b[i-1])
 
-    where ``w`` is the pre-update filter.  ``paper_literal_t1``
-    reproduces a published variant in which ``tbar_1`` is chained to the
-    past value of ``tbar_3``.  Returns the advanced ``(autocorr,
-    crosscorr)`` and the mixed system ``(Rbar, tbar) = sum_n rho_n
-    (Rbar_n, tbar_n)``.
+    where ``w`` is the pre-update filter.  The engine feeds only +-1 symbols,
+    so Rbar_1 and Rbar_2 coincide; both are kept to mirror the paper's
+    recursion.  ``paper_literal_t1`` reproduces a published variant in which
+    ``tbar_1`` is chained to the past value of ``tbar_3``.  Returns the
+    advanced ``(autocorr, crosscorr)`` and the mixed system ``(Rbar, tbar) =
+    sum_n rho_n (Rbar_n, tbar_n)``.
     """
     lanes = w.shape[0]
     r0, r1, r2 = window[..., -1], window[..., -2], window[..., -3]

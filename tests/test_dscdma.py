@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fadetrack.dscdma import (
+    ChannelScenario,
     ReceivedVector,
     SpreadingCode,
     UserParams,
@@ -48,6 +49,19 @@ def static_fading(value: complex, length: int) -> FadingSequence:
     cfg = FadingConfig(normalized_doppler=0.0, num_paths=1, seed=0)
     gains = np.full((1, length), value, dtype=complex)
     return FadingSequence(gains=gains, config=cfg)
+
+
+class TestChannelScenario:
+    @pytest.mark.parametrize("field, value", [
+        ("fading_rate", float("nan")), ("fading_rate", float("inf")), ("fading_rate", -0.1),
+        ("snr_db", float("nan")), ("snr_db", float("inf")), ("snr_db", -float("inf")),
+        ("amplitude", float("nan")), ("amplitude", float("inf")), ("amplitude", 0.0),
+        ("interferer_amplitude", float("nan")),
+    ])
+    def test_bad_value_rejected(self, field, value):
+        fields = dict(users=2, gain=4, paths=1, snr_db=10.0, fading_rate=0.01)
+        with pytest.raises(ValueError):
+            ChannelScenario(**{**fields, field: value})
 
 
 class TestBuildChannelMatrix:

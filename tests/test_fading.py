@@ -78,6 +78,16 @@ class TestGenerateFading:
         with pytest.raises(ValueError):
             FadingConfig(0.01, num_paths=2, power_profile=())
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.01])
+    def test_bad_rate_rejected(self, rate):
+        with pytest.raises(ValueError):
+            FadingConfig(rate, seed=1)
+
+    @pytest.mark.parametrize("profile", [(float("nan"),), (float("inf"),), (-0.5, 1.5)])
+    def test_bad_path_power_rejected(self, profile):
+        with pytest.raises(ValueError):
+            FadingConfig(0.01, num_paths=len(profile), power_profile=profile)
+
     def test_profile_must_sum_to_one(self):
         with pytest.raises(ValueError):
             FadingConfig(0.01, num_paths=2, power_profile=(0.7, 0.2))
@@ -151,6 +161,44 @@ class TestFadingWindows:
             fading_windows(FadingConfig(0.01), 0, np.random.default_rng(0), (2,))
 
 
+def direct_gains(omega, amplitude, t):
+    """``amplitude @ exp(1j * outer(omega, t))`` with every angle formed and reduced mod
+    2*pi in extended precision, so the reference carries no rounding of large angles."""
+    angle = np.outer(np.asarray(omega, dtype=np.longdouble), np.asarray(t, dtype=np.longdouble))
+    reduced = np.fmod(angle, 2 * np.arccos(np.longdouble(-1))).astype(np.float64)
+    return amplitude @ np.exp(1j * reduced)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
+class TestBlockSynthesis:
+    """Block anchors times one phasor table against direct evaluation."""
+
+    @pytest.mark.parametrize("rate", [0.0, 0.005, 0.1, 1.5])
+    def test_matches_direct_evaluation(self, rate):
+        config = FadingConfig(rate, num_paths=2, power_profile=(0.7, 0.3), seed=23)
+        block = fading._BLOCK
+        for length in (1, block - 1, block, block + 1, 1000, (1 << 17) + 7):
+            gains = generate_fading(config, length).gains
+            # Past 1000 samples, every 31st sample: all blocks, all offsets, and the last.
+            t = np.arange(length) if length <= 1000 else np.r_[0:length:31, length - 1]
+            rng = np.random.default_rng(config.seed)
+            for path, power in enumerate(config.power_profile):
+                rotation = rng.uniform()
+                phases = rng.uniform(0.0, 2.0 * np.pi, size=config.num_oscillators)
+                omega, amplitude = fading._oscillators(rate, power, rotation, phases)
+                error = np.abs(gains[path, t] - direct_gains(omega, amplitude, t)).max()
+                assert error <= 1e-12, (length, path, error)
+
+    def test_oscillator_rates_match_direct_cosine(self):
+        rng = np.random.default_rng(24)
+        for q in (8, 64, 79):
+            rotation = rng.uniform(size=(40, 3))
+            omega, _ = fading._oscillators(0.3, 1.0, rotation, rng.uniform(size=(40, 3, q)))
+            angles = 2.0 * np.pi * (np.arange(q) + rotation[..., None]) / q
+            direct = 2.0 * np.pi * 0.3 * np.cos(angles)
+            assert np.abs(omega - direct).max() <= 4e-15 * (2.0 * np.pi * 0.3)
+
+
 class TestRealPhasors:
     """Phasors filled from real cos/sin keep the bits of ``exp(1j * x)``."""
 
@@ -169,8 +217,9 @@ class TestRealPhasors:
             config = FadingConfig(float(rng.choice([0.0, rng.uniform(0, 0.1), rng.uniform(0, 2)])),
                                   num_paths=paths, num_oscillators=int(rng.integers(8, 80)),
                                   seed=int(rng.integers(2**31)))
-            # Two configs run past one phasor chunk.
-            length = fading._CHUNK + 5 if trial < 2 else int(rng.choice([1, rng.integers(2, 400)]))
+            # Two configs span several blocks and end inside one.
+            length = (7 * fading._BLOCK + 5 if trial < 2
+                      else int(rng.choice([1, rng.integers(2, 400)])))
             new, old = self.both(monkeypatch, lambda: generate_fading(config, length).gains)
             assert np.array_equal(new, old)
 
