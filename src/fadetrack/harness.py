@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,16 +114,16 @@ class ExperimentConfig:
             (all(map(math.isfinite, self.snr_db)), "every snr_db must be finite"),
             (all(0 <= rate < math.inf for rate in self.fading_grid),
              "every fading_grid rate must be finite and nonnegative"),
-            (self.mu >= 0, "mu must be nonnegative"),
+            (0 <= self.mu < math.inf, "mu must be finite and nonnegative"),
             (0 <= self.lambda_e <= 1, "lambda_e must lie in [0, 1]"),
             (0 <= self.lambda_m <= 1, "lambda_m must lie in [0, 1]"),
             (0 <= self.lambda_cg <= 1, "lambda_cg must lie in [0, 1]"),
             (0 < self.lambda_rls <= 1, "lambda_rls must lie in (0, 1]"),
             (self.jmax >= 0, "jmax must be nonnegative"),
-            (self.delta >= 0, "delta must be nonnegative"),
+            (0 <= self.delta < math.inf, "delta must be finite and nonnegative"),
             (self.delta > 0 or "rls" not in self.algorithms,
              "delta must be positive when rls is selected"),
-            (self.cg_loading >= 0, "cg_loading must be nonnegative"),
+            (0 <= self.cg_loading < math.inf, "cg_loading must be finite and nonnegative"),
         )
         for ok, message in checks:
             if not ok:
@@ -165,28 +165,10 @@ def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(tok for tok in text.replace(",", " ").split())
 
 
-CONFIG_KEYS = {
-    "users": int,
-    "gain": int,
-    "paths": int,
-    "snr_db": _parse_floats,
-    "fading_grid": _parse_floats,
-    "packet_len": int,
-    "train_len": int,
-    "packets": int,
-    "algorithms": _parse_names,
-    "mu": float,
-    "lambda_e": float,
-    "lambda_m": float,
-    "lambda_cg": float,
-    "jmax": int,
-    "lambda_rls": float,
-    "delta": float,
-    "cg_loading": float,
-    "isi": _parse_bool,
-    "seed": int,
-    "paper_literal_t1": _parse_bool,
-}
+# Each key's text parser, by the annotation of its ExperimentConfig field.
+_PARSERS = {"int": int, "float": float, "bool": _parse_bool,
+            "tuple[float, ...]": _parse_floats, "tuple[str, ...]": _parse_names}
+CONFIG_KEYS = {field.name: _PARSERS[field.type] for field in fields(ExperimentConfig)}
 
 
 def load_config_file(path) -> dict[str, str]:
@@ -444,12 +426,13 @@ class _PairNlmsLanes(_PairLanes):
 
 
 class _CgLanes(_PairLanes):
-    """Correlation recursions re-solved by warm-started conjugate gradients."""
+    """Correlation recursions re-solved by warm-started conjugate gradients.  With +-1
+    symbols, the stack shares one ``(chunk lanes, 2, M, M)`` autocorrelation pair."""
 
     def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
         super().__init__(specs, cfg, w_init)
         lanes, dim = w_init.shape
-        self.autocorr = np.zeros((lanes, 3, dim, dim), dtype=np.complex128)
+        self.autocorr = np.zeros((lanes // len(specs), 2, dim, dim), dtype=np.complex128)
         self.autocorr[...] = cfg.delta * np.eye(dim)
         self.crosscorr = np.zeros((lanes, 3, dim), dtype=np.complex128)
         self.cfg = cfg
@@ -523,10 +506,11 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
     ``received`` is the ``(L, M, T)`` block of the group's modulation,
     ``refs`` its ``(L, T)`` transmitted symbols, ``data`` the desired
     user's data and ``w_init`` the initial filters.  Each receiver steps
-    its own copy of the lanes, stacked receiver by receiver into one lane
-    set.  A lane's bits depend on the layout of its operands, so the
-    stack is one contiguous ``(len(names) L, M, T)`` block, laid out like
-    ``received``, whose windows stay strided slices.  Returns, per
+    its own copy of the lanes, stacked receiver by receiver (CG
+    autocorrelations: the first copy's, shared).  A lane's bits depend on
+    the layout of its operands, so the stack is one contiguous
+    ``(len(names) L, M, T)`` block, laid out like ``received``, whose
+    windows stay strided slices.  Returns, per
     receiver, the data errors ``(L, T)`` (NaN where undefined), the
     filters right after each of the sorted, distinct ``marks``
     ``(L, len(marks), M)`` and, when asked, the ``(L, M, T)`` filter

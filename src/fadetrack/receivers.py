@@ -19,13 +19,16 @@ Every update is an array kernel over a leading *lane* axis: ``L``
 independent filters, each with its own observations, stepped at once
 (the ``*_lanes`` functions).  A window is an ``(L, M, D)`` slice of
 received vectors in time order, newest last, with its ``(L, D)``
-symbols; one filter is one lane.  Kernels reduce along non-lane axes
-only, so a lane's bits never depend on the other lanes.  They can depend
-on the memory layout of its operands: a dot product with a strided
-window column may differ in the last bit from one with a contiguous
-copy, so callers keep one layout.  Two plain per-symbol functions
-remain: :func:`update_mixing`, the reference :func:`mixing_lanes` is
-pinned to, and :func:`cg_solve`, one system at a time.
+symbols (+-1, so the CG autocorrelations depend on the samples alone
+and :func:`cg_correlations_lanes` keeps them once for a receiver-major
+stack of receivers); one filter is one lane.  Kernels reduce along
+non-lane axes only, so a lane's bits never depend on the other lanes.
+They can depend on the memory layout of its operands: a dot product with
+a strided window column may differ in the last bit from one with a
+contiguous copy, so callers keep one layout.  Two plain per-symbol
+functions remain: :func:`update_mixing`, the reference
+:func:`mixing_lanes` is pinned to, and :func:`cg_solve`, one system at a
+time.
 """
 
 from __future__ import annotations
@@ -125,11 +128,11 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _real_mix(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """``sum_k weights[l, p, k] * terms[l, k]`` with real weights, one BLAS call per lane."""
+    """``sum_k weights[..., l, p, k] * terms[l, k]``, real weights, one BLAS call per lane."""
     lanes, num = terms.shape[:2]
     flat = np.ascontiguousarray(terms).reshape(lanes, num, -1).view(np.float64)
     out = np.matmul(weights, flat).view(np.complex128)
-    return out.reshape(lanes, weights.shape[1], *terms.shape[2:])
+    return out.reshape(*weights.shape[:-1], *terms.shape[2:])
 
 
 def _power_lanes(power: np.ndarray, forget: float, newest: np.ndarray) -> np.ndarray:
@@ -245,9 +248,12 @@ def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
     # x^H P = (P x)^H for Hermitian P, saving one matrix-vector product.
     inv = (inv_corr - k[:, :, None] * np.conj(px)[:, None, :]) / forget
     adjoint = np.conj(np.swapaxes(inv, -1, -2))
-    drift = np.max(np.abs(inv - adjoint), axis=(-2, -1))
-    inv = np.where((drift > _RLS_SYM_TOL)[:, None, None], 0.5 * (inv + adjoint), inv)
+    skewed = np.max(np.abs(inv - adjoint), axis=(-2, -1)) > _RLS_SYM_TOL
+    if skewed.any():  # each select runs only when some lane needs it
+        inv = np.where(skewed[:, None, None], 0.5 * (inv + adjoint), inv)
     seen = np.any(x != 0, axis=-1)
+    if seen.all():
+        return weights, inv
     return (np.where(seen[:, None], weights, w),
             np.where(seen[:, None, None], inv, inv_corr))
 
@@ -257,8 +263,7 @@ def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.nda
                           symbols: np.ndarray, paper_literal_t1: bool = False):
     """Advance the per-pair correlation averages and mix them.
 
-    The averages are ``(L, 3, M, M)`` autocorrelations and ``(L, 3, M)``
-    cross vectors.  Rank-one updates with forgetting factor ``lambda``:
+    Rank-one updates with forgetting factor ``lambda``:
 
         Rbar_1 <- lam Rbar_1 + |b[i-1]|^2 r[i]   r[i]^H
         Rbar_2 <- lam Rbar_2 + |b[i-2]|^2 r[i]   r[i]^H
@@ -267,22 +272,24 @@ def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.nda
         tbar_2 <- lam tbar_2 + b[i-2] (r[i-2]^H w) r[i]   conj(b[i])
         tbar_3 <- lam tbar_3 + b[i-2] (r[i-2]^H w) r[i-1] conj(b[i-1])
 
-    where ``w`` is the pre-update filter.  The engine feeds only +-1 symbols,
-    so Rbar_1 and Rbar_2 coincide; both are kept to mirror the paper's
-    recursion.  ``paper_literal_t1`` reproduces a published variant in which
+    where ``w`` is the pre-update filter.  Symbols are +-1, so Rbar_1 =
+    Rbar_2 and the autocorrelations depend on the received samples alone,
+    not on the filter, the decisions or ``rho``: ``autocorr`` is one
+    ``(S, 2, M, M)`` pair (Rbar_1, Rbar_3), advanced from the first block
+    of a receiver-major stack of ``n S`` lanes (block ``k`` is receiver
+    ``k``'s copy of the ``S`` lanes) and shared by its ``n`` blocks.  The
+    ``(n S, 3, M)`` cross vectors follow each lane's filter.
+    ``paper_literal_t1`` reproduces a published variant in which
     ``tbar_1`` is chained to the past value of ``tbar_3``.  Returns the
-    advanced ``(autocorr, crosscorr)`` and the mixed system ``(Rbar, tbar) =
-    sum_n rho_n (Rbar_n, tbar_n)``.
+    advanced ``(autocorr, crosscorr)`` and each lane's mixed system
+    ``(Rbar, tbar) = sum_n rho_n (Rbar_n, tbar_n)``, summed over all three
+    pairs as if Rbar_2 were stored, so every bit is that of the sum.
     """
-    lanes = w.shape[0]
+    shared = autocorr.shape[0]
+    recent = np.stack([window[:shared, :, -1], window[:shared, :, -2]], axis=1)
+    auto = forget * autocorr + recent[..., :, None] * np.conj(recent)[..., None, :]
     r0, r1, r2 = window[..., -1], window[..., -2], window[..., -3]
     b0, b1, b2 = symbols[:, -1], symbols[:, -2], symbols[:, -3]
-    recent = np.stack([r0, r1], axis=1)
-    outers = recent[..., :, None] * np.conj(recent)[..., None, :]
-    # Pair n's rank-one increment: |b|^2 times the outer product of r[i] or r[i-1].
-    gains = np.zeros((lanes, 3, 2))
-    gains[:, 0, 0], gains[:, 1, 0], gains[:, 2, 1] = b1 * b1, b2 * b2, b2 * b2
-    auto = forget * autocorr + _real_mix(gains, outers)
     # r^H w = conj(w^H r).
     h1, h2 = np.conj(lane_dot(w, r1)), np.conj(lane_dot(w, r2))
     cross = forget * crosscorr
@@ -291,8 +298,10 @@ def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.nda
     cross[:, 0] += (b1 * h1 * b0)[:, None] * r0
     cross[:, 1] += (b2 * h2 * b0)[:, None] * r0
     cross[:, 2] += (b2 * h2 * b1)[:, None] * r1
-    mix = rho[:, None, :]
-    return auto, cross, _real_mix(mix, auto)[:, 0], _real_mix(mix, cross)[:, 0]
+    # (Rbar_1, Rbar_2 = Rbar_1, Rbar_3) per shared lane, broadcast over the receiver axis.
+    weights = rho.reshape(-1, shared, 1, 3)
+    mixed_auto = _real_mix(weights, auto[:, [0, 0, 1]]).reshape(w.shape[0], *auto.shape[2:])
+    return auto, cross, mixed_auto, _real_mix(rho[:, None, :], cross)[:, 0]
 
 
 def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_max: int,
@@ -317,7 +326,7 @@ def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_ma
     scale = np.trace(corr, axis1=-2, axis2=-1).real / max(w.shape[-1], 1)
     grad_exit = tol * np.maximum(1.0, _norm(cross))
     active = np.ones(w.shape[0], dtype=bool)
-    for _ in range(j_max):
+    for it in range(j_max):
         active &= ~(_norm(grad) < grad_exit)
         if not active.any():
             break
@@ -329,11 +338,13 @@ def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_ma
         curvature = np.where(active, curvature, 1.0)
         alpha = -lane_dot(direction, grad) / curvature
         w = np.where(active[:, None], w + alpha[:, None] * direction, w)
+        if history is not None:
+            history.append(w.copy())
+        if it + 1 == j_max:
+            break  # the last iterate needs no next gradient or direction
         grad = _matvec(corr, w) - cross
         beta = lane_dot(grad, corr_dir) / curvature
         direction = -grad + beta[:, None] * direction
-        if history is not None:
-            history.append(w.copy())
     return w
 
 
@@ -342,12 +353,13 @@ def cg_step_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray, fo
                   symbols: np.ndarray, paper_literal_t1: bool = False):
     """Advance the correlations and re-solve the mixed system; returns ``(auto, cross, w)``.
 
-    :func:`cg_correlations_lanes` advances the statistics, then
-    :func:`cg_solve_lanes` runs ``max_iters`` iterations warm-started at
-    the previous filter, which suffices to track the solution of the
-    mixed normal equations.  A positive ``loading`` adds ``loading *
-    tr(Rbar) / M * I`` to the solved system only, which stabilizes a
-    sample-starved system; the stored statistics stay unloaded.
+    :func:`cg_correlations_lanes` advances the statistics (autocorrelations
+    shared by a receiver-major stack), then :func:`cg_solve_lanes` runs
+    ``max_iters`` iterations warm-started at the previous filter, which
+    suffices to track the solution of the mixed normal equations.  A
+    positive ``loading`` adds ``loading * tr(Rbar) / M * I`` to the solved
+    system only, which stabilizes a sample-starved system; the stored
+    statistics stay unloaded.
     """
     auto, cross, mixed_auto, mixed_cross = cg_correlations_lanes(
         autocorr, crosscorr, w, forget, rho, window, symbols, paper_literal_t1)

@@ -75,6 +75,7 @@ class TestConfigHandling:
     BAD_VALUES = [
         {"mu": -0.1},
         {"mu": float("nan")},
+        {"mu": float("inf")},
         {"lambda_e": -0.1},
         {"lambda_m": 1.5},
         {"lambda_cg": 1.01},
@@ -83,7 +84,9 @@ class TestConfigHandling:
         {"jmax": -1},
         {"delta": -0.01},
         {"delta": 0.0, "algorithms": ("rls",)},
+        {"delta": float("inf")},
         {"cg_loading": -0.1},
+        {"cg_loading": float("inf")},
         {"users": -1},
         {"users": 0},
         {"gain": 1},

@@ -23,6 +23,7 @@ from fadetrack.receivers import (
     cg_solve,
     cg_solve_lanes,
     cg_step_lanes,
+    lane_dot,
     matched_filter_init,
     mixing_lanes,
     nlms_lanes,
@@ -49,6 +50,79 @@ def stream(seed):
     """Random (L, M, T) observations and (L, T) +-1 symbols."""
     rng = np.random.default_rng(seed)
     return rng, cnormal(rng, LANES, DIM, STEPS), 2.0 * rng.integers(0, 2, (LANES, STEPS)) - 1.0
+
+
+# ----------------------------------------------------------------------
+# The kernels' former array forms, kept as bit-equality references.
+# ----------------------------------------------------------------------
+
+def three_average_cg_step(auto, cross, w, forget, iters, loading, rho, window, symbols):
+    """:func:`cg_step_lanes` on per-lane ``(L, 3, M, M)`` averages R1, R2, R3, each pair
+    mixed by its own weight with one BLAS call per lane: the kernel's form before the
+    autocorrelations were shared."""
+    r0, r1, r2 = window[..., -1], window[..., -2], window[..., -3]
+    b0, b1, b2 = symbols[:, -1], symbols[:, -2], symbols[:, -3]
+    outer0, outer1 = (r[..., :, None] * np.conj(r)[..., None, :] for r in (r0, r1))
+    gains = np.stack([b1 * b1, b2 * b2, b2 * b2], axis=1)[..., None, None]
+    auto = forget * auto + gains * np.stack([outer0, outer0, outer1], axis=1)
+    h1, h2 = np.conj(lane_dot(w, r1)), np.conj(lane_dot(w, r2))
+    cross = forget * cross
+    cross[:, 0] += (b1 * h1 * b0)[:, None] * r0
+    cross[:, 1] += (b2 * h2 * b0)[:, None] * r0
+    cross[:, 2] += (b2 * h2 * b1)[:, None] * r1
+
+    def mix(terms):
+        flat = terms.reshape(*terms.shape[:2], -1).view(np.float64)
+        return np.matmul(rho[:, None, :], flat).view(complex).reshape(terms[:, 0].shape)
+
+    mixed_auto = mix(auto)
+    if loading > 0:
+        load = loading * np.trace(mixed_auto, axis1=-2, axis2=-1).real / w.shape[-1]
+        mixed_auto = mixed_auto + load[:, None, None] * np.eye(w.shape[-1])
+    return auto, cross, cg_solve_lanes(mixed_auto, mix(cross), w, iters)
+
+
+def full_iteration_cg_solve(corr, cross, w_init, j_max, tol=1e-12, history=None):
+    """:func:`cg_solve_lanes` before it stopped at its last iterate: every iteration
+    also forms the next gradient and direction."""
+    w = np.array(w_init, dtype=np.complex128)
+    grad = np.matmul(corr, w[..., None])[..., 0] - cross
+    direction = -grad
+    scale = np.trace(corr, axis1=-2, axis2=-1).real / max(w.shape[-1], 1)
+    grad_exit = tol * np.maximum(1.0, np.sqrt(lane_dot(cross, cross).real))
+    active = np.ones(w.shape[0], dtype=bool)
+    for _ in range(j_max):
+        active &= ~(np.sqrt(lane_dot(grad, grad).real) < grad_exit)
+        if not active.any():
+            break
+        corr_dir = np.matmul(corr, direction[..., None])[..., 0]
+        curvature = lane_dot(direction, corr_dir).real
+        active &= ~(curvature <= 1e-13 * scale * lane_dot(direction, direction).real)
+        if not active.any():
+            break
+        curvature = np.where(active, curvature, 1.0)
+        alpha = -lane_dot(direction, grad) / curvature
+        w = np.where(active[:, None], w + alpha[:, None] * direction, w)
+        grad = np.matmul(corr, w[..., None])[..., 0] - cross
+        beta = lane_dot(grad, corr_dir) / curvature
+        direction = -grad + beta[:, None] * direction
+        if history is not None:
+            history.append(w.copy())
+    return w
+
+
+def unconditional_rls(w, inv_corr, forget, x, ref, output):
+    """:func:`rls_lanes` with its symmetrization and zero-observation selects always run."""
+    px = np.matmul(inv_corr, x[..., None])[..., 0]
+    k = px / (forget + lane_dot(x, px).real)[:, None]
+    weights = w + k * np.conj(ref - output)[:, None]
+    inv = (inv_corr - k[:, :, None] * np.conj(px)[:, None, :]) / forget
+    adjoint = np.conj(np.swapaxes(inv, -1, -2))
+    drift = np.max(np.abs(inv - adjoint), axis=(-2, -1))
+    inv = np.where((drift > 1e-6)[:, None, None], 0.5 * (inv + adjoint), inv)
+    seen = np.any(x != 0, axis=-1)
+    return (np.where(seen[:, None], weights, w),
+            np.where(seen[:, None, None], inv, inv_corr))
 
 
 # ----------------------------------------------------------------------
@@ -168,11 +242,12 @@ class TestKernelsFollowTheirRecursions:
     def test_cg(self, literal, loading):
         rng, received, symbols = stream(4)
         w = cnormal(rng, LANES, DIM)
-        auto = np.zeros((LANES, 3, DIM, DIM), dtype=complex)
+        auto = np.zeros((LANES, 2, DIM, DIM), dtype=complex)
         auto[...] = 0.01 * np.eye(DIM)
         cross = np.zeros((LANES, 3, DIM), dtype=complex)
         rho = rng.dirichlet(np.ones(3), size=LANES)
-        refs = [(w[l].copy(), list(auto[l]), list(cross[l])) for l in range(LANES)]
+        refs = [(w[l].copy(), [auto[l, 0], auto[l, 0], auto[l, 1]], list(cross[l]))
+                for l in range(LANES)]
         for i in range(2, STEPS):
             window, syms = received[:, :, i - 2:i + 1], symbols[:, i - 2:i + 1]
             auto, cross, w = cg_step_lanes(auto, cross, w, 0.97, 3, loading, rho,
@@ -190,19 +265,53 @@ class TestKernelsFollowTheirRecursions:
                 mixed = mixed + loading * np.trace(mixed).real / DIM * np.eye(DIM)
                 w_ref = ref_cg_solve(mixed, sum(p * t for p, t in zip(rho[l], t_ref)), w_ref, 3)
                 refs[l] = (w_ref, a_ref, t_ref)
+                # +-1 symbols: the reference's first two averages coincide.
+                assert np.array_equal(a_ref[0], a_ref[1])
                 close(w[l], w_ref)
-                close(auto[l], a_ref)
+                close(auto[l], [a_ref[0], a_ref[2]])
                 close(cross[l], t_ref)
 
     def test_cg_correlations_return_the_mixed_system(self):
         rng, received, symbols = stream(5)
-        auto = cnormal(rng, LANES, 3, DIM, DIM)
+        auto = cnormal(rng, LANES, 2, DIM, DIM)
         cross = cnormal(rng, LANES, 3, DIM)
         rho = rng.dirichlet(np.ones(3), size=LANES)
         new_auto, new_cross, mixed_auto, mixed_cross = cg_correlations_lanes(
             auto, cross, cnormal(rng, LANES, DIM), 0.9, rho, received[:, :, :3], symbols[:, :3])
-        close(mixed_auto, np.einsum("lp,lpij->lij", rho, new_auto))
+        # The three averages (Rbar_1, Rbar_2 = Rbar_1, Rbar_3), each with its own weight.
+        close(mixed_auto, np.einsum("lp,lpij->lij", rho, new_auto[:, [0, 0, 1]]))
         close(mixed_cross, np.einsum("lp,lpi->li", rho, new_cross))
+
+    @pytest.mark.parametrize("loading", [0.0, 0.05])
+    def test_cg_shared_autocorrelations_serve_every_receiver_block(self, loading):
+        # Three receiver blocks with their own weights, filters and symbols
+        # share one pair of autocorrelations; each block follows its own
+        # three-average form bit for bit.
+        rng, received, _ = stream(9)
+        blocks = [np.tile([1.0, 0.0, 0.0], (LANES, 1)), np.full((LANES, 3), 1.0 / 3.0),
+                  rng.dirichlet(np.ones(3), size=LANES)]
+        num = len(blocks)
+        stacked = np.concatenate([received] * num)
+        symbols = 2.0 * rng.integers(0, 2, (num * LANES, STEPS)) - 1.0
+        w = cnormal(rng, num * LANES, DIM)
+        rho = np.concatenate(blocks)
+        auto = np.zeros((LANES, 2, DIM, DIM), dtype=complex)
+        auto[...] = 0.01 * np.eye(DIM)
+        cross = np.zeros((num * LANES, 3, DIM), dtype=complex)
+        refs = [(auto[:, [0, 0, 1]].copy(), cross[:LANES].copy(), w[k * LANES:(k + 1) * LANES])
+                for k in range(num)]
+        for i in range(2, STEPS):
+            window, syms = stacked[:, :, i - 2:i + 1], symbols[:, i - 2:i + 1]
+            auto, cross, w = cg_step_lanes(auto, cross, w, 0.97, 3, loading, rho, window, syms)
+            for k, (a_ref, t_ref, w_ref) in enumerate(refs):
+                part = slice(k * LANES, (k + 1) * LANES)
+                a_ref, t_ref, w_ref = three_average_cg_step(
+                    a_ref, t_ref, w_ref, 0.97, 3, loading, rho[part], window[part], syms[part])
+                refs[k] = (a_ref, t_ref, w_ref)
+                assert np.array_equal(a_ref[:, 0], a_ref[:, 1])
+                assert np.array_equal(auto, a_ref[:, [0, 2]])
+                assert np.array_equal(cross[part], t_ref)
+                assert np.array_equal(w[part], w_ref)
 
 
 class TestLaneRules:
@@ -276,6 +385,46 @@ class TestLaneRules:
         for l in range(3):
             assert np.array_equal(out[l], cg_solve(corr[l], cross[l], w0[l], DIM))
         assert np.array_equal(out[0], w0[0])
+
+    @pytest.mark.parametrize("j_max", [0, 1, 2, DIM])
+    @pytest.mark.parametrize("lanes", [[0, 1, 2], [0, 1], [2]], ids=["all", "exits", "full"])
+    def test_cg_stops_at_its_last_iterate_bit_for_bit(self, j_max, lanes):
+        # Gradient exit (lane 0), curvature floor (lane 1) and every
+        # iteration (lane 2), against the loop that also formed the next
+        # gradient and direction after its last iterate.
+        rng = np.random.default_rng(10)
+        q, _ = np.linalg.qr(cnormal(rng, DIM, DIM))
+        spd = (q * rng.uniform(0.5, 5.0, DIM)) @ q.conj().T
+        v = cnormal(rng, DIM)
+        corr = np.stack([np.eye(DIM), np.outer(v, v.conj()), spd]).astype(complex)[lanes]
+        cross = np.stack([np.ones(DIM), cnormal(rng, DIM), cnormal(rng, DIM)])[lanes]
+        w0 = np.stack([np.ones(DIM), np.zeros(DIM), cnormal(rng, DIM)]).astype(complex)[lanes]
+        history, expected_history = [], []
+        out = cg_solve_lanes(corr, cross, w0, j_max, history=history)
+        expected = full_iteration_cg_solve(corr, cross, w0, j_max, history=expected_history)
+        assert np.array_equal(out, expected)
+        assert len(history) == len(expected_history)
+        assert all(np.array_equal(a, b) for a, b in zip(history, expected_history))
+
+    def test_rls_runs_its_selects_only_when_needed_bit_for_bit(self):
+        # Clean lanes skip both selects; from symbol 30 on, a skewed inverse
+        # (lane 1) and zero observations (lane 2) beside them take each one.
+        rng, received, symbols = stream(11)
+        received[2, :, 30::5] = 0.0
+        w = cnormal(rng, LANES, DIM)
+        inv = np.repeat(np.eye(DIM, dtype=complex)[None] / 0.01, LANES, axis=0)
+        for i in range(60):
+            if i == 30:
+                inv[1] += 1e-3 * cnormal(rng, DIM, DIM)
+            x = received[:, :, i]
+            args = (w, inv, 0.98, x, symbols[:, i], lane_dot(w, x))
+            expected = unconditional_rls(*args)
+            w, inv = rls_lanes(*args)
+            assert np.array_equal(w, expected[0])
+            assert np.array_equal(inv, expected[1])
+            if i == 30:
+                assert np.array_equal(inv[1], inv[1].conj().T)  # re-symmetrized
+                assert np.array_equal(w[2], args[0][2])  # zero observation: kept
 
 
 # ----------------------------------------------------------------------

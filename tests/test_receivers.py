@@ -71,8 +71,9 @@ def rls_run(w, delta, forget, observations, refs):
 
 
 def cg_statistics(dim, delta):
-    """Fresh one-lane CG statistics: ``delta * I`` autocorrelations and zero cross vectors."""
-    autocorr = np.zeros((1, 3, dim, dim), dtype=complex)
+    """Fresh one-lane CG statistics: the ``(Rbar_1, Rbar_3)`` autocorrelations at
+    ``delta * I`` and three zero cross vectors."""
+    autocorr = np.zeros((1, 2, dim, dim), dtype=complex)
     autocorr[...] = delta * np.eye(dim)
     return autocorr, np.zeros((1, 3, dim), dtype=complex)
 
@@ -421,7 +422,7 @@ class TestUpdateCgCorrelations:
         w = rng.standard_normal(dim).astype(complex)[None]
         auto, cross = cg_statistics(dim, 0.0)
         rho = make_mixing_state(3).weights[None]
-        increments_r1, increments_t1 = [], []
+        increments_r, increments_t1 = [], []
         for _ in range(100):
             vectors = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
                        for _ in range(3)]
@@ -431,15 +432,21 @@ class TestUpdateCgCorrelations:
                                                       *window_of(vectors, symbols))
             r0 = vectors[2]
             r1v = vectors[1]
-            b0, b1 = symbols[2], symbols[1]
-            increments_r1.append(b1 * b1 * np.outer(r0, r0.conj()))
+            b0, b1, b2 = symbols[2], symbols[1], symbols[0]
+            increments_r.append([b1 * b1 * np.outer(r0, r0.conj()),
+                                 b2 * b2 * np.outer(r0, r0.conj()),
+                                 b2 * b2 * np.outer(r1v, r1v.conj())])
             increments_t1.append(b1 * np.vdot(r1v, w_before[0]) * b0 * r0)
             # the filter is left alone by the correlation update itself
             assert np.array_equal(w, w_before)
-        steps = len(increments_r1)
-        oracle_r1 = sum(lam ** (steps - 1 - j) * increments_r1[j] for j in range(steps))
+        steps = len(increments_r)
+        oracle_r = [sum(lam ** (steps - 1 - j) * increments_r[j][n] for j in range(steps))
+                    for n in range(3)]
         oracle_t1 = sum(lam ** (steps - 1 - j) * increments_t1[j] for j in range(steps))
-        assert np.allclose(auto[0, 0], oracle_r1, atol=1e-9)
+        # +-1 symbols: Rbar_1 = Rbar_2, so only Rbar_1 and Rbar_3 are kept.
+        assert np.array_equal(oracle_r[0], oracle_r[1])
+        assert np.allclose(auto[0, 0], oracle_r[0], atol=1e-9)
+        assert np.allclose(auto[0, 1], oracle_r[2], atol=1e-9)
         assert np.allclose(cross[0, 0], oracle_t1, atol=1e-9)
 
     def test_mixed_matrix_hermitian(self):
