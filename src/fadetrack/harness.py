@@ -109,8 +109,12 @@ class ExperimentConfig:
             (self.packet_len >= 3, "packet_len must be at least 3"),
             (0 <= self.train_len <= self.packet_len, "train_len must lie in [0, packet_len]"),
             (self.packets >= 1, "packets must be at least 1"),
+            (self.seed >= 0, "seed must be nonnegative"),
             (all(map(len, (self.snr_db, self.fading_grid, self.algorithms))),
              "snr_db, fading_grid and algorithms must be nonempty"),
+            *((len(set(values)) == len(values), f"{key} must not repeat an entry")
+              for key, values in (("snr_db", self.snr_db), ("fading_grid", self.fading_grid),
+                                  ("algorithms", self.algorithms))),
             (all(map(math.isfinite, self.snr_db)), "every snr_db must be finite"),
             (all(0 <= rate < math.inf for rate in self.fading_grid),
              "every fading_grid rate must be finite and nonnegative"),
@@ -204,132 +208,120 @@ def make_experiment_config(file_values: dict[str, str] | None = None,
 
 
 # ----------------------------------------------------------------------
-# Packet draws and environment: everything one lane's receivers share.
+# Packet draws and chunks: a chunk's lanes written as arrays.
 # ----------------------------------------------------------------------
 
 class _PacketDraws:
-    """One packet's draws that no SNR point changes, made once per run.
+    """One packet's draws that no grid point changes, made once per run.
 
     Codes, data and unit-variance noise come from streams seeded by
-    ``(seed, packet index)``; the users' fading gains are drawn for one
-    rate at a time and kept until another rate is asked for.
+    ``(seed, packet index)``, and the users' ``(K, M, L)`` code operators
+    and transmitted symbols are built from them once.  Fading gains are
+    drawn for one rate at a time and kept until another rate is asked for.
     """
 
     def __init__(self, cfg: ExperimentConfig, index: int, fixed_codes=None):
         self.cfg, self.index = cfg, index
         code_ss, fade_ss, data_ss, noise_ss = np.random.SeedSequence([cfg.seed, index]).spawn(4)
-        if fixed_codes is None:
-            code_rng = np.random.default_rng(code_ss)
-            self.codes = [random_code(cfg.gain, code_rng) for _ in range(cfg.users)]
-        else:
-            self.codes = list(fixed_codes)
+        code_rng = np.random.default_rng(code_ss)
+        self.codes = (list(fixed_codes) if fixed_codes is not None
+                      else [random_code(cfg.gain, code_rng) for _ in range(cfg.users)])
+        self.operators = np.stack([code_convolution_operator(c, cfg.paths) for c in self.codes])
         self._fade_seeds = [int(child.generate_state(1, np.uint64)[0])
                             for child in fade_ss.spawn(cfg.users)]
         data_rng = np.random.default_rng(data_ss)
         self.data = 2.0 * data_rng.integers(0, 2, size=(cfg.users, cfg.packet_len)) - 1.0
+        # Differential encoding over the packet: symbol 0 carries the
+        # reference, data[i] rides the transition into symbol i.
+        differential = np.ones_like(self.data)
+        differential[:, 1:] = np.cumprod(self.data[:, 1:], axis=1)
+        self.symbols = {"coherent": self.data, "differential": differential}
         noise_rng = np.random.default_rng(noise_ss)
         shape = (cfg.gain + cfg.paths - 1, cfg.packet_len)
         self.unit_noise = noise_rng.standard_normal(shape) + 1j * noise_rng.standard_normal(shape)
-        self._rate, self._gains = None, []
+        self._rate, self._gains = None, None
 
-    def gains(self, scenario: ChannelScenario) -> list[np.ndarray]:
-        """Per user ``(L, T)`` path gains at the scenario's fading rate."""
+    def gains(self, scenario: ChannelScenario) -> np.ndarray:
+        """The users' ``(K, L, T)`` path gains at the scenario's fading rate."""
         cfg, rate = self.cfg, scenario.fading_rate
         if rate != self._rate:
             if rate == 0.0:
                 # Zero fading rate means a pure AWGN-style experiment: every
                 # path carries its mean-square gain deterministically, so
                 # the configured SNR is the realized one.
-                profile = np.full(cfg.paths, 1.0 / cfg.paths)
-                static = np.repeat(np.sqrt(profile)[:, None], cfg.packet_len,
-                                   axis=1).astype(complex)
-                self._gains = [static] * cfg.users
+                self._gains = np.full((cfg.users, cfg.paths, cfg.packet_len),
+                                      np.sqrt(1.0 / cfg.paths), dtype=complex)
             else:
-                self._gains = [generate_fading(FadingConfig(
+                self._gains = np.stack([generate_fading(FadingConfig(
                     normalized_doppler=rate, num_paths=cfg.paths,
                     num_oscillators=scenario.num_oscillators, seed=fade_seed,
-                ), cfg.packet_len).gains for fade_seed in self._fade_seeds]
+                ), cfg.packet_len).gains for fade_seed in self._fade_seeds])
             self._rate = rate
         return self._gains
 
 
-@dataclass
-class _PacketEnv:
-    scenario: ChannelScenario
-    code_chips: np.ndarray            # desired user's code
-    signatures: list[np.ndarray]      # per user, (M, T), amplitude folded in
-    gains_desired: np.ndarray         # (L, T)
-    data: np.ndarray                  # desired user's data symbols, (T,)
-    refs: dict[str, np.ndarray]       # mode -> desired user's transmitted symbols
-    received: dict[str, np.ndarray]   # mode -> (M, T)
+class _Chunk:
+    """A chunk's lanes as arrays, written lane by lane by :meth:`fill`: the step inputs
+    of each of ``modes``, the scoring terms at the sorted, distinct ``marks`` and, with
+    ``oracle`` set, the mmse oracle's outputs in :func:`_step_lanes`' form."""
+
+    def __init__(self, cfg: ExperimentConfig, lanes: int, modes, marks=(),
+                 oracle: bool = False, record_weights: bool = False):
+        window, length, n = cfg.gain + cfg.paths - 1, cfg.packet_len, len(marks)
+        self.cfg, self.marks = cfg, np.asarray(marks, dtype=np.intp)
+        self.received = {mode: np.empty((lanes, window, length), complex) for mode in modes}
+        self.refs = {mode: np.empty((lanes, length)) for mode in modes}
+        self.data, self.w_init = np.empty((lanes, length)), np.empty((lanes, window), complex)
+        self.cov = np.empty((lanes, n, window, window), complex)  # received covariance
+        self.target = np.empty((lanes, n, window), complex)       # user 0's signature
+        self.snr = np.empty((lanes, n))                           # realized input SNR
+        # Filters at the marks only: no lane's (T, M) oracle filters outlive its fill.
+        self.oracle = (np.empty((lanes, length)), np.empty((lanes, n, window), complex),
+                       np.empty((lanes, window, length), complex) if record_weights else None
+                       ) if oracle else None
+
+    def fill(self, j: int, draws: _PacketDraws, fading_rate: float, snr_db: float) -> None:
+        """Write lane ``j``: the packet of ``draws`` at one grid point."""
+        cfg, marks = self.cfg, self.marks
+        scenario = ChannelScenario(users=cfg.users, gain=cfg.gain, paths=cfg.paths, snr_db=snr_db,
+                                   fading_rate=fading_rate, include_isi=cfg.isi)
+        variance = scenario.noise_variance
+        gains = draws.gains(scenario)
+        signatures = draws.operators @ gains  # (K, M, T); every amplitude is the default 1
+        noise = np.sqrt(variance / 2.0) * draws.unit_noise
+        for mode, received in self.received.items():
+            received[j] = received_block(signatures, draws.symbols[mode], cfg.gain,
+                                         noise=noise, include_isi=cfg.isi)
+            self.refs[mode][j] = draws.symbols[mode][0]
+        self.data[j] = draws.data[0]
+        self.w_init[j] = matched_filter_init(draws.codes[0].chips, scenario.window)
+        self.cov[j] = conditional_covariance(signatures, cfg.gain, variance, marks, cfg.isi)
+        self.target[j] = signatures[0][:, marks].T
+        self.snr[j] = np.sum(np.abs(gains[0][:, marks]) ** 2, axis=0) / variance
+        if self.oracle is None:
+            return
+        # The per-symbol MMSE oracle, solved in blocks, with coherent detection.
+        length = cfg.packet_len
+        filters = np.empty((length, scenario.window), complex)  # row i: symbol i
+        for cols in np.split(np.arange(length), np.arange(_MMSE_BLOCK, length, _MMSE_BLOCK)):
+            cov = conditional_covariance(signatures, cfg.gain, variance, cols, cfg.isi)
+            filters[cols] = np.linalg.solve(cov, signatures[0][:, cols].T[..., None])[..., 0]
+        z = np.einsum("im,mi->i", np.conj(filters), self.received["coherent"][j])
+        errors, at_marks, trajectory = self.oracle
+        errors[j] = np.where(z.real >= 0, 1.0, -1.0) != self.data[j]
+        at_marks[j] = filters[marks]
+        if trajectory is not None:
+            trajectory[j] = filters.T
 
 
-def _mode_of(name: str) -> str:
-    return "coherent" if _RECEIVERS[name].pair_weights is None else "differential"
+def _score(filters, cov, target, snr) -> np.ndarray:
+    """Output SINR over realized input SNR, in dB, of ``(L, n, M)`` filters.
 
-
-def _build_packet_env(cfg: ExperimentConfig, fading_rate: float, snr_db: float,
-                      packet_index: int, modes, fixed_codes=None,
-                      draws: _PacketDraws | None = None) -> _PacketEnv:
-    """One packet at one grid point; ``draws`` reuses the packet's draws."""
-    scenario = ChannelScenario(
-        users=cfg.users, gain=cfg.gain, paths=cfg.paths,
-        snr_db=snr_db, fading_rate=fading_rate, include_isi=cfg.isi,
-    )
-    if draws is None:
-        draws = _PacketDraws(cfg, packet_index, fixed_codes)
-    gains = draws.gains(scenario)
-    signatures = [scenario.user_amplitude(k) * code_convolution_operator(code, cfg.paths) @ g
-                  for k, (code, g) in enumerate(zip(draws.codes, gains))]
-    noise = np.sqrt(scenario.noise_variance / 2.0) * draws.unit_noise
-    data = draws.data
-    refs: dict[str, np.ndarray] = {}
-    received: dict[str, np.ndarray] = {}
-    for mode in sorted(set(modes)):
-        if mode == "coherent":
-            symbols = data
-        else:
-            # Differential encoding over the packet: symbol 0 carries the
-            # reference, data[i] rides the transition into symbol i.
-            symbols = np.empty_like(data)
-            symbols[:, 0] = 1.0
-            symbols[:, 1:] = np.cumprod(data[:, 1:], axis=1)
-        refs[mode] = symbols[0]
-        received[mode] = received_block(
-            signatures, list(symbols), cfg.gain, noise=noise, include_isi=cfg.isi)
-    return _PacketEnv(
-        scenario=scenario, code_chips=draws.codes[0].chips, signatures=signatures,
-        gains_desired=gains[0], data=data[0], refs=refs, received=received,
-    )
-
-
-def _sinr_terms(env: _PacketEnv, marks) -> list[tuple]:
-    """What scoring a filter at each mark needs: covariance, user 0's signature, input SNR."""
-    scenario = env.scenario
-    terms = []
-    for i in marks:
-        cov = conditional_covariance(env.signatures, scenario.gain, scenario.noise_variance,
-                                     [i], include_isi=scenario.include_isi)[0]
-        snr_inst = (scenario.amplitude**2
-                    * float(np.sum(np.abs(env.gains_desired[:, i]) ** 2))
-                    / scenario.noise_variance)
-        terms.append((cov, env.signatures[0][:, i], snr_inst))
-    return terms
-
-
-def _normalized_sinr_db(w: np.ndarray, terms: tuple) -> float:
-    """Instantaneous output SINR divided by the realized input SNR, in dB."""
-    cov, signature, snr_inst = terms
-    num = float(np.abs(np.vdot(w, signature)) ** 2)
-    den = float(np.real(np.vdot(w, cov @ w))) - num
-    ratio = max(num / den / snr_inst, _SINR_FLOOR)
-    return 10.0 * np.log10(ratio)
-
-
-def _score(filters: np.ndarray, terms) -> np.ndarray:
-    """Normalized SINR (dB) of ``(L, marks, M)`` filters against per-lane terms."""
-    return np.array([[_normalized_sinr_db(w, t) for w, t in zip(lane, lane_terms)]
-                     for lane, lane_terms in zip(filters, terms)]).reshape(filters.shape[:2])
+    Against a :class:`_Chunk`'s terms, lane by lane: no lane's bits depend on its chunk.
+    """
+    signal = np.abs(lane_dot(filters, target)) ** 2
+    total = lane_dot(filters, np.matmul(cov, filters[..., None])[..., 0]).real
+    return 10.0 * np.log10(np.maximum(signal / (total - signal) / snr, _SINR_FLOOR))
 
 
 # ----------------------------------------------------------------------
@@ -484,6 +476,10 @@ _RECEIVERS = {
 ALGORITHMS = tuple(_RECEIVERS)
 
 
+def _mode_of(name: str) -> str:
+    return "coherent" if _RECEIVERS[name].pair_weights is None else "differential"
+
+
 def _groups(names) -> list[tuple[str, ...]]:
     """The adaptive receivers that share one step loop, in order of first appearance.
 
@@ -565,24 +561,6 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
     return list(zip(per_receiver(errors), per_receiver(filters), per_receiver(trajectory)))
 
 
-def _run_mmse(cfg: ExperimentConfig, env: _PacketEnv, marks, record_weights: bool):
-    """Per-symbol MMSE oracle, solved in blocks, with coherent detection.
-
-    Returns what :func:`_step_lanes` returns, for this one packet.
-    """
-    scenario = env.scenario
-    length = cfg.packet_len
-    filters = np.empty((length, scenario.window), dtype=np.complex128)  # row i: symbol i
-    for cols in np.split(np.arange(length), np.arange(_MMSE_BLOCK, length, _MMSE_BLOCK)):
-        cov = conditional_covariance(env.signatures, scenario.gain, scenario.noise_variance,
-                                     cols, include_isi=scenario.include_isi)
-        filters[cols] = np.linalg.solve(cov, env.signatures[0][:, cols].T[..., None])[..., 0]
-    z = np.einsum("im,mi->i", np.conj(filters), env.received["coherent"])
-    errors = (np.where(z.real >= 0, 1.0, -1.0) != env.data).astype(float)
-    return (errors, filters[np.asarray(marks, dtype=np.intp)],
-            filters.T if record_weights else None)
-
-
 @dataclass
 class _LaneRuns:
     errors: np.ndarray          # (L, T) data errors; NaN where undefined
@@ -597,60 +575,40 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
     ``points`` holds ``(fading rate, SNR dB)`` pairs.  Lanes go packet
     by packet, so each packet's draws are made once and shared by its
     points; chunks of ``_CHUNK_LANES`` consecutive lanes step together.
-    The receivers of a group (:func:`_groups`) share one step loop over
-    as many whole receivers' lanes as fit in ``_CHUNK_LANES`` stacked
-    lanes, one receiver at least, and no lane's result depends on the
-    others.  Yields each chunk's ``(packet, point index)`` lanes with
-    ``{name: _LaneRuns}``, the SINR scored after each of the sorted,
-    distinct ``marks``.
+    The oracle's outputs come with the chunk; the receivers of a group
+    (:func:`_groups`) share one step loop over as many whole receivers'
+    lanes as fit in ``_CHUNK_LANES`` stacked lanes, one receiver at least,
+    and no lane's result depends on the others.  Yields each chunk's
+    ``(packet, point index)`` lanes with ``{name: _LaneRuns}``, the SINR
+    scored after each of the sorted, distinct ``marks``.
     """
     modes = sorted({_mode_of(name) for name in names})
-    oracle_named = any(_RECEIVERS[name].lanes is None for name in names)
     items = [(p, g) for p in range(cfg.packets) for g in range(len(points))]
-    window, length = cfg.gain + cfg.paths - 1, cfg.packet_len
     draws = None
     for start in range(0, len(items), _CHUNK_LANES):
         lanes = items[start:start + _CHUNK_LANES]
         num = len(lanes)
-        received = {mode: np.empty((num, window, length), dtype=np.complex128) for mode in modes}
-        refs = {mode: np.empty((num, length)) for mode in modes}
-        data = np.empty((num, length))
-        w_init = np.empty((num, window), dtype=np.complex128)
-        terms, oracle = [], []
+        chunk = _Chunk(cfg, num, modes, marks, "mmse" in names, record_weights)
         for j, (packet, g) in enumerate(lanes):
             if draws is None or draws.index != packet:
                 draws = None  # before the next packet's draws are made
                 draws = _PacketDraws(cfg, packet, fixed_codes)
-            env = _build_packet_env(cfg, *points[g], packet, modes, draws=draws)
-            if oracle_named:
-                oracle.append(_run_mmse(cfg, env, marks, record_weights))
-            terms.append(_sinr_terms(env, marks))
-            for mode in modes:
-                received[mode][j] = env.received[mode]
-                refs[mode][j] = env.refs[mode]
-            data[j] = env.data
-            w_init[j] = matched_filter_init(env.code_chips, window)
-            env = None  # before the next lane's env is built
+            chunk.fill(j, draws, *points[g])
         # Keep a packet's draws only while its lanes run on into the next chunk.
         if start + num == len(items) or items[start + num][0] != draws.index:
             draws = None
-        outputs = {}
+        outputs = {} if chunk.oracle is None else {"mmse": chunk.oracle}
         per_batch = max(1, _CHUNK_LANES // num)
         for group in _groups(names):
             mode = _mode_of(group[0])
             for k in range(0, len(group), per_batch):
                 batch = group[k:k + per_batch]
-                outputs.update(zip(batch, _step_lanes(batch, cfg, received[mode], refs[mode],
-                                                      data, w_init, marks, record_weights)))
-        del received, refs  # before the next chunk allocates its own
-        runs = {}
-        for name in names:
-            if _RECEIVERS[name].lanes is None:
-                errors, filters, trajectory = (
-                    None if out[0] is None else np.stack(out) for out in zip(*oracle))
-            else:
-                errors, filters, trajectory = outputs[name]
-            runs[name] = _LaneRuns(errors, _score(filters, terms), trajectory)
+                outputs.update(zip(batch, _step_lanes(batch, cfg, chunk.received[mode],
+                                                      chunk.refs[mode], chunk.data,
+                                                      chunk.w_init, marks, record_weights)))
+        runs = {name: _LaneRuns(errors, _score(filters, chunk.cov, chunk.target, chunk.snr),
+                                weights) for name, (errors, filters, weights) in outputs.items()}
+        del chunk  # before the next chunk allocates its own
         yield lanes, runs
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fadetrack.dscdma import code_convolution_operator
 from fadetrack.fading import generate_fading
 from fadetrack.harness import (
     ALGORITHMS,
@@ -96,6 +97,10 @@ class TestConfigHandling:
         {"fading_grid": (-0.01,)},
         {"fading_grid": (float("nan"),)},
         {"fading_grid": (float("inf"),)},
+        {"seed": -1},
+        {"algorithms": ("bidir-cg", "bidir-cg", "mmse")},
+        {"snr_db": (10.0, 10.0)},
+        {"fading_grid": (0.001, 0.001, 0.02)},
     ]
 
     @pytest.mark.parametrize("bad", BAD_VALUES, ids=lambda bad: str(bad))
@@ -117,6 +122,29 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert next(iter(bad)) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, argv", [
+        ("seed", ["ber", "--seed", "-1"]),
+        ("seed", ["sinr-vs-fading", "--seed", "-1", "--fading-grid", "0.001,0.02"]),
+        ("seed", ["analyze", "--seed", "-1"]),
+        ("seed", ["channel-stats", "--seed", "-1"]),
+        ("algorithms", ["sinr-vs-fading", "--algorithms", "bidir-cg,bidir-cg,mmse",
+                        "--fading-grid", "0.001,0.02"]),
+        ("snr_db", ["ber", "--snr-db", "10,10"]),
+        ("fading_grid", ["sinr-vs-fading", "--fading-grid", "0.001,0.001,0.02"]),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+    def test_bad_seed_or_repeat_is_a_usage_error(self, key, argv, tmp_path, capsys):
+        # Rejected before any work: no CSV, and analyze makes no cache dir.
+        from fadetrack.cli import main
+        out, cache = tmp_path / "out.csv", tmp_path / "cache"
+        extra = ["--cache-dir", str(cache)] if argv[0] == "analyze" else []
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out), "--users", "1", "--gain", "4", "--paths", "1",
+                  "--packets", "1", "--packet-len", "10", "--train-len", "5", *extra])
+        assert exc.value.code == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+        assert not cache.exists()
 
     def test_boundary_values_accepted(self):
         make_experiment_config(mu=0.0, lambda_e=0.0, lambda_m=1.0, lambda_cg=1.0,
@@ -233,19 +261,22 @@ class TestMmseOracle:
                              ids=["fading-isi", "static"])
     def test_filters_equal_per_symbol_solve(self, rate, isi):
         # 300 symbols: the batched solves end on a partial block.
-        from fadetrack.dscdma import conditional_covariance
-        from fadetrack.harness import _build_packet_env, _simulate
+        from fadetrack.dscdma import ChannelScenario, conditional_covariance
+        from fadetrack.harness import _PacketDraws, _simulate
         cfg = ExperimentConfig(users=3, gain=8, paths=3, snr_db=(10.0,),
                                fading_grid=(rate,), packet_len=300, train_len=0,
                                packets=1, algorithms=("mmse",), isi=isi, seed=17)
         _, runs = next(_simulate(cfg, [(rate, 10.0)], ("mmse",), record_weights=True))
         weights = runs["mmse"].weights[0]
-        env = _build_packet_env(cfg, rate, 10.0, 0, {"coherent"})
-        scenario = env.scenario
+        scenario = ChannelScenario(users=3, gain=8, paths=3, snr_db=10.0, fading_rate=rate,
+                                   include_isi=isi)
+        draws = _PacketDraws(cfg, 0)
+        signatures = [code_convolution_operator(code, cfg.paths) @ gains
+                      for code, gains in zip(draws.codes, draws.gains(scenario))]
         for i in range(cfg.packet_len):
-            cov = conditional_covariance(env.signatures, scenario.gain,
+            cov = conditional_covariance(signatures, scenario.gain,
                                          scenario.noise_variance, [i], include_isi=isi)[0]
-            expected = np.linalg.solve(cov, env.signatures[0][:, i])
+            expected = np.linalg.solve(cov, signatures[0][:, i])
             assert np.array_equal(weights[:, i], expected), i
 
 
@@ -266,7 +297,7 @@ class TestIgnoredGridPoints:
         def no_packets(*args, **kwargs):
             raise AssertionError("a packet ran")
 
-        monkeypatch.setattr(harness, "_build_packet_env", no_packets)
+        monkeypatch.setattr(harness, "_PacketDraws", no_packets)
         monkeypatch.setattr(harness.analysis, "load_or_estimate", no_packets)
         cfg = ExperimentConfig(**{**SMALL, **grids})
         with pytest.raises(ValueError, match=key):
@@ -296,22 +327,26 @@ class TestIgnoredGridPoints:
 
 
 class TestSeedPartitioning:
+    @staticmethod
+    def packet(cfg, index):
+        """A packet's received block and data at one grid point, as the harness writes them."""
+        from fadetrack.harness import _Chunk, _PacketDraws
+        chunk = _Chunk(cfg, 1, ["coherent"])
+        chunk.fill(0, _PacketDraws(cfg, index), 0.005, 12.0)
+        return chunk.received["coherent"][0], chunk.data[0]
+
     def test_prefix_packets_unchanged_by_packet_count(self):
         small = ExperimentConfig(**{**SMALL, "packets": 3})
         large = ExperimentConfig(**{**SMALL, "packets": 6})
-        from fadetrack.harness import _build_packet_env
         for p in range(3):
-            env_a = _build_packet_env(small, 0.005, 12.0, p, {"coherent"})
-            env_b = _build_packet_env(large, 0.005, 12.0, p, {"coherent"})
-            assert np.array_equal(env_a.received["coherent"], env_b.received["coherent"])
-            assert np.array_equal(env_a.data, env_b.data)
+            received_a, data_a = self.packet(small, p)
+            received_b, data_b = self.packet(large, p)
+            assert np.array_equal(received_a, received_b)
+            assert np.array_equal(data_a, data_b)
 
     def test_packets_differ(self):
         cfg = ExperimentConfig(**SMALL)
-        from fadetrack.harness import _build_packet_env
-        env0 = _build_packet_env(cfg, 0.005, 12.0, 0, {"coherent"})
-        env1 = _build_packet_env(cfg, 0.005, 12.0, 1, {"coherent"})
-        assert not np.array_equal(env0.received["coherent"], env1.received["coherent"])
+        assert not np.array_equal(self.packet(cfg, 0)[0], self.packet(cfg, 1)[0])
 
 
 class TestPacketDraws:
@@ -366,7 +401,7 @@ class TestRunSinrVsFading:
         def no_packets(*args, **kwargs):
             raise AssertionError("a packet ran")
 
-        monkeypatch.setattr(harness, "_build_packet_env", no_packets)
+        monkeypatch.setattr(harness, "_PacketDraws", no_packets)
         cfg = ExperimentConfig(**{**SMALL, "fading_grid": (0.001, 0.02), "train_len": 60})
         with pytest.raises(ValueError, match="after training"):
             run_sinr_vs_fading(cfg)

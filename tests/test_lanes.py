@@ -5,14 +5,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fadetrack import harness
 from fadetrack.harness import (
+    _SINR_FLOOR,
     ALGORITHMS,
     ExperimentConfig,
-    _build_packet_env,
+    _Chunk,
     _mode_of,
-    _score,
+    _PacketDraws,
     _simulate,
-    _sinr_terms,
     _step_lanes,
 )
 from fadetrack.receivers import (
@@ -24,7 +25,6 @@ from fadetrack.receivers import (
     cg_solve_lanes,
     cg_step_lanes,
     lane_dot,
-    matched_filter_init,
     mixing_lanes,
     nlms_lanes,
     pair_errors_lanes,
@@ -442,12 +442,57 @@ def small_config(isi):
 
 
 def lane_inputs(cfg, lanes, mode):
-    """Each ``(packet, point index)`` lane's packet, and the stacked inputs of a step call."""
-    envs = [_build_packet_env(cfg, *POINTS[g], packet, {mode}) for packet, g in lanes]
-    stacked = [np.stack(arrays) for arrays in zip(*(
-        (env.received[mode], env.refs[mode], env.data,
-         matched_filter_init(env.code_chips, env.scenario.window)) for env in envs))]
-    return envs, stacked
+    """Each ``(packet, point index)`` lane with its config, and the inputs of a step call."""
+    chunk = _Chunk(cfg, len(lanes), [mode])
+    for j, (packet, g) in enumerate(lanes):
+        chunk.fill(j, _PacketDraws(cfg, packet), *POINTS[g])
+    envs = [(cfg, lane) for lane in lanes]
+    return envs, [chunk.received[mode], chunk.refs[mode], chunk.data, chunk.w_init]
+
+
+def _sinr_terms(env, marks):
+    """One lane's scoring terms at ``marks``: its row of a one-lane chunk."""
+    cfg, (packet, g) = env
+    chunk = _Chunk(cfg, 1, [], marks)
+    chunk.fill(0, _PacketDraws(cfg, packet), *POINTS[g])
+    return chunk.cov[0], chunk.target[0], chunk.snr[0]
+
+
+def _score(filters, terms):
+    """:func:`harness._score` against per-lane terms, stacked as a chunk's."""
+    return harness._score(filters, *(np.stack(arrays) for arrays in zip(*terms)))
+
+
+def normalized_sinr_db(w, terms):
+    """The former scalar score that :func:`harness._score` batches: one filter, one mark."""
+    cov, signature, snr_inst = terms
+    num = float(np.abs(np.vdot(w, signature)) ** 2)
+    den = float(np.real(np.vdot(w, cov @ w))) - num
+    ratio = max(num / den / snr_inst, _SINR_FLOOR)
+    return 10.0 * np.log10(ratio)
+
+
+def test_batched_score_matches_the_scalar_form():
+    rng = np.random.default_rng(8)
+    lanes, marks = 7, 3
+    target = cnormal(rng, lanes, marks, DIM)
+    spread = cnormal(rng, lanes, marks, DIM, DIM)
+    # Covariances of a realized channel: user 0, interference and noise.
+    cov = (target[..., :, None] * np.conj(target)[..., None, :]
+           + spread @ np.conj(np.swapaxes(spread, -1, -2)) + 0.1 * np.eye(DIM))
+    snr = rng.uniform(0.5, 50.0, (lanes, marks))
+    filters = cnormal(rng, lanes, marks, DIM)
+    # Lane 3's filters are orthogonal to user 0: the SINR floor.
+    s, w = target[3], filters[3]
+    filters[3] = w - s * (lane_dot(s, w) / lane_dot(s, s))[:, None]
+    batched = harness._score(filters, cov, target, snr)
+    scalar = [[normalized_sinr_db(filters[j, k], (cov[j, k], target[j, k], snr[j, k]))
+               for k in range(marks)] for j in range(lanes)]
+    assert np.all(batched[3] == 10.0 * np.log10(_SINR_FLOOR))
+    assert np.max(np.abs(batched - scalar)) <= 1e-12
+    for j in range(lanes):
+        alone = harness._score(*(a[j:j + 1] for a in (filters, cov, target, snr)))
+        assert alone.tobytes() == batched[j:j + 1].tobytes()
 
 
 LANE_LISTS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(POINTS) - 1)),
