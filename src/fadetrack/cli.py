@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import harness
 
@@ -105,6 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if not Path(args.out).parent.is_dir():
+        parser.error(f"--out: {Path(args.out).parent} is not a directory")
     try:
         cfg = _config_from_args(args)
         if args.command == "channel-stats":
@@ -114,8 +117,8 @@ def main(argv=None) -> int:
     if args.command == "channel-stats":
         if args.samples < 1:
             parser.error("--samples must be at least 1")
-        if not all(0 <= lag < args.samples for lag in lags):
-            parser.error("every --lags value must lie in [0, samples)")
+        if not lags or len(set(lags)) < len(lags) or not 0 <= min(lags) <= max(lags) < args.samples:
+            parser.error("--lags must list one or more distinct lags in [0, samples)")
     if args.command == "ber":
         records = harness.run_ber_curve(cfg)
         harness.emit_csv(records, args.out)

@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, fields, replace
+from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,8 +136,7 @@ class ExperimentConfig:
                 raise ValueError(message)
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     """One CSV row of experiment output."""
 
     experiment: str
@@ -645,14 +646,10 @@ def run_ber_curve(cfg: ExperimentConfig) -> list[MetricsRecord]:
             stacked = errors[name][g]
             counts = np.sum(~np.isnan(stacked), axis=0)
             means = np.nansum(stacked, axis=0) / np.maximum(counts, 1)
-            for i in range(cfg.packet_len):
-                if counts[i] == 0:
-                    continue
-                p = float(means[i])
-                half = 1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / counts[i])
-                records.append(MetricsRecord(
-                    experiment="ber", algorithm=name, sweep=float(snr_db),
-                    symbol=i, ber=p, sinr_db=None, ci=float(half), seed=cfg.seed))
+            half = 1.96 * np.sqrt(np.maximum(means * (1.0 - means), 0.0) / np.maximum(counts, 1))
+            records += [MetricsRecord("ber", name, float(snr_db), i, p, None, ci, cfg.seed)
+                        for i, n, p, ci in zip(range(cfg.packet_len), counts.tolist(),
+                                               means.tolist(), half.tolist()) if n]
     return records
 
 
@@ -726,7 +723,6 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
     moments = analysis.load_or_estimate(scenario, ensemble_size, seed=cfg.seed,
                                         cache_dir=cache_dir)
     length = cfg.packet_len
-    records: list[MetricsRecord] = []
 
     # Effective scalar step of the normalized update: mu over the mean
     # input energy tracked by the normalization factor.  Equal mixing
@@ -737,10 +733,8 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
              "differential": ("diff-nlms", mu_eff)}
 
     mmse_ratio = analysis.mmse_bound_db(moments)
-    for i in range(length):
-        records.append(MetricsRecord(
-            experiment="analyze", algorithm="mmse-bound", sweep=float(rate),
-            symbol=i, ber=None, sinr_db=mmse_ratio, ci=None, seed=cfg.seed))
+    records = [MetricsRecord("analyze", "mmse-bound", float(rate), i, None, mmse_ratio, None,
+                             cfg.seed) for i in range(length)]
 
     names = [name for name, _ in pairs.values()]
     curves = {name: np.empty((cfg.packets, length)) for name in names}
@@ -761,21 +755,16 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
         for i in range(length):
             state = analysis.k_step(state, moments, variant, propagation)
             state = analysis.g_step(state, moments, variant, propagation)
-            records.append(MetricsRecord(
-                experiment="analyze", algorithm=f"{alg_name}-analytical",
-                sweep=float(rate), symbol=i, ber=None,
-                sinr_db=analysis.analytical_sinr(state, moments), ci=None,
-                seed=cfg.seed))
+            records.append(MetricsRecord("analyze", f"{alg_name}-analytical", float(rate), i,
+                                         None, analysis.analytical_sinr(state, moments),
+                                         None, cfg.seed))
 
         mean_linear = np.mean(curves[alg_name], axis=0)
         per_packet_db = 10.0 * np.log10(np.maximum(curves[alg_name], _SINR_FLOOR))
         ci = 1.96 * np.std(per_packet_db, axis=0) / np.sqrt(cfg.packets)
-        for i in range(length):
-            records.append(MetricsRecord(
-                experiment="analyze", algorithm=alg_name, sweep=float(rate),
-                symbol=i, ber=None,
-                sinr_db=float(10.0 * np.log10(max(mean_linear[i], _SINR_FLOOR))),
-                ci=float(ci[i]), seed=cfg.seed))
+        records += [MetricsRecord("analyze", alg_name, float(rate), i, None,
+                                  float(10.0 * np.log10(max(mean, _SINR_FLOOR))), half, cfg.seed)
+                    for i, (mean, half) in enumerate(zip(mean_linear.tolist(), ci.tolist()))]
     return records
 
 
@@ -807,24 +796,32 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def emit_csv(records, path) -> None:
-    """Write records as UTF-8 CSV, ordered by (algorithm, sweep, symbol)."""
-    ordered = sorted(records, key=lambda r: (r.experiment, r.algorithm, r.sweep, r.symbol))
+def _column(values) -> list[str]:
+    """``_fmt`` of each value; a column of built-in floats (ints) alone takes ``repr``
+    (``str``) in one pass.  Types match exactly: numpy scalars and bools take ``_fmt``."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(repr, values))
+    if kinds == {int}:
+        return list(map(str, values))
+    return list(map(_fmt, values))
+
+
+def _write(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["experiment", "algorithm", "sweep", "symbol",
-                         "ber", "sinr_db", "ci", "seed"])
-        for rec in ordered:
-            writer.writerow([
-                rec.experiment, rec.algorithm, _fmt(rec.sweep), _fmt(rec.symbol),
-                _fmt(rec.ber), _fmt(rec.sinr_db), _fmt(rec.ci), _fmt(rec.seed)])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def emit_csv(records, path) -> None:
+    """Write records as UTF-8 CSV, ordered by (experiment, algorithm, sweep, symbol)."""
+    columns = list(zip(*sorted(records, key=itemgetter(0, 1, 2, 3))))
+    # The experiment and algorithm names are written as they are.
+    _write(path, MetricsRecord._fields, zip(*columns[:2], *map(_column, columns[2:])))
 
 
 def emit_channel_stats(rows, path) -> None:
     """Write channel-stats rows with their own header."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["fading_rate", "lag", "empirical_re", "empirical_im",
-                         "theoretical"])
-        for row in sorted(rows):
-            writer.writerow([_fmt(v) for v in row])
+    _write(path, ("fading_rate", "lag", "empirical_re", "empirical_im", "theoretical"),
+           zip(*map(_column, zip(*sorted(rows)))))

@@ -33,6 +33,57 @@ SMALL = dict(users=2, gain=8, paths=2, snr_db=(12.0,), fading_grid=(0.005,),
              seed=7)
 
 
+def _fmt_reference(value) -> str:
+    """One field as the per-field writer formatted it."""
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def emit_csv_reference(records, path) -> None:
+    """The per-field writer: one ``csv.writer`` row and one ``_fmt`` call per field."""
+    ordered = sorted(records, key=lambda r: (r.experiment, r.algorithm, r.sweep, r.symbol))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["experiment", "algorithm", "sweep", "symbol",
+                         "ber", "sinr_db", "ci", "seed"])
+        for rec in ordered:
+            writer.writerow([
+                rec.experiment, rec.algorithm, _fmt_reference(rec.sweep),
+                _fmt_reference(rec.symbol), _fmt_reference(rec.ber),
+                _fmt_reference(rec.sinr_db), _fmt_reference(rec.ci),
+                _fmt_reference(rec.seed)])
+
+
+def ber_rows_reference(cfg):
+    """``run_ber_curve``'s rows built one symbol at a time from scalars."""
+    from fadetrack.harness import _simulate
+    points = [(cfg.fading_grid[0], snr_db) for snr_db in cfg.snr_db]
+    errors = {name: np.empty((len(points), cfg.packets, cfg.packet_len))
+              for name in cfg.algorithms}
+    for lanes, runs in _simulate(cfg, points, cfg.algorithms):
+        packets, grid = np.array(lanes).T
+        for name, run in runs.items():
+            errors[name][grid, packets] = run.errors
+    records = []
+    for g, snr_db in enumerate(cfg.snr_db):
+        for name in cfg.algorithms:
+            stacked = errors[name][g]
+            counts = np.sum(~np.isnan(stacked), axis=0)
+            means = np.nansum(stacked, axis=0) / np.maximum(counts, 1)
+            for i in range(cfg.packet_len):
+                if counts[i] == 0:
+                    continue
+                p = float(means[i])
+                half = 1.96 * np.sqrt(max(p * (1.0 - p), 0.0) / counts[i])
+                records.append(MetricsRecord(
+                    experiment="ber", algorithm=name, sweep=float(snr_db),
+                    symbol=i, ber=p, sinr_db=None, ci=float(half), seed=cfg.seed))
+    return records
+
+
 class TestConfigHandling:
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -146,6 +197,26 @@ class TestConfigHandling:
         assert not out.exists()
         assert not cache.exists()
 
+    @pytest.mark.parametrize("parent_kind", ["missing", "file"])
+    @pytest.mark.parametrize("command", ["ber", "sinr-vs-fading", "analyze", "channel-stats"])
+    def test_out_outside_a_directory_is_a_usage_error(self, command, parent_kind, tmp_path):
+        # Rejected before any work: no CSV, and analyze makes no cache dir.
+        parent, cache = tmp_path / "parent", tmp_path / "cache"
+        if parent_kind == "file":
+            parent.write_text("")
+        out = parent / "out.csv"
+        rates = "0.001,0.02" if command == "sinr-vs-fading" else "0.005"
+        argv = [sys.executable, "-m", "fadetrack.cli", command, "--out", str(out),
+                "--users", "1", "--gain", "4", "--paths", "1", "--packets", "1",
+                "--packet-len", "10", "--train-len", "5", "--fading-grid", rates]
+        if command == "analyze":
+            argv += ["--cache-dir", str(cache)]
+        result = subprocess.run(argv, capture_output=True, text=True)
+        assert result.returncode == 2, result.stderr
+        assert "--out" in result.stderr.strip().splitlines()[-1]
+        assert not out.exists()
+        assert not cache.exists()
+
     def test_boundary_values_accepted(self):
         make_experiment_config(mu=0.0, lambda_e=0.0, lambda_m=1.0, lambda_cg=1.0,
                                lambda_rls=1.0, jmax=0, delta=0.0, cg_loading=0.0,
@@ -192,6 +263,40 @@ class TestEmitCsv:
                            float(r["ci"]), int(r["seed"]))
              for r in rows), key=key)
         assert rebuilt == sorted(records, key=key)
+
+    EDGE_RECORDS = [
+        MetricsRecord("ber", "mmse", 10.0, 3, 0.25, None, 0.01, 7),
+        MetricsRecord("ber", "mmse", -0.0, 0, -0.0, None, 5e-324, 7),
+        MetricsRecord("ber", "nlms", 0.0, 1, float("nan"), float("inf"), float("-inf"), 7),
+        MetricsRecord("sinr-vs-fading", "rls", 1e22, 999, 1e-300, -12.5, np.float64(0.1), 7),
+        MetricsRecord("sinr-vs-fading", "rls", np.float64(0.005), np.int64(199),
+                      np.float64(1 / 3), np.float64(-0.0), np.float32(0.1), np.int64(7)),
+        MetricsRecord("analyze", "mmse-bound", 0.005, 2, None, np.float64(np.nan), None, 7),
+        MetricsRecord("analyze", "diff-nlms", 0.005, 2, None, 2.0 / 3.0, 1e22, 7),
+        MetricsRecord("analyze", "diff-nlms", 0.005, 1, None, np.float64(np.inf), 0.0, 7),
+    ]
+
+    @pytest.mark.parametrize("records", [
+        EDGE_RECORDS,
+        # Whole columns of numpy scalars: ints, floats and -0.0.
+        [MetricsRecord("ber", name, np.float64(sweep), np.int64(i), np.float64(i / 7),
+                       None, np.float64(-0.0) if i == 2 else np.float64(i / 9), np.int64(3))
+         for name in ("b", "a") for sweep in (5.0, 0.0) for i in range(4)],
+        # Whole columns of built-in floats and ints, one of them negative zero.
+        [MetricsRecord("ber", "a", -0.0, i, i / 7, None, 1e22 * i, 3) for i in range(4)],
+    ], ids=["edge", "numpy", "builtin"])
+    def test_same_bytes_as_per_field_writer(self, records, tmp_path):
+        emit_csv(records, tmp_path / "fast.csv")
+        emit_csv_reference(records, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_record_is_an_immutable_named_tuple(self):
+        rec = MetricsRecord(experiment="ber", algorithm="mmse", sweep=10.0, symbol=3,
+                            ber=0.25, sinr_db=None, ci=0.01, seed=7)
+        assert rec == MetricsRecord("ber", "mmse", 10.0, 3, 0.25, None, 0.01, 7)
+        assert rec.ci == 0.01 and rec[3] == 3
+        with pytest.raises(AttributeError):
+            rec.ber = 0.5
 
     def test_ordering_deterministic(self, tmp_path):
         records = [
@@ -245,6 +350,18 @@ class TestRunBerCurve:
         assert 0 in symbols["mmse"]
         assert 0 not in symbols["diff-nlms"]
         assert 0 not in symbols["bidir-cg"]
+
+    def test_rows_match_scalar_loop(self, tmp_path):
+        # Differential receivers skip symbol 0; two SNR points, ISI on.
+        cfg = ExperimentConfig(**{**SMALL, "snr_db": (3.0, 12.0), "packets": 3,
+                                  "algorithms": ("mmse", "nlms", "diff-nlms", "bidir-nlms")})
+        rows, reference = run_ber_curve(cfg), ber_rows_reference(cfg)
+        assert len(rows) == len(reference) == 2 * (4 * cfg.packet_len - 2)
+        # repr tells an int from a float and a float from np.float64(...).
+        assert [tuple(map(repr, r)) for r in rows] == [tuple(map(repr, r)) for r in reference]
+        emit_csv(rows, tmp_path / "fast.csv")
+        emit_csv_reference(reference, tmp_path / "reference.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_learning_curve_improves(self):
         # Adaptive receivers should beat their own untrained start.
@@ -491,6 +608,8 @@ class TestRunChannelStats:
         (["--samples", "-3"], "--samples"),
         (["--samples", "10", "--lags", "1,10"], "--lags"),
         (["--lags", "-1"], "--lags"),
+        (["--lags", ""], "--lags"),
+        (["--lags", "1,1"], "--lags"),
     ])
     def test_bad_arguments_rejected_by_cli(self, extra, message, tmp_path, capsys):
         from fadetrack.cli import main
