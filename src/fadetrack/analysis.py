@@ -53,7 +53,7 @@ _SPECTRAL_TOL = 1e-9
 
 # Part of the moment-cache key: bump it whenever a change to
 # estimate_moment_matrices changes its output, so no stale entry is reused.
-_ESTIMATOR_VERSION = 3
+_ESTIMATOR_VERSION = 4
 
 # Ensemble members drawn and processed together; a fixed constant, so the
 # seeding layout (one generator per chunk) never depends on an option.  At
@@ -303,11 +303,10 @@ def analytical_sinr(state: AnalysisState, m: MomentMatrices) -> float:
 
         (tr(K Rs) + 2 Re tr(G Rs) + Ps) / (tr(K Ri) + 2 Re tr(G Ri) + Pi).
     """
-    k, g = state.weight_err_corr, state.cross_corr
-    num = float(np.real(np.trace(k @ m.signal_corr))
-                + 2.0 * np.real(np.trace(g @ m.signal_corr))) + m.p_s_opt
-    den = float(np.real(np.trace(k @ m.interference_corr))
-                + 2.0 * np.real(np.trace(g @ m.interference_corr))) + m.p_i_opt
+    # traces[a, b] = tr(X_a R_b) for X = (K, G) and R = (Rs, Ri).
+    traces = np.einsum("aij,bji->ab", np.stack([state.weight_err_corr, state.cross_corr]),
+                       np.stack([m.signal_corr, m.interference_corr])).real
+    num, den = (traces[0] + 2.0 * traces[1] + (m.p_s_opt, m.p_i_opt)).tolist()
     if den <= 0.0 or num <= 0.0:
         raise ValueError("invalid regime: non-positive SINR numerator or denominator")
     return 10.0 * np.log10(num / den)

@@ -108,8 +108,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if not Path(args.out).parent.is_dir():
         parser.error(f"--out: {Path(args.out).parent} is not a directory")
+    if getattr(args, "cache_dir", None) is not None:
+        cache = Path(args.cache_dir)
+        existing = next(path for path in (cache, *cache.parents) if path.exists())
+        if not existing.is_dir():
+            parser.error(f"--cache-dir: {existing} is not a directory")
     try:
         cfg = _config_from_args(args)
+        harness.check_experiment(args.command, cfg, getattr(args, "ensemble", None))
         if args.command == "channel-stats":
             lags = tuple(int(tok) for tok in args.lags.replace(",", " ").split())
     except ValueError as exc:

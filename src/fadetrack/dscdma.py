@@ -214,33 +214,36 @@ def conditional_covariance(signatures, gain: int, noise_variance: float, columns
     """Covariances, ``(..., len(columns), M, M)``, of :func:`received_block` columns.
 
     Given the users' ``(..., M, T)`` ``signatures`` (any leading batch
-    axes), each is ``noise_variance * I`` plus, user by user, the outer
-    products of the signature, the previous symbol's tail and the next
-    symbol's precursor (zero past packet edges).  The tail and precursor
-    fill only the ``M - N`` square corners they spill into, so only those
-    corners are added.
+    axes), each is ``noise_variance * I`` plus the sum over users of the
+    outer products of the signature, the previous symbol's tail and the
+    next symbol's precursor (zero past packet edges).  Each sum over users
+    is one ``(M x K) @ (K x M)`` product; the tail and precursor fill only
+    the ``M - N`` square corners they spill into, so only those corners are
+    added.  ``matmul`` takes one BLAS call per matrix, so a column's bits do
+    not depend on the batch axes or the other columns.
     """
     columns = np.asarray(columns, dtype=np.intp)
-    *batch, window, length = np.shape(signatures[0])
+    window, length = np.shape(signatures[0])[-2:]
     n = columns.size
-    total = np.empty((*batch, n, window, window), dtype=np.complex128)
-    total[...] = noise_variance * np.eye(window, dtype=np.complex128)
     spill = window - gain if include_isi else 0
     index = np.concatenate([columns, columns - 1, columns + 1]) if spill > 0 else columns
     inside = (index >= 0) & (index < length)
     index = np.where(inside, index, 0)
-    for sig in signatures:
-        rows = np.swapaxes(sig[..., index] * inside, -1, -2)
-        _add_outer(total, rows[..., :n, :])
-        if spill > 0:
-            _add_outer(total[..., :spill, :spill], rows[..., n:2 * n, gain:])
-            _add_outer(total[..., gain:, gain:], rows[..., 2 * n:, :spill])
+    # (..., len(index), M, K), contiguous: each column's users side by side.
+    rows = np.ascontiguousarray(np.moveaxis(np.asarray(signatures)[..., index] * inside,
+                                            (0, -1), (-1, -3)))
+    total = _gram(rows[..., :n, :, :])
+    if spill > 0:
+        total[..., :spill, :spill] += _gram(rows[..., n:2 * n, gain:, :])
+        total[..., gain:, gain:] += _gram(rows[..., 2 * n:, :spill, :])
+    diagonal = np.arange(window)
+    total[..., diagonal, diagonal] += noise_variance
     return total
 
 
-def _add_outer(total: np.ndarray, rows: np.ndarray) -> None:
-    """Add ``outer(v, conj(v))`` of each row ``v`` of ``rows`` to the matching ``total`` matrix."""
-    total += rows[..., :, None] * np.conj(rows)[..., None, :]
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """``rows @ rows^H`` of each matrix of a stack."""
+    return rows @ np.swapaxes(np.conj(rows), -1, -2)
 
 
 def synthesize_received(

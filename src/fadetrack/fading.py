@@ -101,20 +101,15 @@ def _phasor(angle) -> np.ndarray:
     return out
 
 
-def _oscillators(normalized_doppler: float, power, rotation, phases):
-    """Angular Doppler rates and complex amplitudes of sum-of-sinusoids paths.
+def _doppler_rates(normalized_doppler: float, rotation, q: int) -> np.ndarray:
+    """Angular Doppler rates, shape ``S + (q,)``, of sum-of-sinusoids paths.
 
-    ``rotation`` (shape ``S``) turns each path's equally spaced arrival
-    angles; ``phases`` (shape ``S + (Q,)``) are the oscillators' initial
-    phases and ``power`` (broadcast to ``S``) the paths' mean-square gains.
-    Both outputs have the shape of ``phases``.
+    ``rotation`` (shape ``S``) turns each path's ``q`` equally spaced
+    arrival angles, in units of their spacing.
     """
-    q = np.shape(phases)[-1]
     # cos(2*pi*(k + rotation)/q) by angle addition: trig per path, not per oscillator.
     turn = _phasor(2.0 * np.pi * np.expand_dims(rotation, -1) / q)
-    omega = 2.0 * np.pi * normalized_doppler * (_phasor(2.0 * np.pi * np.arange(q) / q) * turn).real
-    amplitude = np.expand_dims(np.sqrt(np.divide(power, q)), -1) * _phasor(phases)
-    return omega, amplitude
+    return 2.0 * np.pi * normalized_doppler * (_phasor(2.0 * np.pi * np.arange(q) / q) * turn).real
 
 
 def fading_windows(config: FadingConfig, length: int, rng: np.random.Generator,
@@ -129,16 +124,24 @@ def fading_windows(config: FadingConfig, length: int, rng: np.random.Generator,
     """
     if length < 1:
         raise ValueError("length must be at least 1")
+    q = config.num_oscillators
     shape = (*batch, config.num_paths)
     rotation = rng.uniform(size=shape)
-    phases = rng.uniform(0.0, 2.0 * np.pi, size=(*shape, config.num_oscillators))
-    omega, phasors = _oscillators(config.normalized_doppler, config.power_profile,
-                                  rotation, phases)
-    step = _phasor(omega)
+    # Each oscillator's initial phasor exp(2j*pi*v), v uniform on [0, 1) (the draws of
+    # uniform(0, 2*pi)): an octant phasor, with the path amplitude folded in, times the
+    # phasor of the angle left within the octant, where cos and sin need no reduction.
+    eighths = 8.0 * rng.random((*shape, q))
+    octant = eighths.astype(np.intp)
+    amplitude = np.sqrt(np.divide(config.power_profile, q))[:, None]
+    table = amplitude * _phasor(np.pi / 4 * np.arange(8))
+    phasors = table.ravel()[octant + 8 * np.arange(config.num_paths)[:, None]]
+    phasors *= _phasor(np.pi / 4 * (eighths - octant))
+    step = _phasor(_doppler_rates(config.normalized_doppler, rotation, q))
     gains = np.empty((*shape, length), dtype=np.complex128)
     for t in range(length):
         gains[..., t] = phasors.sum(axis=-1)
-        phasors *= step
+        if t < length - 1:
+            phasors *= step
     return gains
 
 
@@ -165,8 +168,9 @@ def generate_fading(config: FadingConfig, length: int) -> FadingSequence:
     draws = [(rng.uniform(), rng.uniform(0.0, 2.0 * np.pi, size=config.num_oscillators))
              for _ in range(config.num_paths)]
     rotation, phases = map(np.array, zip(*draws))
-    omega, amplitude = _oscillators(config.normalized_doppler, config.power_profile,
-                                    rotation, phases)
+    omega = _doppler_rates(config.normalized_doppler, rotation, config.num_oscillators)
+    amplitude = np.sqrt(np.divide(config.power_profile, config.num_oscillators))[:, None]
+    amplitude = amplitude * _phasor(phases)
     # Sample b*_BLOCK + j sums amplitude * exp(1j*omega*b*_BLOCK) * exp(1j*omega*j) over
     # oscillators.  Splitting omega*_BLOCK (Veltkamp) into a head, whose products with all
     # block indices b are exact, and a small tail rounds no large angle: no drift with length.

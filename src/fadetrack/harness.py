@@ -55,6 +55,7 @@ __all__ = [
     "CONFIG_KEYS",
     "load_config_file",
     "make_experiment_config",
+    "check_experiment",
     "run_ber_curve",
     "run_sinr_vs_fading",
     "run_analysis_comparison",
@@ -613,12 +614,33 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
         yield lanes, runs
 
 
-def _sole_point(cfg: ExperimentConfig, key: str) -> float:
-    """The one point of a grid the experiment does not sweep; extra points raise."""
-    values = getattr(cfg, key)
-    if len(values) != 1:
-        raise ValueError(f"{key} must hold one point here, got {values}")
-    return values[0]
+def check_experiment(experiment: str, cfg: ExperimentConfig,
+                     ensemble_size: int | None = None) -> None:
+    """Raise ``ValueError`` if ``cfg`` does not suit ``experiment`` (a CLI subcommand).
+
+    These rules come on top of :class:`ExperimentConfig`'s own: each ``run_*``
+    function applies them before any work, and the CLI reports them as usage
+    errors.  A grid the experiment does not sweep must hold one point, and
+    ``ensemble_size``, when given, is the ``analyze`` moment ensemble's size.
+    """
+    unswept = {"ber": ("fading_grid",), "sinr-vs-fading": ("snr_db",),
+               "analyze": ("fading_grid", "snr_db")}
+    for key in unswept.get(experiment, ()):
+        values = getattr(cfg, key)
+        if len(values) != 1:
+            raise ValueError(f"{key} must hold one point here, got {values}")
+    rules = []
+    if experiment == "sinr-vs-fading":
+        rules = [(min(cfg.fading_grid) <= 0.001 and max(cfg.fading_grid) >= 0.02,
+                  "fading grid must span at least [0.001, 0.02]"),
+                 (cfg.train_len >= 1, "sinr-vs-fading needs a training prefix"),
+                 (cfg.train_len < cfg.packet_len,
+                  "sinr-vs-fading needs symbols after training")]
+    elif experiment == "analyze" and ensemble_size is not None:
+        rules = [(ensemble_size >= 10000, "analysis comparison needs an ensemble of at least 10^4")]
+    for ok, message in rules:
+        if not ok:
+            raise ValueError(message)
 
 
 # ----------------------------------------------------------------------
@@ -632,7 +654,8 @@ def run_ber_curve(cfg: ExperimentConfig) -> list[MetricsRecord]:
     differential mode symbol 0 carries no data and is skipped.  The
     fading grid must hold one rate.
     """
-    fading_rate = _sole_point(cfg, "fading_grid")
+    check_experiment("ber", cfg)
+    fading_rate = cfg.fading_grid[0]
     points = [(fading_rate, snr_db) for snr_db in cfg.snr_db]
     errors = {name: np.empty((len(points), cfg.packets, cfg.packet_len))
               for name in cfg.algorithms}
@@ -662,13 +685,8 @@ def run_sinr_vs_fading(cfg: ExperimentConfig) -> list[MetricsRecord]:
     normalized by the realized input SNR.  The record's ``ber`` field
     carries the post-training BER.  The SNR grid must hold one point.
     """
-    snr_db = _sole_point(cfg, "snr_db")
-    if min(cfg.fading_grid) > 0.001 or max(cfg.fading_grid) < 0.02:
-        raise ValueError("fading grid must span at least [0.001, 0.02]")
-    if cfg.train_len < 1:
-        raise ValueError("sinr-vs-fading needs a training prefix")
-    if cfg.train_len == cfg.packet_len:
-        raise ValueError("sinr-vs-fading needs symbols after training")
+    check_experiment("sinr-vs-fading", cfg)
+    snr_db = cfg.snr_db[0]
     points = [(rate, snr_db) for rate in cfg.fading_grid]
     marks = (cfg.train_len - 1, cfg.packet_len - 1)
     shape = (len(points), cfg.packets)
@@ -707,10 +725,8 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
     curves.  The SINR of simulated filters is scored against the ensemble
     moment matrices, so both curves live on the same scale.
     """
-    rate = _sole_point(cfg, "fading_grid")
-    snr_db = _sole_point(cfg, "snr_db")
-    if ensemble_size < 10000:
-        raise ValueError("analysis comparison needs an ensemble of at least 10^4")
+    check_experiment("analyze", cfg, ensemble_size)
+    rate, snr_db = cfg.fading_grid[0], cfg.snr_db[0]
     # Codes are part of the analyzed configuration: the ensemble moments
     # and every simulated packet share the same fixed code set, otherwise
     # the code structure would average out of the moment matrices.

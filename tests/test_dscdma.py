@@ -321,6 +321,42 @@ class TestConditionalCovariance:
         assert cov.shape == (length, window, window)
         assert np.allclose(cov - sigma2 * np.eye(window), average, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("include_isi", [True, False])
+    def test_equals_per_user_outer_products(self, include_isi):
+        # Batched signatures, with the edge columns 0 and T-1 among those asked for.
+        rng = np.random.default_rng(34)
+        batch, users, gain, paths, length = (3, 2), 4, 5, 3, 7
+        signatures = batched_signatures(rng, batch, users, gain, paths, length)
+        columns = (0, length - 1, 3, 1, length - 2)
+        cov = conditional_covariance(signatures, gain, 0.25, columns, include_isi=include_isi)
+        expected = outer_product_covariance(signatures, gain, 0.25, columns, include_isi)
+        assert np.abs(cov - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
+def outer_product_covariance(signatures, gain, noise_variance, columns, include_isi):
+    """Reference for :func:`conditional_covariance`: ``noise_variance * I`` plus, user by
+    user, the outer products of the signature and of the neighbours' spilled parts."""
+    columns = np.asarray(columns, dtype=np.intp)
+    *batch, window, length = np.shape(signatures[0])
+    n = columns.size
+    total = np.empty((*batch, n, window, window), dtype=np.complex128)
+    total[...] = noise_variance * np.eye(window, dtype=np.complex128)
+    spill = window - gain if include_isi else 0
+    index = np.concatenate([columns, columns - 1, columns + 1]) if spill > 0 else columns
+    inside = (index >= 0) & (index < length)
+    index = np.where(inside, index, 0)
+
+    def add_outer(part, rows):
+        part += rows[..., :, None] * np.conj(rows)[..., None, :]
+
+    for sig in signatures:
+        rows = np.swapaxes(sig[..., index] * inside, -1, -2)
+        add_outer(total, rows[..., :n, :])
+        if spill > 0:
+            add_outer(total[..., :spill, :spill], rows[..., n:2 * n, gain:])
+            add_outer(total[..., gain:, gain:], rows[..., 2 * n:, :spill])
+    return total
+
 
 @pytest.fixture(scope="module")
 def awgn_outputs():

@@ -160,6 +160,29 @@ class TestFadingWindows:
         with pytest.raises(ValueError):
             fading_windows(FadingConfig(0.01), 0, np.random.default_rng(0), (2,))
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
+    @pytest.mark.parametrize("rate", [0.0, 0.005, 0.1, 1.5])
+    def test_matches_direct_evaluation(self, rate):
+        config = FadingConfig(rate, num_paths=2, power_profile=(0.7, 0.3), num_oscillators=24)
+        batch, length, q = (3, 2), 6, config.num_oscillators
+        shape = (*batch, config.num_paths)
+        rng = np.random.default_rng(25)
+        gains = fading_windows(config, length, rng, batch)
+        # The generator ends where uniform(0, 2*pi) phase draws would leave it.
+        old = np.random.default_rng(25)
+        old.uniform(size=shape)
+        old.uniform(0.0, 2.0 * np.pi, size=(*shape, q))
+        assert rng.random() == old.random()
+        # Each initial phase 2*pi*v formed in extended precision from the same draws v.
+        replay = np.random.default_rng(25)
+        rotation = replay.uniform(size=shape)
+        phases = (2 * np.arccos(np.longdouble(-1)) * replay.random((*shape, q))).astype(float)
+        for index in np.ndindex(*shape):
+            omega = fading._doppler_rates(rate, rotation[index], q)
+            amplitude = np.sqrt(config.power_profile[index[-1]] / q) * np.exp(1j * phases[index])
+            error = np.abs(gains[index] - direct_gains(omega, amplitude, np.arange(length))).max()
+            assert error <= 1e-13, (index, error)
+
 
 def direct_gains(omega, amplitude, t):
     """``amplitude @ exp(1j * outer(omega, t))`` with every angle formed and reduced mod
@@ -185,7 +208,8 @@ class TestBlockSynthesis:
             for path, power in enumerate(config.power_profile):
                 rotation = rng.uniform()
                 phases = rng.uniform(0.0, 2.0 * np.pi, size=config.num_oscillators)
-                omega, amplitude = fading._oscillators(rate, power, rotation, phases)
+                omega = fading._doppler_rates(rate, rotation, config.num_oscillators)
+                amplitude = np.sqrt(power / config.num_oscillators) * np.exp(1j * phases)
                 error = np.abs(gains[path, t] - direct_gains(omega, amplitude, t)).max()
                 assert error <= 1e-12, (length, path, error)
 
@@ -193,7 +217,7 @@ class TestBlockSynthesis:
         rng = np.random.default_rng(24)
         for q in (8, 64, 79):
             rotation = rng.uniform(size=(40, 3))
-            omega, _ = fading._oscillators(0.3, 1.0, rotation, rng.uniform(size=(40, 3, q)))
+            omega = fading._doppler_rates(0.3, rotation, q)
             angles = 2.0 * np.pi * (np.arange(q) + rotation[..., None]) / q
             direct = 2.0 * np.pi * 0.3 * np.cos(angles)
             assert np.abs(omega - direct).max() <= 4e-15 * (2.0 * np.pi * 0.3)

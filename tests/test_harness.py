@@ -217,6 +217,74 @@ class TestConfigHandling:
         assert not out.exists()
         assert not cache.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sinr-vs-fading", "--fading-grid", "0.005,0.01"], "span"),
+        (["sinr-vs-fading", "--fading-grid", "0.001,0.02", "--train-len", "0"], "prefix"),
+        (["sinr-vs-fading", "--fading-grid", "0.001,0.02", "--train-len", "10"],
+         "after training"),
+        (["analyze", "--fading-grid", "0.005", "--ensemble", "9999"], "10^4"),
+    ], ids=["span", "prefix", "after-training", "ensemble"])
+    def test_experiment_rule_is_a_usage_error(self, argv, message, tmp_path, capsys,
+                                              monkeypatch):
+        # The run_* functions' own rules, checked by the CLI before any work.
+        import fadetrack.harness as harness
+        from fadetrack.cli import main
+
+        def no_packets(*args, **kwargs):
+            raise AssertionError("a packet or ensemble ran")
+
+        monkeypatch.setattr(harness, "_PacketDraws", no_packets)
+        monkeypatch.setattr(harness.analysis, "load_or_estimate", no_packets)
+        out, cache = tmp_path / "out.csv", tmp_path / "cache"
+        extra = ["--cache-dir", str(cache)] if argv[0] == "analyze" else []
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--out", str(out), "--users", "1", "--gain", "4", "--paths", "1",
+                  "--packets", "1", "--packet-len", "10", "--train-len", "5", "--snr-db", "10",
+                  *extra, *argv[1:]])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_cache_dir_in_place_of_a_file_is_a_usage_error(self, below, tmp_path, capsys,
+                                                            monkeypatch):
+        import fadetrack.harness as harness
+        from fadetrack.cli import main
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("the ensemble ran")
+
+        monkeypatch.setattr(harness.analysis, "load_or_estimate", no_ensemble)
+        blocker, out = tmp_path / "blocker", tmp_path / "out.csv"
+        blocker.write_text("kept")
+        cache = blocker / "cache" if below else blocker
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--out", str(out), "--users", "1", "--gain", "4", "--paths", "1",
+                  "--packets", "1", "--packet-len", "10", "--train-len", "5",
+                  "--cache-dir", str(cache)])
+        assert exc.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+        assert not out.exists()
+        assert blocker.read_text() == "kept"
+
+    def test_error_during_a_run_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        # Only the up-front checks are usage errors; a ValueError from the
+        # engine (such as non-finite filter weights) propagates as itself.
+        import fadetrack.harness as harness
+        from fadetrack.cli import main
+
+        def diverged(*args, **kwargs):
+            raise ValueError("bidir-cg filter weights became non-finite")
+
+        monkeypatch.setattr(harness, "_simulate", diverged)
+        out = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            main(["ber", "--out", str(out), "--users", "1", "--gain", "4", "--paths", "1",
+                  "--packets", "1", "--packet-len", "10", "--train-len", "5",
+                  "--fading-grid", "0.005"])
+        assert not out.exists()
+
     def test_boundary_values_accepted(self):
         make_experiment_config(mu=0.0, lambda_e=0.0, lambda_m=1.0, lambda_cg=1.0,
                                lambda_rls=1.0, jmax=0, delta=0.0, cg_loading=0.0,
@@ -436,9 +504,9 @@ class TestIgnoredGridPoints:
         if command == "analyze":
             argv += ["--cache-dir", str(tmp_path / "cache")]
         result = subprocess.run(argv, capture_output=True, text=True)
-        assert result.returncode != 0
+        assert result.returncode == 2, result.stderr
         error = result.stderr.strip().splitlines()[-1]
-        assert error.startswith("ValueError: " + flag[2:].replace("-", "_")), error
+        assert f"error: {flag[2:].replace('-', '_')} must hold one point" in error, error
         assert not out.exists()
         assert not (tmp_path / "cache").exists()
 
@@ -530,7 +598,7 @@ class TestRunSinrVsFading:
                 "--packet-len", "10", "--train-len", "10", "--snr-db", "10",
                 "--fading-grid", "0.001,0.02"]
         result = subprocess.run(argv, capture_output=True, text=True)
-        assert result.returncode != 0
+        assert result.returncode == 2, result.stderr
         assert "after training" in result.stderr.strip().splitlines()[-1]
         assert not out.exists()
 
