@@ -69,9 +69,9 @@ _SINR_FLOOR = 1e-12  # linear floor applied before dB conversion
 
 _MMSE_BLOCK = 64  # symbols per batched oracle solve; bounds the (block, M, M) stack
 
-# (packet, grid point) lanes per chunk, and stacked (receiver, packet,
-# grid point) lanes per step loop.  A constant, not an option: each lane's
-# bits are the same in any chunk, and this bounds the (lanes, M, T) blocks.
+# (packet, grid point) lanes per chunk.  A constant, not an option: each
+# lane's bits are the same in any chunk, and this bounds the (lanes, M, T)
+# blocks.
 _CHUNK_LANES = 32
 
 
@@ -331,7 +331,7 @@ def _score(filters, cov, target, snr) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def _initial_power(received: np.ndarray) -> np.ndarray:
-    first = received[:, :, 0]
+    first = received[..., 0]
     power = lane_dot(first, first).real
     return np.where(power > 0, power, 1.0)
 
@@ -359,36 +359,38 @@ class _NlmsLanes:
 
     def update(self, window, symbols, outputs) -> None:
         self.weights, self.power = nlms_lanes(self.weights, self.power, self.step_size,
-                                              self.forget, window[..., -1], symbols[:, -1],
+                                              self.forget, window[..., -1], symbols[..., -1],
                                               outputs)
 
 
 class _RlsLanes:
-    """Exponentially weighted RLS on known or decided symbols."""
+    """Exponentially weighted RLS on known or decided symbols.  The ``(lanes, M, M)``
+    inverse depends on the received samples alone, so it has no receiver axis."""
 
     def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
-        lanes, dim = w_init.shape
+        lanes, dim = w_init.shape[-2:]
         self.weights, self.forget = w_init.copy(), cfg.lambda_rls
         self.inv_corr = np.repeat(np.eye(dim, dtype=np.complex128)[None] / cfg.delta, lanes, axis=0)
 
     def update(self, window, symbols, outputs) -> None:
         self.weights, self.inv_corr = rls_lanes(self.weights, self.inv_corr, self.forget,
-                                                window[..., -1], symbols[:, -1], outputs)
+                                                window[..., -1], symbols[..., -1], outputs)
 
 
 class _PairLanes:
     """State every pair-error tracker shares: filter, mixing weights and the rescale.
 
-    ``specs`` holds one receiver per equal block of lanes; each lane
-    starts from its receiver's mixing weights, and only the lanes of an
-    adaptive receiver move them.
+    ``specs`` holds one receiver per index of the receiver axis; its lanes
+    start from its mixing weights, and only an adaptive receiver's lanes
+    move them.
     """
 
     def __init__(self, specs, cfg: ExperimentConfig, w_init):
         self.weights = w_init.copy()
-        per_receiver = w_init.shape[0] // len(specs)
-        self.mixing = np.repeat([spec.pair_weights for spec in specs], per_receiver, axis=0)
-        self.adapt = np.repeat([spec.adapt for spec in specs], per_receiver)
+        # Full and contiguous: a row broadcast over the lanes would come back
+        # from mixing_lanes with a strided last axis, which changes BLAS paths.
+        self.mixing = np.repeat([[spec.pair_weights] for spec in specs], w_init.shape[1], axis=1)
+        self.adapt = np.array([spec.adapt for spec in specs])[:, None, None]
         self.adaptive, self.mixing_forget = bool(self.adapt.any()), cfg.lambda_e
 
     def mixed_errors(self, window, symbols):
@@ -398,11 +400,11 @@ class _PairLanes:
             # Elementwise per lane, so an adaptive lane's weights have the
             # same bits beside fixed-weight lanes as alone.
             mixed = mixing_lanes(self.mixing, errors, total, self.mixing_forget)
-            self.mixing = np.where(self.adapt[:, None], mixed, self.mixing)
+            self.mixing = np.where(self.adapt, mixed, self.mixing)
         return errors
 
     def rescale(self, gamma) -> None:
-        self.weights = gamma[:, None] * self.weights
+        self.weights = gamma[..., None] * self.weights
 
 
 class _PairNlmsLanes(_PairLanes):
@@ -421,14 +423,14 @@ class _PairNlmsLanes(_PairLanes):
 
 class _CgLanes(_PairLanes):
     """Correlation recursions re-solved by warm-started conjugate gradients.  With +-1
-    symbols, the stack shares one ``(chunk lanes, 2, M, M)`` autocorrelation pair."""
+    symbols, the receivers share one ``(lanes, 2, M, M)`` autocorrelation pair."""
 
     def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
         super().__init__(specs, cfg, w_init)
-        lanes, dim = w_init.shape
-        self.autocorr = np.zeros((lanes // len(specs), 2, dim, dim), dtype=np.complex128)
+        lanes, dim = w_init.shape[-2:]
+        self.autocorr = np.zeros((lanes, 2, dim, dim), dtype=np.complex128)
         self.autocorr[...] = cfg.delta * np.eye(dim)
-        self.crosscorr = np.zeros((lanes, 3, dim), dtype=np.complex128)
+        self.crosscorr = np.zeros((*w_init.shape[:-1], 3, dim), dtype=np.complex128)
         self.cfg = cfg
 
     def update(self, window, symbols, outputs) -> None:
@@ -442,7 +444,7 @@ class _CgLanes(_PairLanes):
     def rescale(self, gamma) -> None:
         super().rescale(gamma)
         # The cross vectors are linear in the filter, so they rescale too.
-        self.crosscorr = gamma[:, None, None] * self.crosscorr
+        self.crosscorr = gamma[..., None, None] * self.crosscorr
 
 
 @dataclass(frozen=True)
@@ -453,7 +455,7 @@ class _Receiver:
 
     @property
     def depth(self) -> int:
-        """Symbols per update window; one pair weight selects the two-sample window."""
+        """Symbols per update window: two for one pair weight, three for three."""
         if self.pair_weights is None:
             return 1
         return 2 if len(self.pair_weights) == 1 else 3
@@ -462,8 +464,10 @@ class _Receiver:
 _THIRDS = (1.0 / 3.0,) * 3
 
 # Coherent baselines (no pair weights) use BPSK with coherent detection;
-# the pair-error trackers modulate and detect differentially.  One pair
-# weight selects the two-sample window.
+# the pair-error trackers modulate and detect differentially.  Their
+# two-sample restriction has two forms for now: one pair weight on a
+# depth-2 window (diff-nlms), and (1, 0, 0) on a depth-3 window (diff-cg),
+# which adapts from symbol 2 but keeps diff-cg in the CG group.
 _RECEIVERS = {
     "mmse": _Receiver(None),
     "nlms": _Receiver(_NlmsLanes),
@@ -503,64 +507,57 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
 
     ``received`` is the ``(L, M, T)`` block of the group's modulation,
     ``refs`` its ``(L, T)`` transmitted symbols, ``data`` the desired
-    user's data and ``w_init`` the initial filters.  Each receiver steps
-    its own copy of the lanes, stacked receiver by receiver (CG
-    autocorrelations: the first copy's, shared).  A lane's bits depend on
-    the layout of its operands, so the stack is one contiguous
-    ``(len(names) L, M, T)`` block, laid out like ``received``, whose
-    windows stay strided slices.  Returns, per
-    receiver, the data errors ``(L, T)`` (NaN where undefined), the
+    user's data and ``w_init`` the initial filters.  Each receiver's state
+    has a leading receiver axis, ``(len(names), L, ...)``, over which these
+    shared inputs and the statistics of the received samples alone (CG
+    autocorrelations, input power, RLS inverse) broadcast, so every lane
+    reads its window as a strided slice of ``received`` itself.  Returns,
+    per receiver, the data errors ``(L, T)`` (NaN where undefined), the
     filters right after each of the sorted, distinct ``marks``
     ``(L, len(marks), M)`` and, when asked, the ``(L, M, T)`` filter
     trajectories.
     """
     specs = [_RECEIVERS[name] for name in names]
-    if len(names) > 1:
-        received, refs, data, w_init = (np.concatenate([a] * len(names))
-                                        for a in (received, refs, data, w_init))
-    tracker = specs[0].lanes(specs, cfg, w_init, received)
+    lanes, window, length = received.shape
+    shape = (len(names), lanes)
+    tracker = specs[0].lanes(specs, cfg, np.broadcast_to(w_init, (*shape, window)), received)
     differential = specs[0].pair_weights is not None
     depth = specs[0].depth
-    lanes, window, length = received.shape
-    used = np.empty((lanes, length))  # the symbols the updates see: known or decided
-    errors = np.full((lanes, length), np.nan)
-    filters = np.empty((lanes, len(marks), window), dtype=np.complex128)
-    trajectory = np.empty((lanes, window, length), dtype=np.complex128) if record_weights else None
+    used = np.empty((*shape, length))  # the symbols the updates see: known or decided
+    errors = np.full((*shape, length), np.nan)
+    filters = np.empty((*shape, len(marks), window), dtype=np.complex128)
+    trajectory = (np.empty((*shape, window, length), dtype=np.complex128) if record_weights
+                  else [None] * len(names))
     mark_of = {i: k for k, i in enumerate(marks)}
     z_prev = None
     for i in range(length):
-        z = lane_dot(tracker.weights, received[:, :, i])
+        z = lane_dot(tracker.weights, received[..., i])
         if differential and i == 0:
             # Symbol 0 carries the protocol-known reference, no data.
-            used[:, 0] = refs[:, 0]
+            used[..., 0] = refs[:, 0]
         else:
             statistic = z * np.conj(z_prev) if differential else z
             decided = np.where(statistic.real >= 0, 1.0, -1.0)
-            errors[:, i] = decided != data[:, i]
+            errors[..., i] = decided != data[:, i]
             if i < cfg.train_len:
-                used[:, i] = refs[:, i]
+                used[..., i] = refs[:, i]
             else:
-                used[:, i] = decided * used[:, i - 1] if differential else decided
+                used[..., i] = decided * used[..., i - 1] if differential else decided
         if i + 1 >= depth:
-            tracker.update(received[:, :, i + 1 - depth:i + 1], used[:, i + 1 - depth:i + 1], z)
+            tracker.update(received[..., i + 1 - depth:i + 1], used[..., i + 1 - depth:i + 1], z)
         if differential:
             tracker.rescale(_unit_power_gain(z, cfg.lambda_m))
         if record_weights:
-            trajectory[:, :, i] = tracker.weights
+            trajectory[..., i] = tracker.weights
         if i in mark_of:
-            filters[:, mark_of[i]] = tracker.weights
+            filters[..., mark_of[i], :] = tracker.weights
         z_prev = z
     # A non-finite filter stays non-finite, so one check after the packet
     # catches an overflow at any symbol.
-    finite = np.isfinite(tracker.weights).all(axis=-1)
-    for name, ok in zip(names, np.split(finite, len(names))):
-        if not ok.all():
+    for name, weights in zip(names, tracker.weights):
+        if not np.isfinite(weights).all():
             raise ValueError(f"{name} filter weights became non-finite")
-
-    def per_receiver(a):
-        return [None] * len(names) if a is None else np.split(a, len(names))
-
-    return list(zip(per_receiver(errors), per_receiver(filters), per_receiver(trajectory)))
+    return list(zip(errors, filters, trajectory))
 
 
 @dataclass
@@ -578,9 +575,8 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
     by packet, so each packet's draws are made once and shared by its
     points; chunks of ``_CHUNK_LANES`` consecutive lanes step together.
     The oracle's outputs come with the chunk; the receivers of a group
-    (:func:`_groups`) share one step loop over as many whole receivers'
-    lanes as fit in ``_CHUNK_LANES`` stacked lanes, one receiver at least,
-    and no lane's result depends on the others.  Yields each chunk's
+    (:func:`_groups`) share one step loop over the whole chunk, and no
+    lane's result depends on the others.  Yields each chunk's
     ``(packet, point index)`` lanes with ``{name: _LaneRuns}``, the SINR
     scored after each of the sorted, distinct ``marks``.
     """
@@ -600,14 +596,11 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
         if start + num == len(items) or items[start + num][0] != draws.index:
             draws = None
         outputs = {} if chunk.oracle is None else {"mmse": chunk.oracle}
-        per_batch = max(1, _CHUNK_LANES // num)
         for group in _groups(names):
             mode = _mode_of(group[0])
-            for k in range(0, len(group), per_batch):
-                batch = group[k:k + per_batch]
-                outputs.update(zip(batch, _step_lanes(batch, cfg, chunk.received[mode],
-                                                      chunk.refs[mode], chunk.data,
-                                                      chunk.w_init, marks, record_weights)))
+            outputs.update(zip(group, _step_lanes(group, cfg, chunk.received[mode],
+                                                  chunk.refs[mode], chunk.data, chunk.w_init,
+                                                  marks, record_weights)))
         runs = {name: _LaneRuns(errors, _score(filters, chunk.cov, chunk.target, chunk.snr),
                                 weights) for name, (errors, filters, weights) in outputs.items()}
         del chunk  # before the next chunk allocates its own

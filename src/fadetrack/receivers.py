@@ -15,20 +15,21 @@ solver over exponentially averaged correlation statistics.  The
 differential tracker is the one-pair restriction of the same updates.
 Conventional NLMS/RLS trackers serve as baselines.
 
-Every update is an array kernel over a leading *lane* axis: ``L``
-independent filters, each with its own observations, stepped at once
-(the ``*_lanes`` functions).  A window is an ``(L, M, D)`` slice of
-received vectors in time order, newest last, with its ``(L, D)``
-symbols (+-1, so the CG autocorrelations depend on the samples alone
-and :func:`cg_correlations_lanes` keeps them once for a receiver-major
-stack of receivers); one filter is one lane.  Kernels reduce along
-non-lane axes only, so a lane's bits never depend on the other lanes.
-They can depend on the memory layout of its operands: a dot product with
-a strided window column may differ in the last bit from one with a
-contiguous copy, so callers keep one layout.  Two plain per-symbol
-functions remain: :func:`update_mixing`, the reference
-:func:`mixing_lanes` is pinned to, and :func:`cg_solve`, one system at a
-time.
+Every update is an array kernel over leading *lane* axes: independent
+filters, each with its own observations, stepped at once (the
+``*_lanes`` functions).  A window is an ``(L, M, D)`` slice of received
+vectors in time order, newest last; one filter is one lane.  Receivers
+that read the same window add a leading receiver axis to their state,
+``(n, L, ...)``, over which the window broadcasts.  So do the statistics
+of the received samples alone: the input power, the RLS inverse and,
+since symbols are +-1, the CG autocorrelations, all kept once per lane.
+Kernels reduce along non-lane axes only, so a lane's bits never depend
+on the other lanes.  They can depend on the memory layout of its
+operands: a dot product with a strided window column may differ in the
+last bit from one with a contiguous copy, so callers keep one layout.
+Two plain per-symbol functions remain: :func:`update_mixing`, the
+reference :func:`mixing_lanes` is pinned to, and :func:`cg_solve`, one
+system at a time.
 """
 
 from __future__ import annotations
@@ -127,12 +128,11 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(lane_dot(x, x).real)
 
 
-def _real_mix(weights: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """``sum_k weights[..., l, p, k] * terms[l, k]``, real weights, one BLAS call per lane."""
-    lanes, num = terms.shape[:2]
-    flat = np.ascontiguousarray(terms).reshape(lanes, num, -1).view(np.float64)
-    out = np.matmul(weights, flat).view(np.complex128)
-    return out.reshape(*weights.shape[:-1], *terms.shape[2:])
+def _real_mix(rho: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``sum_p rho[..., p] * terms[..., p, :]`` of complex ``(..., P, K)`` terms, real
+    weights, one BLAS call per lane."""
+    flat = np.ascontiguousarray(terms).view(np.float64)
+    return np.matmul(rho[..., None, :], flat)[..., 0, :].view(np.complex128)
 
 
 def _power_lanes(power: np.ndarray, forget: float, newest: np.ndarray) -> np.ndarray:
@@ -165,8 +165,8 @@ def pair_errors_lanes(w: np.ndarray, window: np.ndarray, symbols: np.ndarray):
         e_n = b[i-d] * w^H r[i-l] - b[i-l] * w^H r[i-d].
     """
     newer, older, _ = _pair_layout(window.shape[-1])
-    outputs = np.matmul(np.conj(w)[:, None, :], window)[:, 0]
-    errors = symbols[:, newer] * outputs[:, older] - symbols[:, older] * outputs[:, newer]
+    outputs = np.matmul(np.conj(w)[..., None, :], window)[..., 0, :]
+    errors = symbols[..., newer] * outputs[..., older] - symbols[..., older] * outputs[..., newer]
     return errors, np.abs(errors).sum(axis=-1)
 
 
@@ -182,11 +182,11 @@ def mixing_lanes(rho: np.ndarray, errors: np.ndarray, total: np.ndarray,
     if num == 1:
         return rho.copy()
     silent = total == 0.0
-    scale = np.where(silent, 1.0, total)[:, None]
+    scale = np.where(silent, 1.0, total)[..., None]
     innovation = (scale - np.abs(errors)) / ((num - 1) * scale)
     mixed = np.maximum(forget * rho + (1.0 - forget) * innovation, 0.0)
     mixed = mixed / mixed.sum(axis=-1, keepdims=True)
-    return np.where(silent[:, None], rho, mixed)
+    return np.where(silent[..., None], rho, mixed)
 
 
 def pair_nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: float,
@@ -211,8 +211,8 @@ def pair_nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_for
     """
     power = _power_lanes(power, norm_forget, window[..., -1])
     _, older, scatter = _pair_layout(window.shape[-1])
-    coefficients = np.matmul((rho * symbols[:, older] * np.conj(errors))[:, None, :], scatter)
-    return w + (step_size / power)[:, None] * _matvec(window, coefficients[:, 0]), power
+    coefficients = np.matmul((rho * symbols[..., older] * np.conj(errors))[..., None, :], scatter)
+    return w + (step_size / power)[..., None] * _matvec(window, coefficients[..., 0, :]), power
 
 
 def nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: float,
@@ -226,7 +226,7 @@ def nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: 
     """
     power = _power_lanes(power, norm_forget, x)
     error = ref - output
-    return w + (step_size / power)[:, None] * x * np.conj(error)[:, None], power
+    return w + (step_size / power)[..., None] * x * np.conj(error)[..., None], power
 
 
 def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
@@ -243,19 +243,19 @@ def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
     Hermitian asymmetry exceeds ``1e-6`` is re-symmetrized, lane by lane.
     """
     px = _matvec(inv_corr, x)
-    k = px / (forget + lane_dot(x, px).real)[:, None]
-    weights = w + k * np.conj(ref - output)[:, None]
+    k = px / (forget + lane_dot(x, px).real)[..., None]
+    weights = w + k * np.conj(ref - output)[..., None]
     # x^H P = (P x)^H for Hermitian P, saving one matrix-vector product.
-    inv = (inv_corr - k[:, :, None] * np.conj(px)[:, None, :]) / forget
+    inv = (inv_corr - k[..., :, None] * np.conj(px)[..., None, :]) / forget
     adjoint = np.conj(np.swapaxes(inv, -1, -2))
     skewed = np.max(np.abs(inv - adjoint), axis=(-2, -1)) > _RLS_SYM_TOL
     if skewed.any():  # each select runs only when some lane needs it
-        inv = np.where(skewed[:, None, None], 0.5 * (inv + adjoint), inv)
+        inv = np.where(skewed[..., None, None], 0.5 * (inv + adjoint), inv)
     seen = np.any(x != 0, axis=-1)
     if seen.all():
         return weights, inv
-    return (np.where(seen[:, None], weights, w),
-            np.where(seen[:, None, None], inv, inv_corr))
+    return (np.where(seen[..., None], weights, w),
+            np.where(seen[..., None, None], inv, inv_corr))
 
 
 def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray,
@@ -275,33 +275,32 @@ def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.nda
     where ``w`` is the pre-update filter.  Symbols are +-1, so Rbar_1 =
     Rbar_2 and the autocorrelations depend on the received samples alone,
     not on the filter, the decisions or ``rho``: ``autocorr`` is one
-    ``(S, 2, M, M)`` pair (Rbar_1, Rbar_3), advanced from the first block
-    of a receiver-major stack of ``n S`` lanes (block ``k`` is receiver
-    ``k``'s copy of the ``S`` lanes) and shared by its ``n`` blocks.  The
-    ``(n S, 3, M)`` cross vectors follow each lane's filter.
+    ``(L, 2, M, M)`` pair (Rbar_1, Rbar_3), advanced from the ``(L, M, D)``
+    window and shared by every receiver of a leading receiver axis.  The
+    ``(n, L, 3, M)`` cross vectors follow each receiver's ``(n, L, M)``
+    filter, ``(n, L, 3)`` weights and ``(n, L, D)`` symbols.
     ``paper_literal_t1`` reproduces a published variant in which
     ``tbar_1`` is chained to the past value of ``tbar_3``.  Returns the
     advanced ``(autocorr, crosscorr)`` and each lane's mixed system
     ``(Rbar, tbar) = sum_n rho_n (Rbar_n, tbar_n)``, summed over all three
     pairs as if Rbar_2 were stored, so every bit is that of the sum.
     """
-    shared = autocorr.shape[0]
-    recent = np.stack([window[:shared, :, -1], window[:shared, :, -2]], axis=1)
-    auto = forget * autocorr + recent[..., :, None] * np.conj(recent)[..., None, :]
     r0, r1, r2 = window[..., -1], window[..., -2], window[..., -3]
-    b0, b1, b2 = symbols[:, -1], symbols[:, -2], symbols[:, -3]
+    recent = np.stack([r0, r1], axis=-2)
+    auto = forget * autocorr + recent[..., :, None] * np.conj(recent)[..., None, :]
+    b0, b1, b2 = symbols[..., -1], symbols[..., -2], symbols[..., -3]
     # r^H w = conj(w^H r).
     h1, h2 = np.conj(lane_dot(w, r1)), np.conj(lane_dot(w, r2))
     cross = forget * crosscorr
     if paper_literal_t1:
-        cross[:, 0] = forget * crosscorr[:, 2]
-    cross[:, 0] += (b1 * h1 * b0)[:, None] * r0
-    cross[:, 1] += (b2 * h2 * b0)[:, None] * r0
-    cross[:, 2] += (b2 * h2 * b1)[:, None] * r1
-    # (Rbar_1, Rbar_2 = Rbar_1, Rbar_3) per shared lane, broadcast over the receiver axis.
-    weights = rho.reshape(-1, shared, 1, 3)
-    mixed_auto = _real_mix(weights, auto[:, [0, 0, 1]]).reshape(w.shape[0], *auto.shape[2:])
-    return auto, cross, mixed_auto, _real_mix(rho[:, None, :], cross)[:, 0]
+        cross[..., 0, :] = forget * crosscorr[..., 2, :]
+    cross[..., 0, :] += (b1 * h1 * b0)[..., None] * r0
+    cross[..., 1, :] += (b2 * h2 * b0)[..., None] * r0
+    cross[..., 2, :] += (b2 * h2 * b1)[..., None] * r1
+    # (Rbar_1, Rbar_2 = Rbar_1, Rbar_3), broadcast over the receiver axis.
+    terms = auto[..., [0, 0, 1], :, :].reshape(*auto.shape[:-3], 3, -1)
+    mixed_auto = _real_mix(rho, terms).reshape(*w.shape, w.shape[-1])
+    return auto, cross, mixed_auto, _real_mix(rho, cross)
 
 
 def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_max: int,
@@ -325,7 +324,7 @@ def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_ma
     # curvature produces a catastrophic step.
     scale = np.trace(corr, axis1=-2, axis2=-1).real / max(w.shape[-1], 1)
     grad_exit = tol * np.maximum(1.0, _norm(cross))
-    active = np.ones(w.shape[0], dtype=bool)
+    active = np.ones(w.shape[:-1], dtype=bool)
     for it in range(j_max):
         active &= ~(_norm(grad) < grad_exit)
         if not active.any():
@@ -337,14 +336,14 @@ def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_ma
             break
         curvature = np.where(active, curvature, 1.0)
         alpha = -lane_dot(direction, grad) / curvature
-        w = np.where(active[:, None], w + alpha[:, None] * direction, w)
+        w = np.where(active[..., None], w + alpha[..., None] * direction, w)
         if history is not None:
             history.append(w.copy())
         if it + 1 == j_max:
             break  # the last iterate needs no next gradient or direction
         grad = _matvec(corr, w) - cross
         beta = lane_dot(grad, corr_dir) / curvature
-        direction = -grad + beta[:, None] * direction
+        direction = -grad + beta[..., None] * direction
     return w
 
 
@@ -354,7 +353,7 @@ def cg_step_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray, fo
     """Advance the correlations and re-solve the mixed system; returns ``(auto, cross, w)``.
 
     :func:`cg_correlations_lanes` advances the statistics (autocorrelations
-    shared by a receiver-major stack), then :func:`cg_solve_lanes` runs
+    shared over the receiver axis), then :func:`cg_solve_lanes` runs
     ``max_iters`` iterations warm-started at the previous filter, which
     suffices to track the solution of the mixed normal equations.  A
     positive ``loading`` adds ``loading * tr(Rbar) / M * I`` to the solved
@@ -366,7 +365,7 @@ def cg_step_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray, fo
     if loading > 0:
         dim = w.shape[-1]
         load = loading * np.trace(mixed_auto, axis1=-2, axis2=-1).real / dim
-        mixed_auto = mixed_auto + load[:, None, None] * np.eye(dim)
+        mixed_auto = mixed_auto + load[..., None, None] * np.eye(dim)
     return auto, cross, cg_solve_lanes(mixed_auto, mixed_cross, w, max_iters)
 
 

@@ -25,6 +25,7 @@ from fadetrack.harness import (
     run_channel_stats,
     run_sinr_vs_fading,
 )
+from fadetrack.receivers import cg_step_lanes
 
 SMALL = dict(users=2, gain=8, paths=2, snr_db=(12.0,), fading_grid=(0.005,),
              packet_len=60, train_len=20, packets=4,
@@ -571,6 +572,23 @@ class TestPacketDraws:
                   "--algorithms", ",".join(ALGORITHMS), *extra])
             outputs.append(out.read_bytes())
         assert all(out == outputs[0] for out in outputs[1:])
+
+    def test_a_full_chunk_steps_each_group_in_one_loop(self, monkeypatch):
+        # 8 lanes fill one chunk of 8; the three CG receivers still share
+        # one loop, so one CG step per symbol from the third on.
+        import fadetrack.harness as harness
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return cg_step_lanes(*args)
+
+        monkeypatch.setattr(harness, "_CHUNK_LANES", 8)
+        monkeypatch.setattr(harness, "cg_step_lanes", counted)
+        cfg = ExperimentConfig(**{**SMALL, "fading_grid": (0.001, 0.02), "packets": 4,
+                                  "algorithms": ("diff-cg", "bidir-cg", "bidir-cg-equal")})
+        run_sinr_vs_fading(cfg)
+        assert len(calls) == cfg.packet_len - 2
 
 
 class TestRunSinrVsFading:

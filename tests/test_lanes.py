@@ -284,34 +284,30 @@ class TestKernelsFollowTheirRecursions:
 
     @pytest.mark.parametrize("loading", [0.0, 0.05])
     def test_cg_shared_autocorrelations_serve_every_receiver_block(self, loading):
-        # Three receiver blocks with their own weights, filters and symbols
-        # share one pair of autocorrelations; each block follows its own
-        # three-average form bit for bit.
+        # Three receivers with their own weights, filters and symbols read
+        # one unstacked (S, M, D) window and share one (S, 2, M, M) pair of
+        # autocorrelations; each follows its own three-average form bit for bit.
         rng, received, _ = stream(9)
-        blocks = [np.tile([1.0, 0.0, 0.0], (LANES, 1)), np.full((LANES, 3), 1.0 / 3.0),
-                  rng.dirichlet(np.ones(3), size=LANES)]
-        num = len(blocks)
-        stacked = np.concatenate([received] * num)
-        symbols = 2.0 * rng.integers(0, 2, (num * LANES, STEPS)) - 1.0
-        w = cnormal(rng, num * LANES, DIM)
-        rho = np.concatenate(blocks)
+        rho = np.stack([np.tile([1.0, 0.0, 0.0], (LANES, 1)), np.full((LANES, 3), 1.0 / 3.0),
+                        rng.dirichlet(np.ones(3), size=LANES)])
+        num = len(rho)
+        symbols = 2.0 * rng.integers(0, 2, (num, LANES, STEPS)) - 1.0
+        w = cnormal(rng, num, LANES, DIM)
         auto = np.zeros((LANES, 2, DIM, DIM), dtype=complex)
         auto[...] = 0.01 * np.eye(DIM)
-        cross = np.zeros((num * LANES, 3, DIM), dtype=complex)
-        refs = [(auto[:, [0, 0, 1]].copy(), cross[:LANES].copy(), w[k * LANES:(k + 1) * LANES])
-                for k in range(num)]
+        cross = np.zeros((num, LANES, 3, DIM), dtype=complex)
+        refs = [(auto[:, [0, 0, 1]].copy(), cross[k].copy(), w[k]) for k in range(num)]
         for i in range(2, STEPS):
-            window, syms = stacked[:, :, i - 2:i + 1], symbols[:, i - 2:i + 1]
+            window, syms = received[:, :, i - 2:i + 1], symbols[..., i - 2:i + 1]
             auto, cross, w = cg_step_lanes(auto, cross, w, 0.97, 3, loading, rho, window, syms)
             for k, (a_ref, t_ref, w_ref) in enumerate(refs):
-                part = slice(k * LANES, (k + 1) * LANES)
                 a_ref, t_ref, w_ref = three_average_cg_step(
-                    a_ref, t_ref, w_ref, 0.97, 3, loading, rho[part], window[part], syms[part])
+                    a_ref, t_ref, w_ref, 0.97, 3, loading, rho[k], window, syms[k])
                 refs[k] = (a_ref, t_ref, w_ref)
                 assert np.array_equal(a_ref[:, 0], a_ref[:, 1])
                 assert np.array_equal(auto, a_ref[:, [0, 2]])
-                assert np.array_equal(cross[part], t_ref)
-                assert np.array_equal(w[part], w_ref)
+                assert np.array_equal(cross[k], t_ref)
+                assert np.array_equal(w[k], w_ref)
 
 
 class TestLaneRules:
@@ -355,7 +351,7 @@ class TestLaneRules:
                                        ("bidir-cg-equal", "bidir-cg")])
     def test_non_finite_filter_names_its_receiver(self, group, monkeypatch):
         # Two receivers share one step loop; only the second one's lanes
-        # (the upper half of the stack) overflow, and the error names it.
+        # (index 1 of the receiver axis) overflow, and the error names it.
         import fadetrack.harness as harness
 
         def overflowing(*args):
