@@ -27,7 +27,7 @@ from .dscdma import (
     received_block,
 )
 from .fading import FadingConfig, fading_windows
-from .receivers import pair_indices
+from .receivers import pair_errors_lanes
 
 __all__ = [
     "MomentMatrices",
@@ -149,12 +149,6 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     operators = np.stack([
         scenario.user_amplitude(k) * code_convolution_operator(code, scenario.paths)
         for k, code in enumerate(scenario.codes())])
-    # Pair (d, l) compares the windows d and l symbols back from the
-    # newest of the three sampled windows (column 2 of the outputs below).
-    pairs = pair_indices(3)
-    near = [2 - d for d, _ in pairs]
-    far = [2 - l for _, l in pairs]
-
     fading = FadingConfig(normalized_doppler=scenario.fading_rate, num_paths=scenario.paths,
                           power_profile=scenario.power_profile,
                           num_oscillators=scenario.num_oscillators)
@@ -192,9 +186,8 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
             rng.standard_normal((size, dim, 3)) + 1j * rng.standard_normal((size, dim, 3)))
         received = received_block(mains, symbols, gain,
                                   include_isi=scenario.include_isi)[..., 1:4] + noise
-        outputs = (np.conj(w_opt)[:, None, :] @ received)[:, 0]
         ref = symbols[0, :, 1:4]
-        errors = ref[:, near] * outputs[:, far] - ref[:, far] * outputs[:, near]
+        errors, _ = pair_errors_lanes(w_opt, received, ref)
         min_mse += np.sum(np.abs(errors) ** 2, axis=0)
         lag_cross += np.vdot(received[..., 2], received[..., 1])
         lag_power += float(np.sum(np.abs(received[..., 2]) ** 2))

@@ -380,45 +380,49 @@ class _RlsLanes:
 class _PairLanes:
     """State every pair-error tracker shares: filter, mixing weights and the rescale.
 
-    ``specs`` holds one receiver per index of the receiver axis; its lanes
-    start from its mixing weights, and only an adaptive receiver's lanes
-    move them.
+    ``specs`` holds one receiver per index of the receiver axis.  Its
+    weights name the first pairs of the three-sample window, filled out
+    with zeros.  At symbol 1 every receiver takes pair (0, 1) alone with
+    weight one; from symbol 2 on its lanes take its own weights, and only
+    an adaptive receiver's lanes move them.
     """
 
     def __init__(self, specs, cfg: ExperimentConfig, w_init):
         self.weights = w_init.copy()
-        # Full and contiguous: a row broadcast over the lanes would come back
-        # from mixing_lanes with a strided last axis, which changes BLAS paths.
-        self.mixing = np.repeat([[spec.pair_weights] for spec in specs], w_init.shape[1], axis=1)
-        self.adapt = np.array([spec.adapt for spec in specs])[:, None, None]
-        self.adaptive, self.mixing_forget = bool(self.adapt.any()), cfg.lambda_e
+        rows = [spec.pair_weights + (0.0,) * (3 - len(spec.pair_weights)) for spec in specs]
+        # Full, so that the adaptive rows are written back in place.
+        self.mixing = np.repeat(np.array(rows)[:, None], w_init.shape[1], axis=1)
+        self.one_pair = np.ones((*w_init.shape[:-1], 1))
+        self.adaptive = [k for k, spec in enumerate(specs) if spec.adapt]
+        self.mixing_forget = cfg.lambda_e
 
-    def mixed_errors(self, window, symbols):
-        """Pair errors of the pre-update filter; adaptive mixing follows them."""
-        errors, total = pair_errors_lanes(self.weights, window, symbols)
-        if self.adaptive:
-            # Elementwise per lane, so an adaptive lane's weights have the
-            # same bits beside fixed-weight lanes as alone.
-            mixed = mixing_lanes(self.mixing, errors, total, self.mixing_forget)
-            self.mixing = np.where(self.adapt, mixed, self.mixing)
-        return errors
+    def mix(self, window, errors_of) -> np.ndarray:
+        """The mixing weights of ``window``'s pairs.  On a three-sample window each
+        adaptive receiver ``k`` first moves its row along ``errors_of(k)``, its pair
+        errors and totals; elementwise per lane, so a lane's bits do not depend on
+        its group."""
+        if window.shape[-1] == 2:
+            return self.one_pair
+        for k in self.adaptive:
+            self.mixing[k] = mixing_lanes(self.mixing[k], *errors_of(k), self.mixing_forget)
+        return self.mixing
 
     def rescale(self, gamma) -> None:
         self.weights = gamma[..., None] * self.weights
 
 
 class _PairNlmsLanes(_PairLanes):
-    """Pair-error NLMS: three weights for the bidirectional window, one for the differential."""
+    """Pair-error NLMS over the pair window."""
 
     def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
         super().__init__(specs, cfg, w_init)
         self.power, self.step_size, self.forget = _initial_power(received), cfg.mu, cfg.lambda_m
 
     def update(self, window, symbols, outputs) -> None:
-        errors = self.mixed_errors(window, symbols)
+        errors, total = pair_errors_lanes(self.weights, window, symbols)
+        rho = self.mix(window, lambda k: (errors[k], total[k]))
         self.weights, self.power = pair_nlms_lanes(self.weights, self.power, self.step_size,
-                                                   self.forget, self.mixing, errors, window,
-                                                   symbols)
+                                                   self.forget, rho, errors, window, symbols)
 
 
 class _CgLanes(_PairLanes):
@@ -434,12 +438,12 @@ class _CgLanes(_PairLanes):
         self.cfg = cfg
 
     def update(self, window, symbols, outputs) -> None:
-        if self.adaptive:
-            self.mixed_errors(window, symbols)
+        # Pair errors only of the receivers whose mixing follows them.
+        rho = self.mix(window, lambda k: pair_errors_lanes(self.weights[k], window, symbols[k]))
         cfg = self.cfg
         self.autocorr, self.crosscorr, self.weights = cg_step_lanes(
             self.autocorr, self.crosscorr, self.weights, cfg.lambda_cg, cfg.jmax,
-            cfg.cg_loading, self.mixing, window, symbols, cfg.paper_literal_t1)
+            cfg.cg_loading, rho, window, symbols, cfg.paper_literal_t1)
 
     def rescale(self, gamma) -> None:
         super().rescale(gamma)
@@ -453,27 +457,19 @@ class _Receiver:
     pair_weights: tuple[float, ...] | None = None  # initial mixing weights
     adapt: bool = False                            # mixing follows the pair errors
 
-    @property
-    def depth(self) -> int:
-        """Symbols per update window: two for one pair weight, three for three."""
-        if self.pair_weights is None:
-            return 1
-        return 2 if len(self.pair_weights) == 1 else 3
-
 
 _THIRDS = (1.0 / 3.0,) * 3
 
 # Coherent baselines (no pair weights) use BPSK with coherent detection;
-# the pair-error trackers modulate and detect differentially.  Their
-# two-sample restriction has two forms for now: one pair weight on a
-# depth-2 window (diff-nlms), and (1, 0, 0) on a depth-3 window (diff-cg),
-# which adapts from symbol 2 but keeps diff-cg in the CG group.
+# the pair-error trackers modulate and detect differentially.  Pair
+# weights name the first pairs of the three-sample window (pair_indices(3)),
+# so the two-sample restriction is one weight on pair (0, 1).
 _RECEIVERS = {
     "mmse": _Receiver(None),
     "nlms": _Receiver(_NlmsLanes),
     "rls": _Receiver(_RlsLanes),
     "diff-nlms": _Receiver(_PairNlmsLanes, (1.0,)),
-    "diff-cg": _Receiver(_CgLanes, (1.0, 0.0, 0.0)),
+    "diff-cg": _Receiver(_CgLanes, (1.0,)),
     "bidir-nlms": _Receiver(_PairNlmsLanes, _THIRDS, adapt=True),
     "bidir-nlms-equal": _Receiver(_PairNlmsLanes, _THIRDS),
     "bidir-cg": _Receiver(_CgLanes, _THIRDS, adapt=True),
@@ -489,15 +485,15 @@ def _mode_of(name: str) -> str:
 def _groups(names) -> list[tuple[str, ...]]:
     """The adaptive receivers that share one step loop, in order of first appearance.
 
-    A group holds the receivers of one lane class and window depth: every
-    CG receiver, or the three-weight pair NLMS receivers; the others step
-    alone.  The oracle belongs to no group.
+    A group holds the receivers of one lane class: every CG receiver, or
+    every pair NLMS receiver; the others step alone.  The oracle belongs to
+    no group.
     """
-    groups: dict[tuple, list[str]] = {}
+    groups: dict[type, list[str]] = {}
     for name in names:
         spec = _RECEIVERS[name]
         if spec.lanes is not None:
-            groups.setdefault((spec.lanes, spec.depth), []).append(name)
+            groups.setdefault(spec.lanes, []).append(name)
     return [tuple(group) for group in groups.values()]
 
 
@@ -511,7 +507,10 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
     has a leading receiver axis, ``(len(names), L, ...)``, over which these
     shared inputs and the statistics of the received samples alone (CG
     autocorrelations, input power, RLS inverse) broadcast, so every lane
-    reads its window as a strided slice of ``received`` itself.  Returns,
+    reads its window as a strided slice of ``received`` itself: up to three
+    samples, newest last.  The coherent trackers step from symbol 0 on the
+    newest; the pair trackers from symbol 1, where the window holds pair
+    (0, 1) alone, and on three samples from symbol 2.  Returns,
     per receiver, the data errors ``(L, T)`` (NaN where undefined), the
     filters right after each of the sorted, distinct ``marks``
     ``(L, len(marks), M)`` and, when asked, the ``(L, M, T)`` filter
@@ -522,7 +521,6 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
     shape = (len(names), lanes)
     tracker = specs[0].lanes(specs, cfg, np.broadcast_to(w_init, (*shape, window)), received)
     differential = specs[0].pair_weights is not None
-    depth = specs[0].depth
     used = np.empty((*shape, length))  # the symbols the updates see: known or decided
     errors = np.full((*shape, length), np.nan)
     filters = np.empty((*shape, len(marks), window), dtype=np.complex128)
@@ -543,8 +541,9 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
                 used[..., i] = refs[:, i]
             else:
                 used[..., i] = decided * used[..., i - 1] if differential else decided
-        if i + 1 >= depth:
-            tracker.update(received[..., i + 1 - depth:i + 1], used[..., i + 1 - depth:i + 1], z)
+        if i or not differential:  # symbol 0 holds no pair
+            past = max(i - 2, 0)
+            tracker.update(received[..., past:i + 1], used[..., past:i + 1], z)
         if differential:
             tracker.rescale(_unit_power_gain(z, cfg.lambda_m))
         if record_weights:

@@ -9,10 +9,11 @@ consistency error
 
 which vanishes for any filter on a static noiseless single-user channel.
 Convex mixing weights over the pairs adapt to the channel's correlation
-structure.  Two adaptive updates are provided for the three-sample
-window: a normalized stochastic-gradient step and a conjugate-gradient
-solver over exponentially averaged correlation statistics.  The
-differential tracker is the one-pair restriction of the same updates.
+structure.  Two adaptive updates are provided, a normalized
+stochastic-gradient step and a conjugate-gradient solver over
+exponentially averaged correlation statistics.  Both take the
+three-sample window or the two-sample window of pair (0, 1) alone: the
+differential tracker's restriction, and every tracker's first step.
 Conventional NLMS/RLS trackers serve as baselines.
 
 Every update is an array kernel over leading *lane* axes: independent
@@ -130,9 +131,11 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 def _real_mix(rho: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """``sum_p rho[..., p] * terms[..., p, :]`` of complex ``(..., P, K)`` terms, real
-    weights, one BLAS call per lane."""
+    weights, one BLAS call per lane.  Both operands are made C-contiguous first, so
+    the bits do not depend on the layout of the weights or the terms."""
+    weights = np.ascontiguousarray(rho)[..., None, :]
     flat = np.ascontiguousarray(terms).view(np.float64)
-    return np.matmul(rho[..., None, :], flat)[..., 0, :].view(np.complex128)
+    return np.matmul(weights, flat)[..., 0, :].view(np.complex128)
 
 
 def _power_lanes(power: np.ndarray, forget: float, newest: np.ndarray) -> np.ndarray:
@@ -275,32 +278,36 @@ def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.nda
     where ``w`` is the pre-update filter.  Symbols are +-1, so Rbar_1 =
     Rbar_2 and the autocorrelations depend on the received samples alone,
     not on the filter, the decisions or ``rho``: ``autocorr`` is one
-    ``(L, 2, M, M)`` pair (Rbar_1, Rbar_3), advanced from the ``(L, M, D)``
-    window and shared by every receiver of a leading receiver axis.  The
-    ``(n, L, 3, M)`` cross vectors follow each receiver's ``(n, L, M)``
-    filter, ``(n, L, 3)`` weights and ``(n, L, D)`` symbols.
+    ``(L, 2, M, M)`` pair (Rbar_1, Rbar_3), advanced from the two newest
+    samples of the ``(L, M, D)`` window and shared by every receiver of a
+    leading receiver axis.  The ``(n, L, 3, M)`` cross vectors follow each
+    receiver's ``(n, L, M)`` filter and ``(n, L, D)`` symbols, and ``rho``
+    holds its ``(n, L, P)`` weights over the window's pairs
+    (:func:`pair_indices`).  A two-sample window holds pair (0, 1) alone:
+    only tbar_1 takes a new term, and Rbar_3 takes r[i-1].
     ``paper_literal_t1`` reproduces a published variant in which
     ``tbar_1`` is chained to the past value of ``tbar_3``.  Returns the
     advanced ``(autocorr, crosscorr)`` and each lane's mixed system
-    ``(Rbar, tbar) = sum_n rho_n (Rbar_n, tbar_n)``, summed over all three
-    pairs as if Rbar_2 were stored, so every bit is that of the sum.
+    ``(Rbar, tbar) = sum_n rho_n (Rbar_n, tbar_n)`` over the window's
+    pairs, summed as if Rbar_2 were stored, so every bit is that of the sum.
     """
-    r0, r1, r2 = window[..., -1], window[..., -2], window[..., -3]
-    recent = np.stack([r0, r1], axis=-2)
+    depth = window.shape[-1]
+    newer, older, _ = _pair_layout(depth)
+    recent = np.stack([window[..., -1], window[..., -2]], axis=-2)
     auto = forget * autocorr + recent[..., :, None] * np.conj(recent)[..., None, :]
-    b0, b1, b2 = symbols[..., -1], symbols[..., -2], symbols[..., -3]
-    # r^H w = conj(w^H r).
-    h1, h2 = np.conj(lane_dot(w, r1)), np.conj(lane_dot(w, r2))
+    samples = np.swapaxes(window, -1, -2)
+    # r^H w = conj(w^H r) of every sample but the newest, each some pair's older one.
+    h = np.conj(lane_dot(w[..., None, :], samples[..., :-1, :]))
     cross = forget * crosscorr
     if paper_literal_t1:
         cross[..., 0, :] = forget * crosscorr[..., 2, :]
-    cross[..., 0, :] += (b1 * h1 * b0)[..., None] * r0
-    cross[..., 1, :] += (b2 * h2 * b0)[..., None] * r0
-    cross[..., 2, :] += (b2 * h2 * b1)[..., None] * r1
-    # (Rbar_1, Rbar_2 = Rbar_1, Rbar_3), broadcast over the receiver axis.
-    terms = auto[..., [0, 0, 1], :, :].reshape(*auto.shape[:-3], 3, -1)
+    gains = symbols[..., older] * h[..., older] * symbols[..., newer]
+    cross[..., :newer.size, :] += gains[..., None] * samples[..., newer, :]
+    # Pair (d, l) takes the autocorrelation of its newer sample: Rbar_1 for
+    # d = 0 (which Rbar_2 equals), Rbar_3 for d = 1.  Broadcast over the receivers.
+    terms = auto[..., depth - 1 - newer, :, :].reshape(*auto.shape[:-3], newer.size, -1)
     mixed_auto = _real_mix(rho, terms).reshape(*w.shape, w.shape[-1])
-    return auto, cross, mixed_auto, _real_mix(rho, cross)
+    return auto, cross, mixed_auto, _real_mix(rho, cross[..., :newer.size, :])
 
 
 def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_max: int,

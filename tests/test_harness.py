@@ -575,7 +575,7 @@ class TestPacketDraws:
 
     def test_a_full_chunk_steps_each_group_in_one_loop(self, monkeypatch):
         # 8 lanes fill one chunk of 8; the three CG receivers still share
-        # one loop, so one CG step per symbol from the third on.
+        # one loop, so one CG step per symbol from the second on.
         import fadetrack.harness as harness
         calls = []
 
@@ -588,7 +588,7 @@ class TestPacketDraws:
         cfg = ExperimentConfig(**{**SMALL, "fading_grid": (0.001, 0.02), "packets": 4,
                                   "algorithms": ("diff-cg", "bidir-cg", "bidir-cg-equal")})
         run_sinr_vs_fading(cfg)
-        assert len(calls) == cfg.packet_len - 2
+        assert len(calls) == cfg.packet_len - 1
 
 
 class TestRunSinrVsFading:

@@ -310,6 +310,48 @@ class TestKernelsFollowTheirRecursions:
                 assert np.array_equal(w[k], w_ref)
 
 
+class TestTwoSampleRestriction:
+    """One weight on pair (0, 1) of the three-sample window is the two-sample tracker."""
+
+    @pytest.mark.parametrize("loading", [0.0, 0.05])
+    def test_cg(self, loading):
+        rng, received, symbols = stream(13)
+        w = cnormal(rng, LANES, DIM)
+        auto = np.zeros((LANES, 2, DIM, DIM), dtype=complex)
+        auto[...] = 0.01 * np.eye(DIM)
+        cross = np.zeros((LANES, 3, DIM), dtype=complex)
+        # Symbol 1: the two-sample step, shared by both forms.
+        auto, cross, w = cg_step_lanes(auto, cross, w, 0.97, 3, loading, np.ones((LANES, 1)),
+                                       received[..., :2], symbols[:, :2])
+        three, two = (auto, cross, w), (auto, cross, w)
+        for i in range(2, STEPS):
+            three = cg_step_lanes(*three, 0.97, 3, loading, np.tile([1.0, 0.0, 0.0], (LANES, 1)),
+                                  received[..., i - 2:i + 1], symbols[:, i - 2:i + 1])
+            two = cg_step_lanes(*two, 0.97, 3, loading, np.ones((LANES, 1)),
+                                received[..., i - 1:i + 1], symbols[:, i - 1:i + 1])
+            assert np.array_equal(three[2], two[2])
+            assert np.array_equal(three[1][:, 0], two[1][:, 0])
+            assert np.array_equal(three[0], two[0])
+
+    def test_pair_nlms(self):
+        rng, received, symbols = stream(14)
+        w = cnormal(rng, LANES, DIM)
+        power = np.full(LANES, 2.0)
+
+        def step(w, power, rho, window, syms):
+            errors, _ = pair_errors_lanes(w, window, syms)
+            return pair_nlms_lanes(w, power, 0.05, 0.9, rho, errors, window, syms)
+
+        three = two = step(w, power, np.ones((LANES, 1)), received[..., :2], symbols[:, :2])
+        for i in range(2, STEPS):
+            three = step(*three, np.tile([1.0, 0.0, 0.0], (LANES, 1)),
+                         received[..., i - 2:i + 1], symbols[:, i - 2:i + 1])
+            two = step(*two, np.ones((LANES, 1)), received[..., i - 1:i + 1],
+                       symbols[:, i - 1:i + 1])
+            assert np.array_equal(three[0], two[0])
+            assert np.array_equal(three[1], two[1])
+
+
 class TestLaneRules:
     def test_mixing_is_bit_equal_to_update_mixing(self):
         rng = np.random.default_rng(6)
@@ -326,6 +368,26 @@ class TestLaneRules:
                                          PairErrors(errors[l], float(total[l]), pair_indices(3)))
                 assert np.array_equal(new[l], expected.weights)
             rho = new
+
+    def test_mixed_system_bits_do_not_depend_on_the_weights_layout(self):
+        # The same weights stored contiguous, with a strided last axis and
+        # transposed (Fortran order) mix every lane's system to the same bits.
+        rng, received, symbols = stream(12)
+        num = 3
+        for draw in range(20):
+            auto = cnormal(rng, LANES, 2, DIM, DIM)
+            cross = cnormal(rng, num, LANES, 3, DIM)
+            w = cnormal(rng, num, LANES, DIM)
+            syms = np.broadcast_to(symbols[:, draw:draw + 3], (num, LANES, 3))
+            contiguous = rng.dirichlet(np.ones(3), size=(num, LANES))
+            strided = np.repeat(contiguous, 2, axis=-1)[..., ::2]
+            transposed = np.asfortranarray(contiguous)
+            mixed = [cg_correlations_lanes(auto, cross, w, 0.9, rho,
+                                           received[..., draw:draw + 3], syms)[2:]
+                     for rho in (contiguous, strided, transposed)]
+            for other in mixed[1:]:
+                assert np.array_equal(other[0], mixed[0][0])
+                assert np.array_equal(other[1], mixed[0][1])
 
     def test_one_underflowing_lane_raises(self):
         rng = np.random.default_rng(7)
@@ -518,8 +580,11 @@ def test_lane_bits_do_not_depend_on_the_chunk(name, isi, lanes, chunk):
 
 
 # Receivers that share one step loop (harness._groups), in any order.
-GROUPS = st.sampled_from([("diff-cg", "bidir-cg", "bidir-cg-equal"),
-                          ("bidir-nlms", "bidir-nlms-equal")]).flatmap(st.permutations)
+GROUPS = st.sampled_from([
+    ("diff-cg", "bidir-cg", "bidir-cg-equal"),
+    ("bidir-nlms", "bidir-nlms-equal"),
+    ("diff-nlms", "bidir-nlms", "bidir-nlms-equal"),
+]).flatmap(st.permutations)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
@@ -536,3 +601,18 @@ def test_fused_receivers_match_each_stepped_alone(group, isi, lanes, chunk):
         for k, out in enumerate(alone):
             assert np.array_equal(out, np.concatenate([part[r][k] for part in fused]),
                                   equal_nan=True)
+
+
+@pytest.mark.parametrize("group", [("diff-nlms", "bidir-nlms", "bidir-nlms-equal"),
+                                   ("diff-cg", "bidir-cg", "bidir-cg-equal")])
+@pytest.mark.parametrize("isi", [False, True])
+def test_every_pair_receiver_of_a_group_takes_the_same_symbol_1_step(group, isi):
+    # At symbol 1 the window holds pair (0, 1) alone, which every pair
+    # receiver takes with weight one: their filters agree bit for bit.
+    cfg = small_config(isi)
+    _, stacked = lane_inputs(cfg, [(0, 0), (1, 1), (2, 2), (0, 1)], "differential")
+    runs = _step_lanes(group, cfg, *stacked, record_weights=True)
+    first = [trajectory[..., 1] for _, _, trajectory in runs]
+    assert not np.array_equal(first[0], stacked[3])  # the step moved the filters
+    for other in first[1:]:
+        assert np.array_equal(other, first[0])
