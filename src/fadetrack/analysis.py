@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -330,53 +330,27 @@ def mmse_bound_db(m: MomentMatrices) -> float:
 # ----------------------------------------------------------------------
 
 def _cache_key(scenario: ChannelScenario, ensemble_size: int, seed: int) -> str:
-    payload = {
-        "users": scenario.users,
-        "gain": scenario.gain,
-        "paths": scenario.paths,
-        "snr_db": scenario.snr_db,
-        "fading_rate": scenario.fading_rate,
-        "include_isi": scenario.include_isi,
-        "num_oscillators": scenario.num_oscillators,
-        "amplitude": scenario.amplitude,
-        "interferer_amplitude": scenario.interferer_amplitude,
-        "power_profile": scenario.power_profile,
-        "code_seed": scenario.code_seed,
-        "ensemble_size": ensemble_size,
-        "seed": seed,
-        "estimator_version": _ESTIMATOR_VERSION,
-    }
+    payload = {**asdict(scenario), "ensemble_size": ensemble_size, "seed": seed,
+               "estimator_version": _ESTIMATOR_VERSION}
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
     return digest[:24]
 
 
+# The fields written to the .npz; the diagnostics dict goes to the .json.
+_NPZ_FIELDS = [f for f in fields(MomentMatrices) if f.type != "dict"]
+
+
 def save_moments(m: MomentMatrices, base: Path) -> None:
-    np.savez(
-        base.with_suffix(".npz"),
-        signal_corr=m.signal_corr,
-        interference_corr=m.interference_corr,
-        autocorr_terms=m.autocorr_terms,
-        cross_terms=m.cross_terms,
-        min_mse=m.min_mse,
-        p_s_opt=m.p_s_opt,
-        p_i_opt=m.p_i_opt,
-    )
+    np.savez(base.with_suffix(".npz"), **{f.name: getattr(m, f.name) for f in _NPZ_FIELDS})
     base.with_suffix(".json").write_text(json.dumps(m.diagnostics, sort_keys=True, indent=2))
 
 
 def load_moments(base: Path) -> MomentMatrices:
     with np.load(base.with_suffix(".npz")) as data:
-        diagnostics = json.loads(base.with_suffix(".json").read_text())
-        return MomentMatrices(
-            signal_corr=data["signal_corr"],
-            interference_corr=data["interference_corr"],
-            autocorr_terms=data["autocorr_terms"],
-            cross_terms=data["cross_terms"],
-            min_mse=data["min_mse"],
-            p_s_opt=float(data["p_s_opt"]),
-            p_i_opt=float(data["p_i_opt"]),
-            diagnostics=diagnostics,
-        )
+        # The scalar powers come back as 0-d arrays.
+        arrays = {f.name: float(data[f.name]) if f.type == "float" else data[f.name]
+                  for f in _NPZ_FIELDS}
+    return MomentMatrices(**arrays, diagnostics=json.loads(base.with_suffix(".json").read_text()))
 
 
 def load_or_estimate(scenario: ChannelScenario, ensemble_size: int, seed: int = 0,

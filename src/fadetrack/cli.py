@@ -1,9 +1,12 @@
 """Command-line front end for the experiment harness.
 
 Subcommands: ``ber``, ``sinr-vs-fading``, ``analyze``, ``channel-stats``.
-All take ``--config`` (flat key = value file), ``--seed``, ``--out`` and
-per-key overrides; flags win over file values.  Output is deterministic
-CSV: the same config and seed reproduce identical bytes.
+All take ``--config`` (flat key = value file), ``--out`` and one flag
+``--key-with-dashes`` per config key, which takes the key's config-file
+text and wins over the file's.  Flag and file texts go through the same
+parser, and a text that does not parse is a usage error naming its key.
+Output is deterministic CSV: the same config and seed reproduce identical
+bytes.
 """
 
 from __future__ import annotations
@@ -15,58 +18,46 @@ from pathlib import Path
 from . import harness
 
 
+_HELP = {
+    "users": "number of uplink users K",
+    "gain": "processing gain N (chips per symbol)",
+    "paths": "multipath taps L",
+    "snr_db": "comma-separated SNR grid in dB",
+    "fading_grid": "comma-separated normalized fading rates fd*Ts",
+    "packet_len": "symbols per packet",
+    "train_len": "training symbols per packet",
+    "packets": "number of packets averaged",
+    "algorithms": f"comma-separated names from: {', '.join(harness.ALGORITHMS)}",
+    "mu": "NLMS step size",
+    "lambda_e": "mixing forgetting factor",
+    "lambda_m": "power-normalization forgetting factor",
+    "lambda_cg": "CG correlation forgetting factor",
+    "jmax": "CG iterations per symbol",
+    "lambda_rls": "RLS forgetting factor",
+    "delta": "initial regularization of RLS/CG statistics",
+    "cg_loading": "solve-time diagonal loading of the CG system (0 = off)",
+    "isi": "1/0: include adjacent-symbol interference",
+    "seed": "master seed",
+    "paper_literal_t1": "1/0: reproduce the published cross-vector chaining",
+}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted and ignored: every run steps its packets as "
                              "lanes of one array engine in one thread")
-    parser.add_argument("--users", type=int, help="number of uplink users K")
-    parser.add_argument("--gain", type=int, help="processing gain N (chips per symbol)")
-    parser.add_argument("--paths", type=int, help="multipath taps L")
-    parser.add_argument("--snr-db", type=str, dest="snr_db",
-                        help="comma-separated SNR grid in dB")
-    parser.add_argument("--fading-grid", type=str, dest="fading_grid",
-                        help="comma-separated normalized fading rates fd*Ts")
-    parser.add_argument("--packet-len", type=int, dest="packet_len",
-                        help="symbols per packet")
-    parser.add_argument("--train-len", type=int, dest="train_len",
-                        help="training symbols per packet")
-    parser.add_argument("--packets", type=int, help="number of packets averaged")
-    parser.add_argument("--algorithms", type=str,
-                        help=f"comma-separated names from: {', '.join(harness.ALGORITHMS)}")
-    parser.add_argument("--mu", type=float, help="NLMS step size")
-    parser.add_argument("--lambda-e", type=float, dest="lambda_e",
-                        help="mixing forgetting factor")
-    parser.add_argument("--lambda-m", type=float, dest="lambda_m",
-                        help="power-normalization forgetting factor")
-    parser.add_argument("--lambda-cg", type=float, dest="lambda_cg",
-                        help="CG correlation forgetting factor")
-    parser.add_argument("--jmax", type=int, help="CG iterations per symbol")
-    parser.add_argument("--lambda-rls", type=float, dest="lambda_rls",
-                        help="RLS forgetting factor")
-    parser.add_argument("--delta", type=float,
-                        help="initial regularization of RLS/CG statistics")
-    parser.add_argument("--cg-loading", type=float, dest="cg_loading",
-                        help="solve-time diagonal loading of the CG system (0 = off)")
-    parser.add_argument("--isi", type=str,
-                        help="1/0: include adjacent-symbol interference")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--paper-literal-t1", type=str, dest="paper_literal_t1",
-                        help="1/0: reproduce the published cross-vector chaining")
+    for key in harness.CONFIG_KEYS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP[key])
 
 
 def _config_from_args(args: argparse.Namespace) -> harness.ExperimentConfig:
-    file_values = harness.load_config_file(args.config) if args.config else None
-    overrides = {}
-    for key in harness.CONFIG_KEYS:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if isinstance(value, str):
-            value = harness.CONFIG_KEYS[key](value)
-        overrides[key] = value
-    return harness.make_experiment_config(file_values, **overrides)
+    """Flag texts over file texts, parsed by the one parser of each key."""
+    texts = harness.load_config_file(args.config) if args.config else {}
+    texts.update((key, getattr(args, key)) for key in harness.CONFIG_KEYS
+                 if getattr(args, key) is not None)
+    return harness.make_experiment_config(texts)
 
 
 def build_parser() -> argparse.ArgumentParser:

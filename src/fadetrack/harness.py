@@ -193,20 +193,21 @@ def load_config_file(path) -> dict[str, str]:
     return values
 
 
-def make_experiment_config(file_values: dict[str, str] | None = None,
+def make_experiment_config(texts: dict[str, str] | None = None,
                            **overrides) -> ExperimentConfig:
-    """Build a config from file values and typed overrides (which win)."""
-    merged: dict = {}
-    if file_values:
-        for key, text in file_values.items():
-            merged[key] = CONFIG_KEYS[key](text)
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        merged[key] = value
-    return ExperimentConfig(**merged)
+    """Build a config from ``key -> text`` values in the config-file form and typed
+    overrides, which win.  A text that does not parse raises ``ValueError`` naming
+    its key."""
+    unknown = [key for key in (*(texts or ()), *overrides) if key not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    values = {}
+    for key, text in (texts or {}).items():
+        try:
+            values[key] = CONFIG_KEYS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
+    return ExperimentConfig(**{**values, **overrides})
 
 
 # ----------------------------------------------------------------------
@@ -265,10 +266,9 @@ class _PacketDraws:
 class _Chunk:
     """A chunk's lanes as arrays, written lane by lane by :meth:`fill`: the step inputs
     of each of ``modes``, the scoring terms at the sorted, distinct ``marks`` and, with
-    ``oracle`` set, the mmse oracle's outputs in :func:`_step_lanes`' form."""
+    ``oracle`` set, the mmse oracle's data errors and filters at the marks."""
 
-    def __init__(self, cfg: ExperimentConfig, lanes: int, modes, marks=(),
-                 oracle: bool = False, record_weights: bool = False):
+    def __init__(self, cfg: ExperimentConfig, lanes: int, modes, marks=(), oracle: bool = False):
         window, length, n = cfg.gain + cfg.paths - 1, cfg.packet_len, len(marks)
         self.cfg, self.marks = cfg, np.asarray(marks, dtype=np.intp)
         self.received = {mode: np.empty((lanes, window, length), complex) for mode in modes}
@@ -278,9 +278,8 @@ class _Chunk:
         self.target = np.empty((lanes, n, window), complex)       # user 0's signature
         self.snr = np.empty((lanes, n))                           # realized input SNR
         # Filters at the marks only: no lane's (T, M) oracle filters outlive its fill.
-        self.oracle = (np.empty((lanes, length)), np.empty((lanes, n, window), complex),
-                       np.empty((lanes, window, length), complex) if record_weights else None
-                       ) if oracle else None
+        self.oracle = ((np.empty((lanes, length)), np.empty((lanes, n, window), complex))
+                       if oracle else None)
 
     def fill(self, j: int, draws: _PacketDraws, fading_rate: float, snr_db: float) -> None:
         """Write lane ``j``: the packet of ``draws`` at one grid point."""
@@ -309,11 +308,9 @@ class _Chunk:
             cov = conditional_covariance(signatures, cfg.gain, variance, cols, cfg.isi)
             filters[cols] = np.linalg.solve(cov, signatures[0][:, cols].T[..., None])[..., 0]
         z = np.einsum("im,mi->i", np.conj(filters), self.received["coherent"][j])
-        errors, at_marks, trajectory = self.oracle
+        errors, at_marks = self.oracle
         errors[j] = np.where(z.real >= 0, 1.0, -1.0) != self.data[j]
         at_marks[j] = filters[marks]
-        if trajectory is not None:
-            trajectory[j] = filters.T
 
 
 def _score(filters, cov, target, snr) -> np.ndarray:
@@ -585,7 +582,7 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
     for start in range(0, len(items), _CHUNK_LANES):
         lanes = items[start:start + _CHUNK_LANES]
         num = len(lanes)
-        chunk = _Chunk(cfg, num, modes, marks, "mmse" in names, record_weights)
+        chunk = _Chunk(cfg, num, modes, marks, "mmse" in names)
         for j, (packet, g) in enumerate(lanes):
             if draws is None or draws.index != packet:
                 draws = None  # before the next packet's draws are made
@@ -594,7 +591,7 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
         # Keep a packet's draws only while its lanes run on into the next chunk.
         if start + num == len(items) or items[start + num][0] != draws.index:
             draws = None
-        outputs = {} if chunk.oracle is None else {"mmse": chunk.oracle}
+        outputs = {} if chunk.oracle is None else {"mmse": (*chunk.oracle, None)}
         for group in _groups(names):
             mode = _mode_of(group[0])
             outputs.update(zip(group, _step_lanes(group, cfg, chunk.received[mode],
@@ -749,13 +746,12 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
     train_cfg = replace(cfg, train_len=cfg.packet_len)
     for lanes, runs in _simulate(train_cfg, [(rate, snr_db)], names, record_weights=True,
                                  fixed_codes=fixed_codes):
+        packets = [packet for packet, _ in lanes]
         for name, run in runs.items():
-            for (packet, _), weights in zip(lanes, run.weights):
-                sig_power = np.real(np.einsum(
-                    "mi,mi->i", np.conj(weights), moments.signal_corr @ weights))
-                int_power = np.real(np.einsum(
-                    "mi,mi->i", np.conj(weights), moments.interference_corr @ weights))
-                curves[name][packet] = sig_power / int_power
+            w, w_conj = run.weights, np.conj(run.weights)
+            sig_power, int_power = (np.einsum("lmi,lmi->li", w_conj, corr @ w).real
+                                    for corr in (moments.signal_corr, moments.interference_corr))
+            curves[name][packets] = sig_power / int_power
 
     for variant, (alg_name, mu_variant) in pairs.items():
         state = analysis.make_analysis_state(moments.dim, mu_variant, g_init)

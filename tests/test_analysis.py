@@ -1,7 +1,7 @@
 """Moment estimation and the analytical SINR recursions."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -448,3 +448,45 @@ class TestMomentCache:
         loaded = load_or_estimate(scenario, 1000, seed=3, cache_dir=tmp_path)
         assert loaded.p_s_opt == fresh.p_s_opt
         assert len(list(tmp_path.glob("*.npz"))) == 2
+
+    # Digests from when the key listed the scenario's fields one by one: a cache
+    # written then is still found.
+    PINNED = [
+        (dict(users=5, gain=16, paths=3, snr_db=15.0, fading_rate=0.005, code_seed=20240801),
+         10000, 20240801, "1030863fe4fff29511dfc31d"),
+        (dict(users=3, gain=8, paths=2, snr_db=7.5, fading_rate=0.02, include_isi=False,
+              num_oscillators=32, amplitude=2.0, interferer_amplitude=0.5,
+              power_profile=(0.75, 0.25), code_seed=9), 1000, 3, "46c8f0179ad3fa2df806c81c"),
+        (dict(users=1, gain=4, paths=1, snr_db=0.0, fading_rate=0.0), 1000, 0,
+         "fe71e0ffe3de0a93a9efd2d5"),
+    ]
+
+    @pytest.mark.parametrize("scenario, ensemble, seed, digest", PINNED,
+                             ids=["criterion-7", "profile-amplitudes-no-isi", "defaults"])
+    def test_key_is_pinned(self, scenario, ensemble, seed, digest):
+        assert analysis._cache_key(ChannelScenario(**scenario), ensemble, seed) == digest
+
+    def test_every_scenario_field_changes_the_key(self):
+        base = ChannelScenario(users=3, gain=8, paths=2, snr_db=7.5, fading_rate=0.02)
+        key = analysis._cache_key(base, 1000, 0)
+        for f in fields(ChannelScenario):
+            value = getattr(base, f.name)
+            other = (not value if isinstance(value, bool) else (1.0,) if value is None
+                     else value + 1)
+            assert analysis._cache_key(replace(base, **{f.name: other}), 1000, 0) != key, f.name
+
+    def test_files_round_trip_every_field(self, tmp_path):
+        rng = np.random.default_rng(5)
+        # A complex array for every field, so a field added later is covered too.
+        values = {f.name: rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+                  for f in fields(MomentMatrices)}
+        values.update(min_mse=rng.random(3), p_s_opt=0.7, p_i_opt=0.1,
+                      diagnostics={"ensemble_size": 1000, "lag1_symbol_corr": 0.25})
+        save_moments(MomentMatrices(**values), tmp_path / "entry")
+        loaded = load_moments(tmp_path / "entry")
+        for f in fields(MomentMatrices):
+            if isinstance(values[f.name], np.ndarray):
+                assert np.array_equal(getattr(loaded, f.name), values[f.name]), f.name
+            else:
+                assert getattr(loaded, f.name) == values[f.name], f.name
+        assert type(loaded.p_s_opt) is float and type(loaded.p_i_opt) is float

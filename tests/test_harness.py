@@ -125,6 +125,33 @@ class TestConfigHandling:
         with pytest.raises(ValueError):
             ExperimentConfig(packet_len=100, train_len=101)
 
+    UNPARSABLE = [("users", "users = x\n", []), ("users", None, ["--users", "x"]),
+                  ("isi", None, ["--isi", "maybe"]), ("snr_db", None, ["--snr-db", "5,abc"])]
+
+    @pytest.mark.parametrize("key, text, flags", UNPARSABLE,
+                             ids=["file-users", "flag-users", "flag-isi", "flag-snr_db"])
+    def test_unparsable_text_is_a_usage_error_naming_its_key(self, key, text, flags, tmp_path,
+                                                             capsys):
+        # Flag and file texts share one parser per key.
+        from fadetrack.cli import main
+        out = tmp_path / "out.csv"
+        argv = ["ber", "--out", str(out), *flags]
+        if text is not None:
+            path = tmp_path / "exp.cfg"
+            path.write_text(text)
+            argv += ["--config", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, text", [("users", "x"), ("isi", "maybe"),
+                                           ("snr_db", "5,abc"), ("mu", "")])
+    def test_unparsable_text_names_its_key(self, key, text):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            make_experiment_config({key: text})
+
     BAD_VALUES = [
         {"mu": -0.1},
         {"mu": float("nan")},
@@ -448,22 +475,23 @@ class TestMmseOracle:
     def test_filters_equal_per_symbol_solve(self, rate, isi):
         # 300 symbols: the batched solves end on a partial block.
         from fadetrack.dscdma import ChannelScenario, conditional_covariance
-        from fadetrack.harness import _PacketDraws, _simulate
+        from fadetrack.harness import _Chunk, _PacketDraws
         cfg = ExperimentConfig(users=3, gain=8, paths=3, snr_db=(10.0,),
                                fading_grid=(rate,), packet_len=300, train_len=0,
                                packets=1, algorithms=("mmse",), isi=isi, seed=17)
-        _, runs = next(_simulate(cfg, [(rate, 10.0)], ("mmse",), record_weights=True))
-        weights = runs["mmse"].weights[0]
+        draws = _PacketDraws(cfg, 0)
+        chunk = _Chunk(cfg, 1, ("coherent",), range(cfg.packet_len), oracle=True)
+        chunk.fill(0, draws, rate, 10.0)
+        filters = chunk.oracle[1][0]
         scenario = ChannelScenario(users=3, gain=8, paths=3, snr_db=10.0, fading_rate=rate,
                                    include_isi=isi)
-        draws = _PacketDraws(cfg, 0)
         signatures = [code_convolution_operator(code, cfg.paths) @ gains
                       for code, gains in zip(draws.codes, draws.gains(scenario))]
         for i in range(cfg.packet_len):
             cov = conditional_covariance(signatures, scenario.gain,
                                          scenario.noise_variance, [i], include_isi=isi)[0]
             expected = np.linalg.solve(cov, signatures[0][:, i])
-            assert np.array_equal(weights[:, i], expected), i
+            assert np.array_equal(filters[i], expected), i
 
 
 class TestIgnoredGridPoints:
@@ -797,6 +825,19 @@ class TestCliDeterminism:
              "--out", str(analyze_out)],
             check=True, capture_output=True)
         assert analyze_out.read_text().count("\n") == 1 + 5 * 30
+
+    def test_analyze_on_a_warm_cache_writes_the_cold_bytes(self, tmp_path):
+        from fadetrack.cli import main
+        cache = tmp_path / "cache"
+        argv = ["analyze", "--users", "2", "--gain", "4", "--paths", "2", "--snr-db", "10",
+                "--fading-grid", "0.01", "--packet-len", "40", "--train-len", "40",
+                "--packets", "2", "--seed", "5", "--ensemble", "10000",
+                "--cache-dir", str(cache)]
+        main([*argv, "--out", str(tmp_path / "cold.csv")])
+        entries = sorted(cache.iterdir())
+        main([*argv, "--out", str(tmp_path / "warm.csv")])
+        assert sorted(cache.iterdir()) == entries and len(entries) == 2
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
     def test_all_subcommands_listed_in_help(self, tmp_path):
         result = subprocess.run(
