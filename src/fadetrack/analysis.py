@@ -53,7 +53,7 @@ _SPECTRAL_TOL = 1e-9
 
 # Part of the moment-cache key: bump it whenever a change to
 # estimate_moment_matrices changes its output, so no stale entry is reused.
-_ESTIMATOR_VERSION = 4
+_ESTIMATOR_VERSION = 5
 
 # Ensemble members drawn and processed together; a fixed constant, so the
 # seeding layout (one generator per chunk) never depends on an option.  At
@@ -121,7 +121,9 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     """Monte Carlo estimate of every moment the recursions need.
 
     Spreading codes are the scenario's fixed set; each ensemble member
-    draws a five-symbol fading window per user, symbols and noise.
+    draws a five-symbol fading window per user (exact Clarke Gaussian
+    vectors from :func:`fading_windows`, so ``num_oscillators`` plays no
+    part here), symbols and noise.
     Matrix moments are accumulated through their conditional
     (channel-given) expectations, which are exact in the symbols and
     noise; the optimum-filter pair errors are sampled.  Members are drawn

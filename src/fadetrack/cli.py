@@ -107,11 +107,13 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         harness.check_experiment(args.command, cfg, getattr(args, "ensemble", None))
-        if args.command == "channel-stats":
-            lags = tuple(int(tok) for tok in args.lags.replace(",", " ").split())
     except ValueError as exc:
         parser.error(str(exc))
     if args.command == "channel-stats":
+        try:
+            lags = tuple(int(tok) for tok in args.lags.replace(",", " ").split())
+        except ValueError as exc:
+            parser.error(f"--lags: {exc}")
         if args.samples < 1:
             parser.error("--samples must be at least 1")
         if not lags or len(set(lags)) < len(lags) or not 0 <= min(lags) <= max(lags) < args.samples:

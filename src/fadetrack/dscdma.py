@@ -347,6 +347,9 @@ class ChannelScenario:
 
     Amplitudes default to unity for every user; the signal-to-noise ratio
     is ``amplitude**2 / noise_variance`` with unit total channel power.
+    ``num_oscillators`` shapes only the simulated packets' sum-of-sinusoids
+    fading; the moment ensemble draws exact Gaussian windows, but the
+    field stays in the moment-cache key.
     """
 
     users: int

@@ -178,7 +178,8 @@ CONFIG_KEYS = {field.name: _PARSERS[field.type] for field in fields(ExperimentCo
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Read a flat key-value config file; '#' starts a comment."""
+    """Read a flat key-value config file; '#' starts a comment and a key may
+    appear once."""
     values: dict[str, str] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -189,6 +190,8 @@ def load_config_file(path) -> dict[str, str]:
         key, text = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
         values[key] = text
     return values
 

@@ -33,7 +33,20 @@ def test_package_imports_exist():
 
 
 def test_engine_imports_without_scipy():
-    # Only the theoretical fading autocorrelation needs scipy; the CLI and
-    # every experiment start without paying for its import.
+    # The CLI and every experiment start without paying for scipy's import.
     code = "import sys, fadetrack.cli; assert 'scipy' not in sys.modules, 'scipy'"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def test_moment_ensemble_runs_without_scipy():
+    # The ensemble's fading windows and the theoretical autocorrelation take J0
+    # from numpy, so neither loads scipy.
+    code = "\n".join([
+        "import sys, fadetrack",
+        "scenario = fadetrack.ChannelScenario(users=2, gain=8, paths=2, snr_db=10.0,",
+        "                                     fading_rate=0.01)",
+        "fadetrack.estimate_moment_matrices(scenario, 1000, seed=1)",
+        "fadetrack.clarke_autocorrelation(0.01, 3)",
+        "assert 'scipy' not in sys.modules, 'scipy'",
+    ])
     subprocess.run([sys.executable, "-c", code], check=True)

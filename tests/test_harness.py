@@ -117,6 +117,18 @@ class TestConfigHandling:
         with pytest.raises(ValueError):
             load_config_file(path)
 
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        from fadetrack.cli import main
+        path, out = tmp_path / "exp.cfg", tmp_path / "out.csv"
+        path.write_text("users = 3\n# again\nusers = 4\n")
+        with pytest.raises(ValueError, match=r"exp\.cfg:3: key 'users' given twice"):
+            load_config_file(path)
+        with pytest.raises(SystemExit) as exc:
+            main(["ber", "--out", str(out), "--config", str(path)])
+        assert exc.value.code == 2
+        assert "given twice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(algorithms=("mmse", "magic"))
@@ -724,6 +736,7 @@ class TestRunChannelStats:
         (["--lags", "-1"], "--lags"),
         (["--lags", ""], "--lags"),
         (["--lags", "1,1"], "--lags"),
+        (["--lags", "1,x"], "--lags:"),
     ])
     def test_bad_arguments_rejected_by_cli(self, extra, message, tmp_path, capsys):
         from fadetrack.cli import main
