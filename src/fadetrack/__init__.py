@@ -41,6 +41,7 @@ from .receivers import (
 from .analysis import (
     AnalysisState,
     MomentMatrices,
+    analytical_curve,
     analytical_sinr,
     estimate_moment_matrices,
     g_step,

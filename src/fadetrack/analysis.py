@@ -41,6 +41,7 @@ __all__ = [
     "k_step",
     "g_step",
     "analytical_sinr",
+    "analytical_curve",
     "simulated_sinr",
     "mmse_bound_db",
 ]
@@ -59,6 +60,10 @@ _ESTIMATOR_VERSION = 5
 # seeding layout (one generator per chunk) never depends on an option.  At
 # 16 members a chunk's arrays stay near 1 MB.
 _CHUNK_MEMBERS = 16
+
+# Chunks drawn one by one and then processed together: the products,
+# covariances and solves run once per pass, the sums still once per chunk.
+_PASS_CHUNKS = 8
 
 
 @dataclass(frozen=True)
@@ -127,9 +132,11 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     Matrix moments are accumulated through their conditional
     (channel-given) expectations, which are exact in the symbols and
     noise; the optimum-filter pair errors are sampled.  Members are drawn
-    and processed in chunks of ``_CHUNK_MEMBERS``, one generator per chunk
-    spawned from ``(seed, ensemble_size)``, so the result depends only on
-    the scenario, the ensemble size and the seed.
+    in chunks of ``_CHUNK_MEMBERS``, one generator per chunk spawned from
+    ``(seed, ensemble_size)``, so the result depends only on the scenario,
+    the ensemble size and the seed.  ``_PASS_CHUNKS`` chunks are processed
+    per pass by per-matrix products and solves, whose bits do not depend on
+    the batch, and summed chunk by chunk, so the pass size moves no bit.
     """
     if ensemble_size < _MIN_ENSEMBLE:
         raise ValueError(
@@ -156,44 +163,57 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
                           num_oscillators=scenario.num_oscillators)
     n_chunks = -(-ensemble_size // _CHUNK_MEMBERS)
     children = np.random.SeedSequence([int(seed), ensemble_size]).spawn(n_chunks)
-    for c, child in enumerate(children):
-        size = min(_CHUNK_MEMBERS, ensemble_size - c * _CHUNK_MEMBERS)
-        rng = np.random.default_rng(child)
-        gains = fading_windows(fading, 5, rng, (size, scenario.users))
+    for first in range(0, n_chunks, _PASS_CHUNKS):
+        members = min(_PASS_CHUNKS * _CHUNK_MEMBERS, ensemble_size - first * _CHUNK_MEMBERS)
+        chunks = [slice(c, min(c + _CHUNK_MEMBERS, members))
+                  for c in range(0, members, _CHUNK_MEMBERS)]
+        gains = np.empty((members, scenario.users, scenario.paths, 5), dtype=np.complex128)
+        symbols = np.empty((scenario.users, members, 5))
+        normals = np.empty((2, members, dim, 3))
+        for child, rows in zip(children[first:first + _PASS_CHUNKS], chunks):
+            size = rows.stop - rows.start
+            rng = np.random.default_rng(child)
+            gains[rows] = fading_windows(fading, 5, rng, (size, scenario.users))
+            symbols[:, rows] = 2.0 * rng.integers(0, 2, size=(scenario.users, size, 5)) - 1.0
+            rng.standard_normal(out=normals[0, rows])
+            rng.standard_normal(out=normals[1, rows])
+
         # Per-symbol signatures over a five-symbol window centred on the
         # observation instant: columns 0..4 map to symbols i-3 .. i+1.
-        mains = np.swapaxes(operators @ gains, 0, 1)  # (users, size, dim, 5)
+        mains = np.swapaxes(operators @ gains, 0, 1)  # (users, members, dim, 5)
         desired = mains[0]
-
         cov = conditional_covariance(mains, gain, sigma2, (3, 2),
                                      include_isi=scenario.include_isi)
         w_opt = np.linalg.solve(cov[:, 0], desired[..., 3:4])[..., 0]
-
-        signal_corr += _outer_sum(desired[..., 3], desired[..., 3])
-        cov_sum += cov.sum(axis=0)
-        for n, (a, b) in enumerate(((3, 2), (3, 1), (2, 1))):
-            cross[n] += _outer_sum(desired[..., a], desired[..., b])
-        if spill > 0:
-            # The previous symbol's tail against the next one's precursor:
-            # only the (spill x spill) corner they share is nonzero.
-            for n, (a, b) in ((0, (2, 3)), (2, (1, 2))):
-                cross[n, :spill, gain:] += _outer_sum(desired[:, gain:, a],
-                                                      desired[:, :spill, b])
-        opt_outer += _outer_sum(w_opt, w_opt)
-
         # Sampled observations at windows i-2, i-1, i (columns 1..3) feed
         # the optimum filter's pair errors and the independence diagnostics.
-        symbols = 2.0 * rng.integers(0, 2, size=(scenario.users, size, 5)) - 1.0
-        noise = np.sqrt(sigma2 / 2.0) * (
-            rng.standard_normal((size, dim, 3)) + 1j * rng.standard_normal((size, dim, 3)))
+        noise = np.sqrt(sigma2 / 2.0) * (normals[0] + 1j * normals[1])
         received = received_block(mains, symbols, gain,
                                   include_isi=scenario.include_isi)[..., 1:4] + noise
         ref = symbols[0, :, 1:4]
         errors, _ = pair_errors_lanes(w_opt, received, ref)
-        min_mse += np.sum(np.abs(errors) ** 2, axis=0)
-        lag_cross += np.vdot(received[..., 2], received[..., 1])
-        lag_power += float(np.sum(np.abs(received[..., 2]) ** 2))
-        symbol_lag += float(ref[:, 2] @ ref[:, 1])
+        squared_errors = np.abs(errors) ** 2
+        power = np.abs(received[..., 2]) ** 2
+
+        # Sums run chunk by chunk, in the chunks' order, so the moments
+        # keep their bits whatever the pass size.
+        for rows in chunks:
+            chunk = desired[rows]
+            signal_corr += _outer_sum(chunk[..., 3], chunk[..., 3])
+            cov_sum += cov[rows].sum(axis=0)
+            for n, (a, b) in enumerate(((3, 2), (3, 1), (2, 1))):
+                cross[n] += _outer_sum(chunk[..., a], chunk[..., b])
+            if spill > 0:
+                # The previous symbol's tail against the next one's precursor:
+                # only the (spill x spill) corner they share is nonzero.
+                for n, (a, b) in ((0, (2, 3)), (2, (1, 2))):
+                    cross[n, :spill, gain:] += _outer_sum(chunk[:, gain:, a],
+                                                          chunk[:, :spill, b])
+            opt_outer += _outer_sum(w_opt[rows], w_opt[rows])
+            min_mse += np.sum(squared_errors[rows], axis=0)
+            lag_cross += np.vdot(received[rows, :, 2], received[rows, :, 1])
+            lag_power += float(np.sum(power[rows]))
+            symbol_lag += float(ref[rows, 2] @ ref[rows, 1])
 
     scale = 1.0 / ensemble_size
     diagnostics = {
@@ -268,11 +288,8 @@ def k_step(state: AnalysisState, m: MomentMatrices, variant: str,
     mu = state.step_size
     if propagation is None:
         propagation = propagation_matrix(m, mu, variant)
-    noise = np.zeros_like(propagation)
-    for n in _pair_range(variant):
-        noise = noise + m.min_mse[n] * m.autocorr_terms[n]
-    updated = propagation @ state.weight_err_corr @ propagation.conj().T + mu**2 * noise
-    return replace(state, weight_err_corr=_hermitize(updated))
+    updated = _k_update(state.weight_err_corr, propagation, _noise_term(m, mu, variant))
+    return replace(state, weight_err_corr=updated)
 
 
 def g_step(state: AnalysisState, m: MomentMatrices, variant: str,
@@ -290,6 +307,20 @@ def g_step(state: AnalysisState, m: MomentMatrices, variant: str,
     return replace(state, cross_corr=state.cross_corr @ bracket)
 
 
+def _noise_term(m: MomentMatrices, mu: float, variant: str) -> np.ndarray:
+    """``mu^2 * sum_n J_n R_n`` over the active pairs."""
+    noise = np.zeros((m.dim, m.dim), dtype=np.complex128)
+    for n in _pair_range(variant):
+        noise = noise + m.min_mse[n] * m.autocorr_terms[n]
+    return mu**2 * noise
+
+
+def _k_update(k: np.ndarray, propagation: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """``B K B^H + noise``, re-symmetrized: the one K step of :func:`k_step` and
+    :func:`analytical_curve`."""
+    return _hermitize(propagation @ k @ propagation.conj().T + noise)
+
+
 def analytical_sinr(state: AnalysisState, m: MomentMatrices) -> float:
     """SINR in dB predicted from the recursion state.
 
@@ -298,11 +329,40 @@ def analytical_sinr(state: AnalysisState, m: MomentMatrices) -> float:
 
         (tr(K Rs) + 2 Re tr(G Rs) + Ps) / (tr(K Ri) + 2 Re tr(G Ri) + Pi).
     """
-    # traces[a, b] = tr(X_a R_b) for X = (K, G) and R = (Rs, Ri).
-    traces = np.einsum("aij,bji->ab", np.stack([state.weight_err_corr, state.cross_corr]),
+    iterates = np.stack([state.weight_err_corr, state.cross_corr])
+    return float(_sinr_db(iterates[None], m)[0])
+
+
+def analytical_curve(m: MomentMatrices, mu: float, variant: str, length: int,
+                     g_init: str = "identity") -> np.ndarray:
+    """``(length,)`` SINR in dB after each of ``length`` K/G steps.
+
+    The same values as :func:`k_step`, :func:`g_step` and
+    :func:`analytical_sinr` applied step by step from
+    :func:`make_analysis_state`, bit for bit: the propagation matrix (with
+    its check), the noise term and ``B - I`` are computed once, and every
+    step's traces are taken together at the end.  Raises ``ValueError``
+    if any step is in a non-positive regime.
+    """
+    state = make_analysis_state(m.dim, mu, g_init)
+    propagation = propagation_matrix(m, mu, variant)
+    noise = _noise_term(m, mu, variant)
+    bracket = propagation - np.eye(m.dim)
+    iterates = np.empty((length, 2, m.dim, m.dim), dtype=np.complex128)
+    k, g = state.weight_err_corr, state.cross_corr
+    for t in range(length):
+        k = iterates[t, 0] = _k_update(k, propagation, noise)
+        g = iterates[t, 1] = g @ bracket
+    return _sinr_db(iterates, m)
+
+
+def _sinr_db(iterates: np.ndarray, m: MomentMatrices) -> np.ndarray:
+    """SINR in dB of each ``(K, G)`` pair of a ``(T, 2, M, M)`` stack."""
+    # traces[t, a, b] = tr(X_a R_b) for X = (K, G) and R = (Rs, Ri).
+    traces = np.einsum("taij,bji->tab", iterates,
                        np.stack([m.signal_corr, m.interference_corr])).real
-    num, den = (traces[0] + 2.0 * traces[1] + (m.p_s_opt, m.p_i_opt)).tolist()
-    if den <= 0.0 or num <= 0.0:
+    num, den = (traces[:, 0] + 2.0 * traces[:, 1] + (m.p_s_opt, m.p_i_opt)).T
+    if np.any(den <= 0.0) or np.any(num <= 0.0):
         raise ValueError("invalid regime: non-positive SINR numerator or denominator")
     return 10.0 * np.log10(num / den)
 

@@ -37,6 +37,10 @@ _BLOCK = 32
 
 _PROFILE_TOL = 1e-12
 
+# Largest |x| whose J0 is taken by quadrature; beyond it the Hankel
+# expansion's first neglected term is below 1e-20.
+_J0_QUADRATURE_MAX = 64.0
+
 
 @dataclass(frozen=True)
 class FadingConfig:
@@ -162,6 +166,20 @@ def _clarke_factor(normalized_doppler: float, length: int) -> np.ndarray:
 
 
 def _bessel_j0(x) -> np.ndarray:
+    """``J0(x)``: by :func:`_j0_quadrature` up to ``|x| = _J0_QUADRATURE_MAX``
+    (an array within it takes that rule as a whole), by :func:`_j0_hankel` beyond,
+    so the cost per argument is bounded."""
+    x = np.asarray(x, dtype=float)
+    near = np.abs(x) <= _J0_QUADRATURE_MAX
+    if near.all():
+        return _j0_quadrature(x)
+    out = np.empty(x.shape)
+    out[near] = _j0_quadrature(x[near])
+    out[~near] = _j0_hankel(np.abs(x[~near]))
+    return out
+
+
+def _j0_quadrature(x: np.ndarray) -> np.ndarray:
     """``J0(x)`` as the mean of ``cos(x cos(theta))`` over midpoints of ``[0, pi]``.
 
     The integrand is periodic and analytic, so the midpoint (trapezoid) rule
@@ -169,10 +187,41 @@ def _bessel_j0(x) -> np.ndarray:
     ``64 + 2*ceil(max|x|)`` nodes it agrees with ``scipy.special.j0`` to about
     1e-15 on ``[0, 60]``.
     """
-    x = np.asarray(x, dtype=float)
     n = 64 + 2 * int(np.ceil(np.max(np.abs(x), initial=0.0)))
     theta = np.pi * (np.arange(n) + 0.5) / n
     return np.cos(np.multiply.outer(x, np.cos(theta))).mean(axis=-1)
+
+
+def _hankel_series(terms: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Coefficients of ``x^-2k`` in ``P`` and of ``x^-(2k+1)`` in ``Q``, ``k < terms``.
+
+    ``a_k = prod_{j<=k} -(2j-1)^2 / (8j)``; ``P`` takes ``(-1)^k a_2k`` and
+    ``Q`` takes ``(-1)^k a_(2k+1)``.
+    """
+    a = [1.0]
+    for j in range(1, 2 * terms):
+        a.append(a[-1] * -((2 * j - 1) ** 2) / (8 * j))
+    return (tuple((-1) ** k * a[2 * k] for k in range(terms)),
+            tuple((-1) ** k * a[2 * k + 1] for k in range(terms)))
+
+
+_HANKEL_P, _HANKEL_Q = _hankel_series(8)
+
+
+def _j0_hankel(x: np.ndarray) -> np.ndarray:
+    """``J0(x)``, ``x > _J0_QUADRATURE_MAX``, from the Hankel expansion
+    ``sqrt(2/(pi x)) * (P cos(x - pi/4) - Q sin(x - pi/4))``.
+
+    The phase ``x - pi/4`` is rounded as ``scipy.special.j0`` rounds it; at
+    ``x`` near 1e7 that rounding (1e-9) is the size of the argument's own.
+    """
+    inv2 = 1.0 / (x * x)
+    p = q = 0.0
+    for cp, cq in zip(reversed(_HANKEL_P), reversed(_HANKEL_Q)):
+        p = p * inv2 + cp
+        q = q * inv2 + cq
+    phase = x - np.pi / 4.0
+    return np.sqrt(2.0 / (np.pi * x)) * (p * np.cos(phase) - q / x * np.sin(phase))
 
 
 def generate_fading(config: FadingConfig, length: int) -> FadingSequence:

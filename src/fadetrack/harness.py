@@ -757,14 +757,9 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
             curves[name][packets] = sig_power / int_power
 
     for variant, (alg_name, mu_variant) in pairs.items():
-        state = analysis.make_analysis_state(moments.dim, mu_variant, g_init)
-        propagation = analysis.propagation_matrix(moments, mu_variant, variant)
-        for i in range(length):
-            state = analysis.k_step(state, moments, variant, propagation)
-            state = analysis.g_step(state, moments, variant, propagation)
-            records.append(MetricsRecord("analyze", f"{alg_name}-analytical", float(rate), i,
-                                         None, analysis.analytical_sinr(state, moments),
-                                         None, cfg.seed))
+        curve = analysis.analytical_curve(moments, mu_variant, variant, length, g_init)
+        records += [MetricsRecord("analyze", f"{alg_name}-analytical", float(rate), i, None,
+                                  sinr, None, cfg.seed) for i, sinr in enumerate(curve.tolist())]
 
         mean_linear = np.mean(curves[alg_name], axis=0)
         per_packet_db = 10.0 * np.log10(np.maximum(curves[alg_name], _SINR_FLOOR))

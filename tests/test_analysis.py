@@ -10,6 +10,7 @@ from scipy.special import j0
 from fadetrack import analysis
 from fadetrack.analysis import (
     MomentMatrices,
+    analytical_curve,
     analytical_sinr,
     estimate_moment_matrices,
     g_step,
@@ -200,6 +201,20 @@ class TestChunkedEnsemble:
         assert abs(products) <= size and (products - size) % 2 == 0
         assert m.diagnostics["ensemble_size"] == size
 
+    @pytest.mark.parametrize("include_isi", [True, False])
+    @pytest.mark.parametrize("size", [1000, 1017])  # 63 chunks; 64 with a ragged one
+    def test_pass_size_leaves_every_bit(self, size, include_isi, monkeypatch):
+        scenario = replace(MODEL_SCENARIO, include_isi=include_isi)
+        default = estimate_moment_matrices(scenario, size, seed=4)
+        for chunks in (1, 3):
+            monkeypatch.setattr(analysis, "_PASS_CHUNKS", chunks)
+            m = estimate_moment_matrices(scenario, size, seed=4)
+            for f in fields(MomentMatrices):
+                if f.name == "diagnostics":
+                    assert m.diagnostics == default.diagnostics
+                else:
+                    assert np.array_equal(getattr(m, f.name), getattr(default, f.name)), f.name
+
     # The version-1 estimator (one generator per member, one
     # generate_fading call per user) at seeds 0-9 on this scenario with
     # 2000 members: mean and sample standard deviation over the seeds.
@@ -364,6 +379,30 @@ class TestAnalyticalSinr:
         state = make_analysis_state(1, 0.1, g_init="zero")
         with pytest.raises(ValueError):
             analytical_sinr(state, m)
+
+
+class TestAnalyticalCurve:
+    @pytest.mark.parametrize("g_init", ["identity", "zero"])
+    @pytest.mark.parametrize("variant", ["bidirectional", "differential"])
+    def test_equals_the_step_loop(self, single_user_moments, variant, g_init):
+        _, m = single_user_moments
+        mu = 0.2 / float(np.real(np.trace(m.autocorr_terms[0])))
+        state = make_analysis_state(m.dim, mu, g_init)
+        propagation = propagation_matrix(m, mu, variant)
+        steps = []
+        for _ in range(120):
+            state = g_step(k_step(state, m, variant, propagation), m, variant, propagation)
+            steps.append(analytical_sinr(state, m))
+        assert np.array_equal(analytical_curve(m, mu, variant, 120, g_init), steps)
+
+    def test_non_positive_regime_raises(self):
+        m = scalar_moments(rs=1.0, ri=1.0, ps=1.0, pi=-2.0)
+        with pytest.raises(ValueError):
+            analytical_curve(m, 0.1, "bidirectional", 5, "zero")
+
+    def test_non_contractive_configuration_warns(self):
+        with pytest.warns(RuntimeWarning):
+            analytical_curve(scalar_moments(r1=0.0, f1=1.0), 0.5, "bidirectional", 3)
 
 
 class TestSimulatedSinr:

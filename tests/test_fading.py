@@ -1,5 +1,7 @@
 """Fading generator and channel-correlation statistics."""
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +61,35 @@ class TestClarkeAutocorrelation:
         for rate, lag in ((0.01, 1), (0.07, 59), (1.5, 6)):
             assert clarke_autocorrelation(rate, lag) == pytest.approx(
                 j0(2.0 * np.pi * rate * lag), rel=0, abs=1e-14)
+
+
+    def test_large_arguments_match_scipy(self):
+        x = np.concatenate([np.linspace(0.0, 200.0, 4001), np.geomspace(200.0, 1e7, 20001)])
+        assert np.abs(fading._bessel_j0(x) - j0(x)).max() <= 1e-13
+        assert clarke_autocorrelation(1.5, 10**6) == pytest.approx(
+            j0(2.0 * np.pi * 1.5 * 10**6), rel=0, abs=1e-13)
+
+    def test_small_arguments_keep_the_quadrature(self):
+        # Arguments within the quadrature's range keep its bits, also beside large ones.
+        x = np.array([0.0, 0.3, 12.5, fading._J0_QUADRATURE_MAX])
+        assert np.array_equal(fading._bessel_j0(x), fading._j0_quadrature(x))
+        mixed = fading._bessel_j0(np.array([12.5, 1e6]))
+        assert mixed[0] == fading._j0_quadrature(np.array([12.5]))[0]
+
+    def test_large_argument_cost_is_bounded(self):
+        # The quadrature alone would take 2*|x| nodes: 1.9e7 at this lag.
+        code = "\n".join([
+            "import resource, time",
+            "from fadetrack.fading import clarke_autocorrelation",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+            "start = time.perf_counter()",
+            "clarke_autocorrelation(1.5, 10**6)",
+            "elapsed = time.perf_counter() - start",
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before",
+            "assert elapsed < 0.05, elapsed",
+            "assert grown < 5 * 1024, grown",  # kB
+        ])
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestGenerateFading:
