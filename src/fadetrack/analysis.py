@@ -46,24 +46,18 @@ __all__ = [
     "mmse_bound_db",
 ]
 
-_VARIANTS = ("bidirectional", "differential")
-
 _MIN_ENSEMBLE = 1000
 
 _SPECTRAL_TOL = 1e-9
 
 # Part of the moment-cache key: bump it whenever a change to
 # estimate_moment_matrices changes its output, so no stale entry is reused.
-_ESTIMATOR_VERSION = 5
+_ESTIMATOR_VERSION = 6
 
-# Ensemble members drawn and processed together; a fixed constant, so the
-# seeding layout (one generator per chunk) never depends on an option.  At
-# 16 members a chunk's arrays stay near 1 MB.
-_CHUNK_MEMBERS = 16
-
-# Chunks drawn one by one and then processed together: the products,
-# covariances and solves run once per pass, the sums still once per chunk.
-_PASS_CHUNKS = 8
+# Ensemble members drawn, processed and summed together; a fixed constant,
+# so the seeding layout (one generator per chunk) never depends on an
+# option.  At 128 members a chunk's arrays peak near 5 MB.
+_CHUNK_MEMBERS = 128
 
 
 @dataclass(frozen=True)
@@ -133,10 +127,9 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     (channel-given) expectations, which are exact in the symbols and
     noise; the optimum-filter pair errors are sampled.  Members are drawn
     in chunks of ``_CHUNK_MEMBERS``, one generator per chunk spawned from
-    ``(seed, ensemble_size)``, so the result depends only on the scenario,
-    the ensemble size and the seed.  ``_PASS_CHUNKS`` chunks are processed
-    per pass by per-matrix products and solves, whose bits do not depend on
-    the batch, and summed chunk by chunk, so the pass size moves no bit.
+    ``(seed, ensemble_size)``, and each chunk is processed and summed in
+    turn, so the result depends only on the scenario, the ensemble size
+    and the seed.
     """
     if ensemble_size < _MIN_ENSEMBLE:
         raise ValueError(
@@ -163,20 +156,12 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
                           num_oscillators=scenario.num_oscillators)
     n_chunks = -(-ensemble_size // _CHUNK_MEMBERS)
     children = np.random.SeedSequence([int(seed), ensemble_size]).spawn(n_chunks)
-    for first in range(0, n_chunks, _PASS_CHUNKS):
-        members = min(_PASS_CHUNKS * _CHUNK_MEMBERS, ensemble_size - first * _CHUNK_MEMBERS)
-        chunks = [slice(c, min(c + _CHUNK_MEMBERS, members))
-                  for c in range(0, members, _CHUNK_MEMBERS)]
-        gains = np.empty((members, scenario.users, scenario.paths, 5), dtype=np.complex128)
-        symbols = np.empty((scenario.users, members, 5))
-        normals = np.empty((2, members, dim, 3))
-        for child, rows in zip(children[first:first + _PASS_CHUNKS], chunks):
-            size = rows.stop - rows.start
-            rng = np.random.default_rng(child)
-            gains[rows] = fading_windows(fading, 5, rng, (size, scenario.users))
-            symbols[:, rows] = 2.0 * rng.integers(0, 2, size=(scenario.users, size, 5)) - 1.0
-            rng.standard_normal(out=normals[0, rows])
-            rng.standard_normal(out=normals[1, rows])
+    for c, child in enumerate(children):
+        size = min(_CHUNK_MEMBERS, ensemble_size - c * _CHUNK_MEMBERS)
+        rng = np.random.default_rng(child)
+        gains = fading_windows(fading, 5, rng, (size, scenario.users))
+        symbols = 2.0 * rng.integers(0, 2, size=(scenario.users, size, 5)) - 1.0
+        normals = rng.standard_normal((2, size, dim, 3))
 
         # Per-symbol signatures over a five-symbol window centred on the
         # observation instant: columns 0..4 map to symbols i-3 .. i+1.
@@ -192,28 +177,22 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
                                   include_isi=scenario.include_isi)[..., 1:4] + noise
         ref = symbols[0, :, 1:4]
         errors, _ = pair_errors_lanes(w_opt, received, ref)
-        squared_errors = np.abs(errors) ** 2
-        power = np.abs(received[..., 2]) ** 2
 
-        # Sums run chunk by chunk, in the chunks' order, so the moments
-        # keep their bits whatever the pass size.
-        for rows in chunks:
-            chunk = desired[rows]
-            signal_corr += _outer_sum(chunk[..., 3], chunk[..., 3])
-            cov_sum += cov[rows].sum(axis=0)
-            for n, (a, b) in enumerate(((3, 2), (3, 1), (2, 1))):
-                cross[n] += _outer_sum(chunk[..., a], chunk[..., b])
-            if spill > 0:
-                # The previous symbol's tail against the next one's precursor:
-                # only the (spill x spill) corner they share is nonzero.
-                for n, (a, b) in ((0, (2, 3)), (2, (1, 2))):
-                    cross[n, :spill, gain:] += _outer_sum(chunk[:, gain:, a],
-                                                          chunk[:, :spill, b])
-            opt_outer += _outer_sum(w_opt[rows], w_opt[rows])
-            min_mse += np.sum(squared_errors[rows], axis=0)
-            lag_cross += np.vdot(received[rows, :, 2], received[rows, :, 1])
-            lag_power += float(np.sum(power[rows]))
-            symbol_lag += float(ref[rows, 2] @ ref[rows, 1])
+        signal_corr += _outer_sum(desired[..., 3], desired[..., 3])
+        cov_sum += cov.sum(axis=0)
+        for n, (a, b) in enumerate(((3, 2), (3, 1), (2, 1))):
+            cross[n] += _outer_sum(desired[..., a], desired[..., b])
+        if spill > 0:
+            # The previous symbol's tail against the next one's precursor:
+            # only the (spill x spill) corner they share is nonzero.
+            for n, (a, b) in ((0, (2, 3)), (2, (1, 2))):
+                cross[n, :spill, gain:] += _outer_sum(desired[:, gain:, a],
+                                                      desired[:, :spill, b])
+        opt_outer += _outer_sum(w_opt, w_opt)
+        min_mse += np.sum(np.abs(errors) ** 2, axis=0)
+        lag_cross += np.vdot(received[..., 2], received[..., 1])
+        lag_power += float(np.sum(np.abs(received[..., 2]) ** 2))
+        symbol_lag += float(ref[:, 2] @ ref[:, 1])
 
     scale = 1.0 / ensemble_size
     diagnostics = {
@@ -244,24 +223,24 @@ def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.T @ np.conj(y)
 
 
-def _pair_range(variant: str) -> range:
-    if variant == "bidirectional":
-        return range(3)
-    if variant == "differential":
-        return range(1)
-    raise ValueError(f"variant must be one of {_VARIANTS}")
+def _pair_weights(weights) -> tuple[float, ...]:
+    """A receiver's pair weights, checked: one to three finite, non-negative values."""
+    weights = tuple(float(w) for w in weights)
+    if not (1 <= len(weights) <= 3 and all(0.0 <= w < np.inf for w in weights)):
+        raise ValueError(f"pair weights must be 1 to 3 finite, non-negative values: {weights}")
+    return weights
 
 
-def propagation_matrix(m: MomentMatrices, mu: float, variant: str) -> np.ndarray:
-    """Mean weight-error propagation matrix ``I + mu * sum(F_n - R_n)``.
+def propagation_matrix(m: MomentMatrices, mu: float, weights) -> np.ndarray:
+    """Mean weight-error propagation matrix ``I + mu * sum_n w_n (F_n - R_n)``.
 
-    The sum runs over the active pairs (three for the bidirectional
-    variant, one for the differential one).  The matrix is constant over a
-    run, so compute it once and pass it to :func:`k_step` and
-    :func:`g_step`; a non-contractive matrix is reported here, as a
-    warning.
+    ``weights`` are a receiver's pair weights (``harness._RECEIVERS``):
+    ``w_n`` weighs pair ``n`` of the three-sample window, and one weight
+    is the two-sample restriction.  The matrix is constant over a run, so
+    compute it once and pass it to :func:`k_step` and :func:`g_step`; a
+    non-contractive matrix is reported here, as a warning.
     """
-    propagation = _transition(m, mu, variant)
+    propagation = _transition(m, mu, weights)
     radius = float(np.max(np.abs(np.linalg.eigvals(propagation))))
     if radius > 1.0 + _SPECTRAL_TOL:
         warnings.warn(
@@ -270,49 +249,45 @@ def propagation_matrix(m: MomentMatrices, mu: float, variant: str) -> np.ndarray
     return propagation
 
 
-def _transition(m: MomentMatrices, mu: float, variant: str) -> np.ndarray:
-    bracket = np.zeros((m.dim, m.dim), dtype=np.complex128)
-    for n in _pair_range(variant):
-        bracket = bracket + (m.cross_terms[n] - m.autocorr_terms[n])
-    return np.eye(m.dim) + mu * bracket
+def _transition(m: MomentMatrices, mu: float, weights) -> np.ndarray:
+    terms = m.cross_terms - m.autocorr_terms
+    return np.eye(m.dim) + mu * sum(w * terms[n] for n, w in enumerate(_pair_weights(weights)))
 
 
-def k_step(state: AnalysisState, m: MomentMatrices, variant: str,
+def k_step(state: AnalysisState, m: MomentMatrices, weights,
            propagation: np.ndarray | None = None) -> AnalysisState:
     """One step of the filter-error covariance recursion.
 
-    ``K <- B K B^H + mu^2 * sum_n R_n J_n`` with ``B`` the
+    ``K <- B K B^H + mu^2 * sum_n w_n^2 J_n R_n`` with ``B`` the
     :func:`propagation_matrix` of the state's step size, computed (and
     checked) here unless given.  The output is re-symmetrized.
     """
     mu = state.step_size
     if propagation is None:
-        propagation = propagation_matrix(m, mu, variant)
-    updated = _k_update(state.weight_err_corr, propagation, _noise_term(m, mu, variant))
+        propagation = propagation_matrix(m, mu, weights)
+    updated = _k_update(state.weight_err_corr, propagation, _noise_term(m, mu, weights))
     return replace(state, weight_err_corr=updated)
 
 
-def g_step(state: AnalysisState, m: MomentMatrices, variant: str,
+def g_step(state: AnalysisState, m: MomentMatrices, weights,
            propagation: np.ndarray | None = None) -> AnalysisState:
     """One step of the optimum/error cross-correlation recursion.
 
-    ``G <- G * (mu * sum_n (F_n - R_n))``, that is ``B - I`` for the
+    ``G <- G * (mu * sum_n w_n (F_n - R_n))``, that is ``B - I`` for the
     :func:`propagation_matrix` ``B`` (computed here, without its check,
     unless given); the bracket omits the identity so the cross term
     decays whenever its spectral radius is below one.
     """
     if propagation is None:
-        propagation = _transition(m, state.step_size, variant)
+        propagation = _transition(m, state.step_size, weights)
     bracket = propagation - np.eye(m.dim)
     return replace(state, cross_corr=state.cross_corr @ bracket)
 
 
-def _noise_term(m: MomentMatrices, mu: float, variant: str) -> np.ndarray:
-    """``mu^2 * sum_n J_n R_n`` over the active pairs."""
-    noise = np.zeros((m.dim, m.dim), dtype=np.complex128)
-    for n in _pair_range(variant):
-        noise = noise + m.min_mse[n] * m.autocorr_terms[n]
-    return mu**2 * noise
+def _noise_term(m: MomentMatrices, mu: float, weights) -> np.ndarray:
+    """``mu^2 * sum_n (w_n w_n J_n) R_n`` over the weighted pairs."""
+    return mu**2 * sum((w * w * m.min_mse[n]) * m.autocorr_terms[n]
+                       for n, w in enumerate(_pair_weights(weights)))
 
 
 def _k_update(k: np.ndarray, propagation: np.ndarray, noise: np.ndarray) -> np.ndarray:
@@ -333,7 +308,7 @@ def analytical_sinr(state: AnalysisState, m: MomentMatrices) -> float:
     return float(_sinr_db(iterates[None], m)[0])
 
 
-def analytical_curve(m: MomentMatrices, mu: float, variant: str, length: int,
+def analytical_curve(m: MomentMatrices, mu: float, weights, length: int,
                      g_init: str = "identity") -> np.ndarray:
     """``(length,)`` SINR in dB after each of ``length`` K/G steps.
 
@@ -345,8 +320,8 @@ def analytical_curve(m: MomentMatrices, mu: float, variant: str, length: int,
     if any step is in a non-positive regime.
     """
     state = make_analysis_state(m.dim, mu, g_init)
-    propagation = propagation_matrix(m, mu, variant)
-    noise = _noise_term(m, mu, variant)
+    propagation = propagation_matrix(m, mu, weights)
+    noise = _noise_term(m, mu, weights)
     bracket = propagation - np.eye(m.dim)
     iterates = np.empty((length, 2, m.dim, m.dim), dtype=np.complex128)
     k, g = state.weight_err_corr, state.cross_corr

@@ -106,18 +106,16 @@ def main(argv=None) -> int:
             parser.error(f"--cache-dir: {existing} is not a directory")
     try:
         cfg = _config_from_args(args)
-        harness.check_experiment(args.command, cfg, getattr(args, "ensemble", None))
+        lags = None
+        if args.command == "channel-stats":
+            try:
+                lags = tuple(int(tok) for tok in args.lags.replace(",", " ").split())
+            except ValueError as exc:
+                raise ValueError(f"--lags: {exc}") from None
+        harness.check_experiment(args.command, cfg, getattr(args, "ensemble", None),
+                                 getattr(args, "samples", None), lags)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.command == "channel-stats":
-        try:
-            lags = tuple(int(tok) for tok in args.lags.replace(",", " ").split())
-        except ValueError as exc:
-            parser.error(f"--lags: {exc}")
-        if args.samples < 1:
-            parser.error("--samples must be at least 1")
-        if not lags or len(set(lags)) < len(lags) or not 0 <= min(lags) <= max(lags) < args.samples:
-            parser.error("--lags must list one or more distinct lags in [0, samples)")
     if args.command == "ber":
         records = harness.run_ber_curve(cfg)
         harness.emit_csv(records, args.out)

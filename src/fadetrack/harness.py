@@ -27,6 +27,7 @@ from .dscdma import (
     code_convolution_operator,
     conditional_covariance,
     isi_tail,  # noqa: F401  (unused; perfbench/test_perfbench.py traces harness.isi_tail)
+    modulate_differential,
     random_code,
     received_block,
 )
@@ -239,8 +240,7 @@ class _PacketDraws:
         self.data = 2.0 * data_rng.integers(0, 2, size=(cfg.users, cfg.packet_len)) - 1.0
         # Differential encoding over the packet: symbol 0 carries the
         # reference, data[i] rides the transition into symbol i.
-        differential = np.ones_like(self.data)
-        differential[:, 1:] = np.cumprod(self.data[:, 1:], axis=1)
+        differential = np.stack([modulate_differential(row[1:]).transmitted for row in self.data])
         self.symbols = {"coherent": self.data, "differential": differential}
         noise_rng = np.random.default_rng(noise_ss)
         shape = (cfg.gain + cfg.paths - 1, cfg.packet_len)
@@ -607,13 +607,16 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
 
 
 def check_experiment(experiment: str, cfg: ExperimentConfig,
-                     ensemble_size: int | None = None) -> None:
+                     ensemble_size: int | None = None, samples: int | None = None,
+                     lags=None) -> None:
     """Raise ``ValueError`` if ``cfg`` does not suit ``experiment`` (a CLI subcommand).
 
     These rules come on top of :class:`ExperimentConfig`'s own: each ``run_*``
     function applies them before any work, and the CLI reports them as usage
-    errors.  A grid the experiment does not sweep must hold one point, and
-    ``ensemble_size``, when given, is the ``analyze`` moment ensemble's size.
+    errors.  A grid the experiment does not sweep must hold one point;
+    ``ensemble_size``, when given, is the ``analyze`` moment ensemble's size;
+    ``samples`` and ``lags`` are ``channel-stats``' fading samples per rate
+    and its autocorrelation lags, one or more distinct lags in ``[0, samples)``.
     """
     unswept = {"ber": ("fading_grid",), "sinr-vs-fading": ("snr_db",),
                "analyze": ("fading_grid", "snr_db")}
@@ -630,6 +633,10 @@ def check_experiment(experiment: str, cfg: ExperimentConfig,
                   "sinr-vs-fading needs symbols after training")]
     elif experiment == "analyze" and ensemble_size is not None:
         rules = [(ensemble_size >= 10000, "analysis comparison needs an ensemble of at least 10^4")]
+    elif experiment == "channel-stats":
+        rules = [(samples >= 1, "--samples must be at least 1"),
+                 (len(set(lags)) == len(lags) > 0 and 0 <= min(lags) <= max(lags) < samples,
+                  "--lags must list one or more distinct lags in [0, samples)")]
     for ok, message in rules:
         if not ok:
             raise ValueError(message)
@@ -733,18 +740,16 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
     length = cfg.packet_len
 
     # Effective scalar step of the normalized update: mu over the mean
-    # input energy tracked by the normalization factor.  Equal mixing
-    # spreads it as mu/3 per pair in the three-sample tracker.
+    # input energy tracked by the normalization factor.  Each tracker's
+    # recursion weighs its pairs by the tracker's own mixing weights.
     mean_energy = float(np.real(np.trace(moments.autocorr_terms[0])))
     mu_eff = cfg.mu / mean_energy
-    pairs = {"bidirectional": ("bidir-nlms-equal", mu_eff / 3.0),
-             "differential": ("diff-nlms", mu_eff)}
+    names = ("bidir-nlms-equal", "diff-nlms")
 
     mmse_ratio = analysis.mmse_bound_db(moments)
     records = [MetricsRecord("analyze", "mmse-bound", float(rate), i, None, mmse_ratio, None,
                              cfg.seed) for i in range(length)]
 
-    names = [name for name, _ in pairs.values()]
     curves = {name: np.empty((cfg.packets, length)) for name in names}
     train_cfg = replace(cfg, train_len=cfg.packet_len)
     for lanes, runs in _simulate(train_cfg, [(rate, snr_db)], names, record_weights=True,
@@ -756,15 +761,16 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
                                     for corr in (moments.signal_corr, moments.interference_corr))
             curves[name][packets] = sig_power / int_power
 
-    for variant, (alg_name, mu_variant) in pairs.items():
-        curve = analysis.analytical_curve(moments, mu_variant, variant, length, g_init)
-        records += [MetricsRecord("analyze", f"{alg_name}-analytical", float(rate), i, None,
+    for name in names:
+        curve = analysis.analytical_curve(moments, mu_eff, _RECEIVERS[name].pair_weights,
+                                          length, g_init)
+        records += [MetricsRecord("analyze", f"{name}-analytical", float(rate), i, None,
                                   sinr, None, cfg.seed) for i, sinr in enumerate(curve.tolist())]
 
-        mean_linear = np.mean(curves[alg_name], axis=0)
-        per_packet_db = 10.0 * np.log10(np.maximum(curves[alg_name], _SINR_FLOOR))
+        mean_linear = np.mean(curves[name], axis=0)
+        per_packet_db = 10.0 * np.log10(np.maximum(curves[name], _SINR_FLOOR))
         ci = 1.96 * np.std(per_packet_db, axis=0) / np.sqrt(cfg.packets)
-        records += [MetricsRecord("analyze", alg_name, float(rate), i, None,
+        records += [MetricsRecord("analyze", name, float(rate), i, None,
                                   float(10.0 * np.log10(max(mean, _SINR_FLOOR))), half, cfg.seed)
                     for i, (mean, half) in enumerate(zip(mean_linear.tolist(), ci.tolist()))]
     return records
@@ -773,6 +779,7 @@ def run_analysis_comparison(cfg: ExperimentConfig, ensemble_size: int = 10000,
 def run_channel_stats(cfg: ExperimentConfig, samples: int = 200000,
                       lags=(1, 2, 5)) -> list[tuple]:
     """Empirical versus theoretical fading autocorrelation rows."""
+    check_experiment("channel-stats", cfg, samples=samples, lags=lags)
     rows = []
     for rate in cfg.fading_grid:
         config = FadingConfig(normalized_doppler=rate, num_paths=1, seed=cfg.seed)

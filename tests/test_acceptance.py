@@ -171,8 +171,8 @@ def test_criterion_5_degeneracy_equivalences():
     m = scalar_moments(r1=0.5, f1=0.3, j1=0.2, r2=0.0, f2=0.0, r3=0.0, f3=0.0)
     collapse = 0.0
     for step in (k_step, g_step):
-        a = step(make_analysis_state(1, 0.2), m, "bidirectional")
-        b = step(make_analysis_state(1, 0.2), m, "differential")
+        a = step(make_analysis_state(1, 0.2), m, (1.0, 1.0, 1.0))
+        b = step(make_analysis_state(1, 0.2), m, (1.0,))
         collapse = max(collapse,
                        float(np.max(np.abs(a.weight_err_corr - b.weight_err_corr))),
                        float(np.max(np.abs(a.cross_corr - b.cross_corr))))

@@ -182,7 +182,7 @@ class TestChunkedEnsemble:
         assert (a.p_s_opt, a.p_i_opt) == (b.p_s_opt, b.p_i_opt)
         assert a.diagnostics == b.diagnostics
 
-    @pytest.mark.parametrize("size", [1008, 1000, 1001, 1017])  # 1008 = 63 chunks
+    @pytest.mark.parametrize("size", [1008, 1000, 1001, 1017])  # each ends in a ragged chunk
     def test_every_member_drawn_once(self, size, monkeypatch):
         chunks = []
         draw = analysis.fading_windows
@@ -200,20 +200,6 @@ class TestChunkedEnsemble:
         products = round(m.diagnostics["lag1_symbol_corr"] * size)
         assert abs(products) <= size and (products - size) % 2 == 0
         assert m.diagnostics["ensemble_size"] == size
-
-    @pytest.mark.parametrize("include_isi", [True, False])
-    @pytest.mark.parametrize("size", [1000, 1017])  # 63 chunks; 64 with a ragged one
-    def test_pass_size_leaves_every_bit(self, size, include_isi, monkeypatch):
-        scenario = replace(MODEL_SCENARIO, include_isi=include_isi)
-        default = estimate_moment_matrices(scenario, size, seed=4)
-        for chunks in (1, 3):
-            monkeypatch.setattr(analysis, "_PASS_CHUNKS", chunks)
-            m = estimate_moment_matrices(scenario, size, seed=4)
-            for f in fields(MomentMatrices):
-                if f.name == "diagnostics":
-                    assert m.diagnostics == default.diagnostics
-                else:
-                    assert np.array_equal(getattr(m, f.name), getattr(default, f.name)), f.name
 
     # The version-1 estimator (one generator per member, one
     # generate_fading call per user) at seeds 0-9 on this scenario with
@@ -245,7 +231,7 @@ class TestKStep:
     def test_zero_step_freezes(self):
         m = scalar_moments(r1=0.5, f1=0.3, j1=0.2)
         state = make_analysis_state(1, step_size=0.0)
-        out = k_step(state, m, "bidirectional")
+        out = k_step(state, m, (1.0, 1.0, 1.0))
         assert np.allclose(out.weight_err_corr, state.weight_err_corr)
 
     def test_scalar_hand_recursion(self):
@@ -254,7 +240,7 @@ class TestKStep:
         m = scalar_moments(r1=0.5, f1=0.25, r2=0.25, f2=0.0, r3=0.0, f3=0.0,
                            j1=0.2, j2=0.0, j3=0.0)
         state = make_analysis_state(1, step_size=1.0)
-        out = k_step(state, m, "bidirectional")
+        out = k_step(state, m, (1.0, 1.0, 1.0))
         assert out.weight_err_corr[0, 0] == pytest.approx(0.35)
 
     def test_degenerate_collapse_to_differential(self):
@@ -269,8 +255,8 @@ class TestKStep:
             cross_terms=np.stack([f1, zero, zero]).astype(complex),
             min_mse=np.array([0.3, 0.0, 0.0]), p_s_opt=1.0, p_i_opt=1.0)
         for step in (k_step, g_step):
-            a = step(make_analysis_state(dim, 0.05), m, "bidirectional")
-            b = step(make_analysis_state(dim, 0.05), m, "differential")
+            a = step(make_analysis_state(dim, 0.05), m, (1.0, 1.0, 1.0))
+            b = step(make_analysis_state(dim, 0.05), m, (1.0,))
             assert np.allclose(a.weight_err_corr, b.weight_err_corr, atol=1e-12)
             assert np.allclose(a.cross_corr, b.cross_corr, atol=1e-12)
 
@@ -279,7 +265,7 @@ class TestKStep:
         mu = 0.05 / float(np.real(np.trace(m.autocorr_terms[0])))
         state = make_analysis_state(m.dim, mu)
         for _ in range(200):
-            state = k_step(state, m, "bidirectional")
+            state = k_step(state, m, (1.0, 1.0, 1.0))
             k = state.weight_err_corr
             assert np.max(np.abs(k - k.conj().T)) < 1e-8
             assert np.min(np.linalg.eigvalsh(k)) > -1e-8
@@ -288,12 +274,12 @@ class TestKStep:
         m = scalar_moments(r1=0.0, f1=1.0)  # B = 1 + mu > 1
         state = make_analysis_state(1, step_size=0.5)
         with pytest.warns(RuntimeWarning):
-            k_step(state, m, "bidirectional")
+            k_step(state, m, (1.0, 1.0, 1.0))
 
     def test_given_propagation_is_bit_identical(self, single_user_moments):
         _, m = single_user_moments
         mu = 0.05 / float(np.real(np.trace(m.autocorr_terms[0])))
-        for variant in ("bidirectional", "differential"):
+        for variant in ((1.0, 1.0, 1.0), (1.0,)):
             plain = hoisted = make_analysis_state(m.dim, mu)
             propagation = propagation_matrix(m, mu, variant)
             for _ in range(50):
@@ -307,19 +293,19 @@ class TestKStep:
         m = scalar_moments(r1=0.0, f1=1.0)
         state = make_analysis_state(1, step_size=0.5)
         with pytest.warns(RuntimeWarning):
-            propagation = propagation_matrix(m, 0.5, "bidirectional")
+            propagation = propagation_matrix(m, 0.5, (1.0, 1.0, 1.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(3):
-                state = k_step(state, m, "bidirectional", propagation)
-                state = g_step(state, m, "bidirectional", propagation)
+                state = k_step(state, m, (1.0, 1.0, 1.0), propagation)
+                state = g_step(state, m, (1.0, 1.0, 1.0), propagation)
 
 
 class TestGStep:
     def test_zero_step_zeroes_cross(self):
         m = scalar_moments(r1=0.5, f1=0.3)
         state = make_analysis_state(1, step_size=0.0)
-        out = g_step(state, m, "bidirectional")
+        out = g_step(state, m, (1.0, 1.0, 1.0))
         assert np.allclose(out.cross_corr, 0.0)
 
     def test_scalar_power(self):
@@ -327,7 +313,7 @@ class TestGStep:
         m = scalar_moments(r1=0.5, f1=0.8)  # mu*(F1-R1) = 0.3 at mu=1
         state = make_analysis_state(1, step_size=1.0)
         for _ in range(3):
-            state = g_step(state, m, "bidirectional")
+            state = g_step(state, m, (1.0, 1.0, 1.0))
         assert state.cross_corr[0, 0] == pytest.approx(0.027)
 
     def test_contractive_bracket_decays(self, single_user_moments):
@@ -336,7 +322,7 @@ class TestGStep:
         state = make_analysis_state(m.dim, mu)
         norms = []
         for _ in range(400):
-            state = g_step(state, m, "bidirectional")
+            state = g_step(state, m, (1.0, 1.0, 1.0))
             norms.append(np.linalg.norm(state.cross_corr))
         # Matrix-power oracle: the norm decays monotonically to zero once
         # the bracket's spectral radius is below one.
@@ -383,7 +369,8 @@ class TestAnalyticalSinr:
 
 class TestAnalyticalCurve:
     @pytest.mark.parametrize("g_init", ["identity", "zero"])
-    @pytest.mark.parametrize("variant", ["bidirectional", "differential"])
+    @pytest.mark.parametrize("variant", [(1.0, 1.0, 1.0), (1.0,)],
+                             ids=["bidirectional", "differential"])
     def test_equals_the_step_loop(self, single_user_moments, variant, g_init):
         _, m = single_user_moments
         mu = 0.2 / float(np.real(np.trace(m.autocorr_terms[0])))
@@ -395,14 +382,34 @@ class TestAnalyticalCurve:
             steps.append(analytical_sinr(state, m))
         assert np.array_equal(analytical_curve(m, mu, variant, 120, g_init), steps)
 
+    def test_equal_thirds_scale_the_step(self, single_user_moments):
+        # Weights of 1/3 on every pair are a third of the step on unit weights.
+        _, m = single_user_moments
+        mu = 0.2 / float(np.real(np.trace(m.autocorr_terms[0])))
+        thirds = analytical_curve(m, mu, (1.0 / 3.0,) * 3, 300)
+        units = analytical_curve(m, mu / 3.0, (1.0, 1.0, 1.0), 300)
+        assert np.max(np.abs(thirds - units)) < 1e-12
+
+    @pytest.mark.parametrize("weights", [(), (0.25,) * 4, (1.0, -0.5), (np.nan,),
+                                         (1.0, np.inf, 1.0)])
+    def test_bad_weights_raise(self, weights):
+        m = scalar_moments(r1=0.5, f1=0.3, j1=0.2)
+        state = make_analysis_state(1, 0.1)
+        for call in (lambda: propagation_matrix(m, 0.1, weights),
+                     lambda: k_step(state, m, weights),
+                     lambda: g_step(state, m, weights),
+                     lambda: analytical_curve(m, 0.1, weights, 3)):
+            with pytest.raises(ValueError, match="pair weights"):
+                call()
+
     def test_non_positive_regime_raises(self):
         m = scalar_moments(rs=1.0, ri=1.0, ps=1.0, pi=-2.0)
         with pytest.raises(ValueError):
-            analytical_curve(m, 0.1, "bidirectional", 5, "zero")
+            analytical_curve(m, 0.1, (1.0, 1.0, 1.0), 5, "zero")
 
     def test_non_contractive_configuration_warns(self):
         with pytest.warns(RuntimeWarning):
-            analytical_curve(scalar_moments(r1=0.0, f1=1.0), 0.5, "bidirectional", 3)
+            analytical_curve(scalar_moments(r1=0.0, f1=1.0), 0.5, (1.0, 1.0, 1.0), 3)
 
 
 class TestSimulatedSinr:

@@ -737,8 +737,19 @@ class TestRunChannelStats:
         (["--lags", ""], "--lags"),
         (["--lags", "1,1"], "--lags"),
         (["--lags", "1,x"], "--lags:"),
+        # Library calls: run_channel_stats rejects them before drawing anything.
+        ({"samples": 0}, "--samples"),
+        ({"samples": 2000, "lags": (1, 1)}, "--lags"),
+        ({"samples": 2000, "lags": ()}, "--lags"),
+        ({"samples": 10, "lags": (1, 10)}, "--lags"),
+        ({"lags": (-1, 2)}, "--lags"),
     ])
-    def test_bad_arguments_rejected_by_cli(self, extra, message, tmp_path, capsys):
+    def test_bad_arguments_rejected_by_cli(self, extra, message, tmp_path, capsys, monkeypatch):
+        if isinstance(extra, dict):
+            monkeypatch.setattr("fadetrack.harness.generate_fading", None)
+            with pytest.raises(ValueError, match=message):
+                run_channel_stats(ExperimentConfig(**SMALL), **extra)
+            return
         from fadetrack.cli import main
         out = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as exc:
