@@ -121,8 +121,7 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
 
     Spreading codes are the scenario's fixed set; each ensemble member
     draws a five-symbol fading window per user (exact Clarke Gaussian
-    vectors from :func:`fading_windows`, so ``num_oscillators`` plays no
-    part here), symbols and noise.
+    vectors from :func:`fading_windows`), symbols and noise.
     Matrix moments are accumulated through their conditional
     (channel-given) expectations, which are exact in the symbols and
     noise; the optimum-filter pair errors are sampled.  Members are drawn
@@ -148,12 +147,8 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     lag_power = 0.0
     symbol_lag = 0.0
 
-    operators = np.stack([
-        scenario.user_amplitude(k) * code_convolution_operator(code, scenario.paths)
-        for k, code in enumerate(scenario.codes())])
-    fading = FadingConfig(normalized_doppler=scenario.fading_rate, num_paths=scenario.paths,
-                          power_profile=scenario.power_profile,
-                          num_oscillators=scenario.num_oscillators)
+    operators = np.stack([code_convolution_operator(c, scenario.paths) for c in scenario.codes()])
+    fading = FadingConfig(normalized_doppler=scenario.fading_rate, num_paths=scenario.paths)
     n_chunks = -(-ensemble_size // _CHUNK_MEMBERS)
     children = np.random.SeedSequence([int(seed), ensemble_size]).spawn(n_chunks)
     for c, child in enumerate(children):
@@ -392,14 +387,15 @@ def load_moments(base: Path) -> MomentMatrices:
 
 def load_or_estimate(scenario: ChannelScenario, ensemble_size: int, seed: int = 0,
                      cache_dir: str | Path | None = None) -> MomentMatrices:
-    """Estimate moments, reusing a disk cache keyed by the configuration."""
+    """Estimate moments, reusing a disk cache keyed by the configuration; the
+    directory is made only to save an estimate, so a failed one leaves none."""
     if cache_dir is None:
         return estimate_moment_matrices(scenario, ensemble_size, seed)
     cache = Path(cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
     base = cache / _cache_key(scenario, ensemble_size, seed)
     if base.with_suffix(".npz").exists() and base.with_suffix(".json").exists():
         return load_moments(base)
     moments = estimate_moment_matrices(scenario, ensemble_size, seed)
+    cache.mkdir(parents=True, exist_ok=True)
     save_moments(moments, base)
     return moments

@@ -102,11 +102,11 @@ class ReceivedVector:
 class SymbolStream:
     """Data symbols and the transmitted symbols they map to.
 
-    In coherent mode ``transmitted`` equals ``data``.  In differential
-    mode ``transmitted`` carries a reference symbol at index 0 and
-    ``transmitted[i] = data[i-1] * transmitted[i-1]`` for ``i >= 1``:
-    ``data[j]`` is the symbol carried by the sign transition between
-    transmitted symbols ``j`` and ``j + 1``.
+    Symbols run along the last axis; leading axes stack streams.  In
+    coherent mode ``transmitted`` equals ``data``.  In differential mode
+    ``transmitted[..., 0]`` is a reference and ``transmitted[..., i] =
+    data[..., i-1] * transmitted[..., i-1]`` for ``i >= 1``: ``data[..., j]``
+    rides the sign transition between transmitted symbols ``j`` and ``j + 1``.
     """
 
     data: np.ndarray
@@ -125,9 +125,9 @@ class SymbolStream:
             if not np.array_equal(data, transmitted):
                 raise ValueError("coherent stream must transmit the data unchanged")
         elif self.mode == "differential":
-            if transmitted.size != data.size + 1:
+            if data.ndim == 0 or transmitted.shape != (*data.shape[:-1], data.shape[-1] + 1):
                 raise ValueError("differential stream must carry a leading reference")
-            if not np.array_equal(transmitted[1:], data * transmitted[:-1]):
+            if not np.array_equal(transmitted[..., 1:], data * transmitted[..., :-1]):
                 raise ValueError("differential recursion violated")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -144,18 +144,18 @@ def modulate_coherent(data) -> SymbolStream:
 def modulate_differential(data, reference: float = 1.0) -> SymbolStream:
     """Differentially encode ``+-1`` data onto a reference symbol.
 
-    ``transmitted[0]`` is the reference; each later symbol is the product
-    of the previous one and the data symbol it carries, so detection from
-    the ratio of adjacent symbols inverts the mapping.
+    ``transmitted[..., 0]`` is the reference; each later symbol along the
+    last axis is the product of the previous one and the data symbol it
+    carries, so detection from the ratio of adjacent symbols inverts it.
     """
     data = np.asarray(data, dtype=np.float64)
-    if data.size == 0:
+    if data.ndim == 0 or data.size == 0:
         raise ValueError("data must be nonempty")
     if reference not in (-1.0, 1.0):
         raise ValueError("reference must be +-1")
-    transmitted = np.empty(data.size + 1)
-    transmitted[0] = reference
-    transmitted[1:] = reference * np.cumprod(data)
+    transmitted = np.empty((*data.shape[:-1], data.shape[-1] + 1))
+    transmitted[..., 0] = reference
+    transmitted[..., 1:] = reference * np.cumprod(data, axis=-1)
     return SymbolStream(data=data, transmitted=transmitted, mode="differential")
 
 
@@ -345,11 +345,9 @@ def detect_differential(z_now: complex, z_prev: complex) -> int:
 class ChannelScenario:
     """Physical configuration of one uplink simulation cell.
 
-    Amplitudes default to unity for every user; the signal-to-noise ratio
-    is ``amplitude**2 / noise_variance`` with unit total channel power.
-    ``num_oscillators`` shapes only the simulated packets' sum-of-sinusoids
-    fading; the moment ensemble draws exact Gaussian windows, but the
-    field stays in the moment-cache key.
+    Exactly what an experiment sets: every user has unit amplitude and
+    equal path powers, as in the simulated packets, so the signal-to-noise
+    ratio is ``1 / noise_variance`` with unit total channel power.
     """
 
     users: int
@@ -358,10 +356,6 @@ class ChannelScenario:
     snr_db: float
     fading_rate: float
     include_isi: bool = True
-    num_oscillators: int = 64
-    amplitude: float = 1.0
-    interferer_amplitude: float = 1.0
-    power_profile: tuple[float, ...] | None = None
     code_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -375,8 +369,8 @@ class ChannelScenario:
             raise ValueError("fading_rate must be finite and nonnegative")
         if not -np.inf < self.snr_db < np.inf:
             raise ValueError("snr_db must be finite")
-        if not (0 < self.amplitude < np.inf and 0 < self.interferer_amplitude < np.inf):
-            raise ValueError("amplitudes must be finite and positive")
+        if self.code_seed < 0:
+            raise ValueError("code_seed must be nonnegative")
 
     @property
     def window(self) -> int:
@@ -384,10 +378,7 @@ class ChannelScenario:
 
     @property
     def noise_variance(self) -> float:
-        return self.amplitude**2 / 10.0 ** (self.snr_db / 10.0)
-
-    def user_amplitude(self, k: int) -> float:
-        return self.amplitude if k == 0 else self.interferer_amplitude
+        return 1.0 / 10.0 ** (self.snr_db / 10.0)
 
     def codes(self) -> list[SpreadingCode]:
         """The scenario's fixed spreading codes, drawn from ``code_seed``."""

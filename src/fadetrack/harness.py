@@ -240,7 +240,7 @@ class _PacketDraws:
         self.data = 2.0 * data_rng.integers(0, 2, size=(cfg.users, cfg.packet_len)) - 1.0
         # Differential encoding over the packet: symbol 0 carries the
         # reference, data[i] rides the transition into symbol i.
-        differential = np.stack([modulate_differential(row[1:]).transmitted for row in self.data])
+        differential = modulate_differential(self.data[:, 1:]).transmitted
         self.symbols = {"coherent": self.data, "differential": differential}
         noise_rng = np.random.default_rng(noise_ss)
         shape = (cfg.gain + cfg.paths - 1, cfg.packet_len)
@@ -259,8 +259,7 @@ class _PacketDraws:
                                       np.sqrt(1.0 / cfg.paths), dtype=complex)
             else:
                 self._gains = np.stack([generate_fading(FadingConfig(
-                    normalized_doppler=rate, num_paths=cfg.paths,
-                    num_oscillators=scenario.num_oscillators, seed=fade_seed,
+                    normalized_doppler=rate, num_paths=cfg.paths, seed=fade_seed,
                 ), cfg.packet_len).gains for fade_seed in self._fade_seeds])
             self._rate = rate
         return self._gains
@@ -291,7 +290,7 @@ class _Chunk:
                                    fading_rate=fading_rate, include_isi=cfg.isi)
         variance = scenario.noise_variance
         gains = draws.gains(scenario)
-        signatures = draws.operators @ gains  # (K, M, T); every amplitude is the default 1
+        signatures = draws.operators @ gains  # (K, M, T)
         noise = np.sqrt(variance / 2.0) * draws.unit_noise
         for mode, received in self.received.items():
             received[j] = received_block(signatures, draws.symbols[mode], cfg.gain,
@@ -631,8 +630,10 @@ def check_experiment(experiment: str, cfg: ExperimentConfig,
                  (cfg.train_len >= 1, "sinr-vs-fading needs a training prefix"),
                  (cfg.train_len < cfg.packet_len,
                   "sinr-vs-fading needs symbols after training")]
-    elif experiment == "analyze" and ensemble_size is not None:
-        rules = [(ensemble_size >= 10000, "analysis comparison needs an ensemble of at least 10^4")]
+    elif experiment == "analyze":
+        rules = [(cfg.fading_grid[0] > 0, "analyze needs a positive fading rate"),
+                 (ensemble_size is None or ensemble_size >= 10000,
+                  "analysis comparison needs an ensemble of at least 10^4")]
     elif experiment == "channel-stats":
         rules = [(samples >= 1, "--samples must be at least 1"),
                  (len(set(lags)) == len(lags) > 0 and 0 <= min(lags) <= max(lags) < samples,

@@ -91,29 +91,26 @@ class TestEstimateMomentMatrices:
         assert abs(m.diagnostics["lag1_symbol_corr"]) < 0.1
 
 
-# Scenario with ISI, unequal path powers and a stronger interferer, at a
-# fading rate where the lag-1 and lag-2 correlations (0.904, 0.643) are
-# far from one.
+# Scenario with ISI at a fading rate where the lag-1 and lag-2
+# correlations (0.904, 0.643) are far from one.
 MODEL_SCENARIO = ChannelScenario(users=2, gain=4, paths=3, snr_db=10.0, fading_rate=0.1,
-                                 include_isi=True, interferer_amplitude=1.3,
-                                 power_profile=(0.5, 0.3, 0.2), code_seed=2)
+                                 include_isi=True, code_seed=2)
 
 
 def model_moments(scenario, with_doppler=True, with_isi=True):
     """Closed-form means of the ensemble matrices.
 
     Under the sum-of-sinusoids model with a uniform random rotation every
-    path is zero-mean with power ``p_l``, paths are uncorrelated and the
+    path is zero-mean with power ``1/L``, paths are uncorrelated and the
     lag-``m`` correlation is exactly ``J0(2 pi fd m)``.  With
-    ``S_k = A_k^2 C_k diag(p) C_k^T`` the signature correlation of user k,
+    ``S_k = C_k C_k^T / L`` the signature correlation of user k,
     the tail and precursor of a symbol fill the corners of the window
     they spill into.
     """
     gain, window = scenario.gain, scenario.window
     spill = window - gain
-    corr = [scenario.user_amplitude(k) ** 2 * op @ np.diag(scenario.power_profile) @ op.T
-            for k, op in enumerate(code_convolution_operator(c, scenario.paths)
-                                   for c in scenario.codes())]
+    corr = [op @ op.T / scenario.paths
+            for op in (code_convolution_operator(c, scenario.paths) for c in scenario.codes())]
 
     def spilled(s):
         out = np.zeros_like(s)
@@ -495,16 +492,15 @@ class TestMomentCache:
         assert loaded.p_s_opt == fresh.p_s_opt
         assert len(list(tmp_path.glob("*.npz"))) == 2
 
-    # Digests from when the key listed the scenario's fields one by one, at estimator
-    # version 4: the key's format is unchanged, so with that version they still match.
+    # Digests of the seven-field scenario at estimator version 4: the key's format is
+    # fixed, so with that version they still match.
     PINNED = [
         (dict(users=5, gain=16, paths=3, snr_db=15.0, fading_rate=0.005, code_seed=20240801),
-         10000, 20240801, "1030863fe4fff29511dfc31d"),
+         10000, 20240801, "446885a148f8ae25bbef1f82"),
         (dict(users=3, gain=8, paths=2, snr_db=7.5, fading_rate=0.02, include_isi=False,
-              num_oscillators=32, amplitude=2.0, interferer_amplitude=0.5,
-              power_profile=(0.75, 0.25), code_seed=9), 1000, 3, "46c8f0179ad3fa2df806c81c"),
+              code_seed=9), 1000, 3, "55ff3d06f252f05b3400a581"),
         (dict(users=1, gain=4, paths=1, snr_db=0.0, fading_rate=0.0), 1000, 0,
-         "fe71e0ffe3de0a93a9efd2d5"),
+         "906f7a67146c94b2ba6a5c60"),
     ]
 
     @pytest.mark.parametrize("scenario, ensemble, seed, digest", PINNED,
@@ -521,6 +517,24 @@ class TestMomentCache:
             other = (not value if isinstance(value, bool) else (1.0,) if value is None
                      else value + 1)
             assert analysis._cache_key(replace(base, **{f.name: other}), 1000, 0) != key, f.name
+
+    def test_every_scenario_field_changes_the_moments(self):
+        # No field is only a key: each one reaches the estimate.
+        base = ChannelScenario(users=3, gain=8, paths=2, snr_db=7.5, fading_rate=0.02)
+        moments = estimate_moment_matrices(base, 1000)
+        for f in fields(ChannelScenario):
+            value = getattr(base, f.name)
+            other = estimate_moment_matrices(
+                replace(base, **{f.name: not value if isinstance(value, bool) else value + 1}),
+                1000)
+            assert not all(np.array_equal(getattr(moments, g.name), getattr(other, g.name))
+                           for g in fields(MomentMatrices)), f.name
+
+    def test_failed_estimate_leaves_no_directory(self, tmp_path):
+        scenario = ChannelScenario(users=1, gain=4, paths=1, snr_db=10.0, fading_rate=0.01)
+        with pytest.raises(ValueError, match="floor"):
+            load_or_estimate(scenario, 999, cache_dir=tmp_path / "cache" / "nested")
+        assert list(tmp_path.iterdir()) == []
 
     def test_files_round_trip_every_field(self, tmp_path):
         rng = np.random.default_rng(5)

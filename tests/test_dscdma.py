@@ -9,6 +9,7 @@ from fadetrack.dscdma import (
     ChannelScenario,
     ReceivedVector,
     SpreadingCode,
+    SymbolStream,
     UserParams,
     build_channel_matrix,
     code_convolution_operator,
@@ -55,8 +56,7 @@ class TestChannelScenario:
     @pytest.mark.parametrize("field, value", [
         ("fading_rate", float("nan")), ("fading_rate", float("inf")), ("fading_rate", -0.1),
         ("snr_db", float("nan")), ("snr_db", float("inf")), ("snr_db", -float("inf")),
-        ("amplitude", float("nan")), ("amplitude", float("inf")), ("amplitude", 0.0),
-        ("interferer_amplitude", float("nan")),
+        ("code_seed", -1),
     ])
     def test_bad_value_rejected(self, field, value):
         fields = dict(users=2, gain=4, paths=1, snr_db=10.0, fading_rate=0.01)
@@ -118,6 +118,24 @@ class TestModulation:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             modulate_differential([], reference=1)
+
+    def test_stacked_streams_equal_the_row_streams(self):
+        rng = np.random.default_rng(13)
+        data = 2.0 * rng.integers(0, 2, size=(5, 40)) - 1.0
+        for reference in (1.0, -1.0):
+            stacked = modulate_differential(data, reference=reference).transmitted
+            rows = [modulate_differential(row, reference=reference).transmitted for row in data]
+            assert stacked.shape == (5, 41)
+            assert np.array_equal(stacked, np.stack(rows))
+
+    def test_stacked_stream_with_one_broken_row_rejected(self):
+        data = np.ones((3, 6))
+        transmitted = modulate_differential(data).transmitted.copy()
+        transmitted[1, 4] = -transmitted[1, 4]
+        with pytest.raises(ValueError, match="recursion"):
+            SymbolStream(data=data, transmitted=transmitted, mode="differential")
+        with pytest.raises(ValueError, match="reference"):
+            SymbolStream(data=data, transmitted=transmitted[:, 1:], mode="differential")
 
 
 class TestDetectors:

@@ -263,7 +263,8 @@ class TestConfigHandling:
         (["sinr-vs-fading", "--fading-grid", "0.001,0.02", "--train-len", "10"],
          "after training"),
         (["analyze", "--fading-grid", "0.005", "--ensemble", "9999"], "10^4"),
-    ], ids=["span", "prefix", "after-training", "ensemble"])
+        (["analyze", "--fading-grid", "0"], "positive fading rate"),
+    ], ids=["span", "prefix", "after-training", "ensemble", "zero-rate"])
     def test_experiment_rule_is_a_usage_error(self, argv, message, tmp_path, capsys,
                                               monkeypatch):
         # The run_* functions' own rules, checked by the CLI before any work.
@@ -805,6 +806,25 @@ class TestRunAnalysisComparison:
         analytical = [r.sinr_db for r in records
                       if r.algorithm == "bidir-nlms-equal-analytical"]
         assert len(set(np.round(analytical, 9))) == 1
+
+    def test_zero_rate_rejected_before_any_packet_or_ensemble(self, monkeypatch):
+        # At rate 0 the packets see a fixed AWGN channel, the ensemble static Rayleigh fading.
+        import fadetrack.harness as harness
+
+        def no_packets(*args, **kwargs):
+            raise AssertionError("a packet or ensemble ran")
+
+        monkeypatch.setattr(harness, "_PacketDraws", no_packets)
+        monkeypatch.setattr(harness.analysis, "load_or_estimate", no_packets)
+        cfg = ExperimentConfig(**{**SMALL, "fading_grid": (0.0,)})
+        with pytest.raises(ValueError, match="positive fading rate"):
+            run_analysis_comparison(cfg)
+        with pytest.raises(ValueError, match="positive fading rate"):
+            harness.check_experiment("analyze", cfg)
+        # The ensemble rule applies only when a size is given.
+        harness.check_experiment("analyze", replace(cfg, fading_grid=(0.005,)))
+        with pytest.raises(ValueError, match="10\\^4"):
+            harness.check_experiment("analyze", replace(cfg, fading_grid=(0.005,)), 9999)
 
 
 class TestCliDeterminism:
