@@ -372,8 +372,8 @@ class _RlsLanes:
         self.inv_corr = np.repeat(np.eye(dim, dtype=np.complex128)[None] / cfg.delta, lanes, axis=0)
 
     def update(self, window, symbols, outputs) -> None:
-        self.weights, self.inv_corr = rls_lanes(self.weights, self.inv_corr, self.forget,
-                                                window[..., -1], symbols[..., -1], outputs)
+        self.weights = rls_lanes(self.weights, self.inv_corr, self.forget, window[..., -1],
+                                 symbols[..., -1], outputs)
 
 
 class _PairLanes:
@@ -407,7 +407,7 @@ class _PairLanes:
         return self.mixing
 
     def rescale(self, gamma) -> None:
-        self.weights = gamma[..., None] * self.weights
+        self.weights *= gamma[..., None]
 
 
 class _PairNlmsLanes(_PairLanes):
@@ -426,13 +426,17 @@ class _PairNlmsLanes(_PairLanes):
 
 class _CgLanes(_PairLanes):
     """Correlation recursions re-solved by warm-started conjugate gradients.  With +-1
-    symbols, the receivers share one ``(lanes, 2, M, M)`` autocorrelation pair."""
+    symbols, the receivers share one ``(3, lanes, M, M)`` autocorrelation stack and
+    the newest sample's outer product, which the first update (symbol 1) finds as
+    ``r[0] r[0]^H``.  The kernel updates all three statistics in place."""
 
     def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
         super().__init__(specs, cfg, w_init)
         lanes, dim = w_init.shape[-2:]
-        self.autocorr = np.zeros((lanes, 2, dim, dim), dtype=np.complex128)
+        self.autocorr = np.zeros((3, lanes, dim, dim), dtype=np.complex128)
         self.autocorr[...] = cfg.delta * np.eye(dim)
+        first = received[..., 0]
+        self.outer = first[..., :, None] * np.conj(first)[..., None, :]
         self.crosscorr = np.zeros((*w_init.shape[:-1], 3, dim), dtype=np.complex128)
         self.cfg = cfg
 
@@ -440,14 +444,14 @@ class _CgLanes(_PairLanes):
         # Pair errors only of the receivers whose mixing follows them.
         rho = self.mix(window, lambda k: pair_errors_lanes(self.weights[k], window, symbols[k]))
         cfg = self.cfg
-        self.autocorr, self.crosscorr, self.weights = cg_step_lanes(
-            self.autocorr, self.crosscorr, self.weights, cfg.lambda_cg, cfg.jmax,
+        self.weights = cg_step_lanes(
+            self.autocorr, self.outer, self.crosscorr, self.weights, cfg.lambda_cg, cfg.jmax,
             cfg.cg_loading, rho, window, symbols, cfg.paper_literal_t1)
 
     def rescale(self, gamma) -> None:
         super().rescale(gamma)
         # The cross vectors are linear in the filter, so they rescale too.
-        self.crosscorr = gamma[..., None, None] * self.crosscorr
+        self.crosscorr *= gamma[..., None, None]
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,9 @@ Kernels reduce along non-lane axes only, so a lane's bits never depend
 on the other lanes.  They can depend on the memory layout of its
 operands: a dot product with a strided window column may differ in the
 last bit from one with a contiguous copy, so callers keep one layout.
+The RLS and CG kernels update the caller's state arrays in place, as
+their docstrings say (the RLS inverse; the CG autocorrelations, the
+newest outer product and the cross vectors), and return the new filters.
 Two plain per-symbol functions remain: :func:`update_mixing`, the
 reference :func:`mixing_lanes` is pinned to, and :func:`cg_solve`, one
 system at a time.
@@ -131,10 +134,11 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 def _real_mix(rho: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """``sum_p rho[..., p] * terms[..., p, :]`` of complex ``(..., P, K)`` terms, real
-    weights, one BLAS call per lane.  Both operands are made C-contiguous first, so
-    the bits do not depend on the layout of the weights or the terms."""
+    weights, one BLAS call per lane.  The weights are made C-contiguous first; the
+    terms are read in place, each lane's ``K`` values unit-strided, which BLAS sums
+    the same whatever the stride between its ``P`` rows."""
     weights = np.ascontiguousarray(rho)[..., None, :]
-    flat = np.ascontiguousarray(terms).view(np.float64)
+    flat = terms.view(np.float64)
     return np.matmul(weights, flat)[..., 0, :].view(np.complex128)
 
 
@@ -185,11 +189,12 @@ def mixing_lanes(rho: np.ndarray, errors: np.ndarray, total: np.ndarray,
     if num == 1:
         return rho.copy()
     silent = total == 0.0
-    scale = np.where(silent, 1.0, total)[..., None]
+    some_silent = silent.any()  # each select runs only when some lane is silent
+    scale = (np.where(silent, 1.0, total) if some_silent else total)[..., None]
     innovation = (scale - np.abs(errors)) / ((num - 1) * scale)
     mixed = np.maximum(forget * rho + (1.0 - forget) * innovation, 0.0)
     mixed = mixed / mixed.sum(axis=-1, keepdims=True)
-    return np.where(silent[..., None], rho, mixed)
+    return np.where(silent[..., None], rho, mixed) if some_silent else mixed
 
 
 def pair_nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: float,
@@ -233,8 +238,8 @@ def nlms_lanes(w: np.ndarray, power: np.ndarray, step_size: float, norm_forget: 
 
 
 def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
-              ref: np.ndarray, output: np.ndarray):
-    """One exponentially weighted least-squares update; returns ``(w, inv_corr)``.
+              ref: np.ndarray, output: np.ndarray) -> np.ndarray:
+    """One exponentially weighted least-squares update; returns the new ``w``.
 
     With ``output = w^H x`` of every lane and ``P`` the inverse correlation,
 
@@ -242,29 +247,32 @@ def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
         w <- w + k conj(ref - output),
         P <- (P - k (P x)^H) / lambda.
 
-    Lanes with a zero observation keep their state.  An inverse whose
-    Hermitian asymmetry exceeds ``1e-6`` is re-symmetrized, lane by lane.
+    ``inv_corr`` is updated in place.  Lanes with a zero observation keep
+    their state.  An inverse whose Hermitian asymmetry exceeds ``1e-6`` is
+    re-symmetrized, lane by lane.
     """
     px = _matvec(inv_corr, x)
     k = px / (forget + lane_dot(x, px).real)[..., None]
     weights = w + k * np.conj(ref - output)[..., None]
-    # x^H P = (P x)^H for Hermitian P, saving one matrix-vector product.
-    inv = (inv_corr - k[..., :, None] * np.conj(px)[..., None, :]) / forget
-    adjoint = np.conj(np.swapaxes(inv, -1, -2))
-    skewed = np.max(np.abs(inv - adjoint), axis=(-2, -1)) > _RLS_SYM_TOL
-    if skewed.any():  # each select runs only when some lane needs it
-        inv = np.where(skewed[..., None, None], 0.5 * (inv + adjoint), inv)
     seen = np.any(x != 0, axis=-1)
-    if seen.all():
-        return weights, inv
-    return (np.where(seen[..., None], weights, w),
-            np.where(seen[..., None, None], inv, inv_corr))
+    kept = None if seen.all() else inv_corr[~seen]
+    # x^H P = (P x)^H for Hermitian P, saving one matrix-vector product.
+    inv_corr -= k[..., :, None] * np.conj(px)[..., None, :]
+    inv_corr /= forget
+    adjoint = np.conj(np.swapaxes(inv_corr, -1, -2))
+    skewed = np.abs(inv_corr - adjoint).max(axis=(-2, -1)) > _RLS_SYM_TOL
+    if skewed.any():  # each select runs only when some lane needs it
+        np.copyto(inv_corr, 0.5 * (inv_corr + adjoint), where=skewed[..., None, None])
+    if kept is None:
+        return weights
+    inv_corr[~seen] = kept
+    return np.where(seen[..., None], weights, w)
 
 
-def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray,
-                          forget: float, rho: np.ndarray, window: np.ndarray,
+def cg_correlations_lanes(autocorr: np.ndarray, outer: np.ndarray, crosscorr: np.ndarray,
+                          w: np.ndarray, forget: float, rho: np.ndarray, window: np.ndarray,
                           symbols: np.ndarray, paper_literal_t1: bool = False):
-    """Advance the per-pair correlation averages and mix them.
+    """Advance the per-pair correlation averages in place and mix them.
 
     Rank-one updates with forgetting factor ``lambda``:
 
@@ -278,36 +286,41 @@ def cg_correlations_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.nda
     where ``w`` is the pre-update filter.  Symbols are +-1, so Rbar_1 =
     Rbar_2 and the autocorrelations depend on the received samples alone,
     not on the filter, the decisions or ``rho``: ``autocorr`` is one
-    ``(L, 2, M, M)`` pair (Rbar_1, Rbar_3), advanced from the two newest
-    samples of the ``(L, M, D)`` window and shared by every receiver of a
-    leading receiver axis.  The ``(n, L, 3, M)`` cross vectors follow each
-    receiver's ``(n, L, M)`` filter and ``(n, L, D)`` symbols, and ``rho``
-    holds its ``(n, L, P)`` weights over the window's pairs
-    (:func:`pair_indices`).  A two-sample window holds pair (0, 1) alone:
-    only tbar_1 takes a new term, and Rbar_3 takes r[i-1].
-    ``paper_literal_t1`` reproduces a published variant in which
-    ``tbar_1`` is chained to the past value of ``tbar_3``.  Returns the
-    advanced ``(autocorr, crosscorr)`` and each lane's mixed system
-    ``(Rbar, tbar) = sum_n rho_n (Rbar_n, tbar_n)`` over the window's
-    pairs, summed as if Rbar_2 were stored, so every bit is that of the sum.
+    ``(3, L, M, M)`` stack (Rbar_1, Rbar_2, Rbar_3), shared by every
+    receiver of a leading receiver axis.  ``outer`` is the ``(L, M, M)``
+    outer product r[i-1] r[i-1]^H on entry, Rbar_3's term, and r[i] r[i]^H
+    of the window's newest sample on exit, so each step forms one outer
+    product; the caller steps consecutive samples.  The ``(n, L, 3, M)``
+    cross vectors follow each receiver's ``(n, L, M)`` filter and
+    ``(n, L, D)`` symbols over the ``(L, M, D)`` window, and ``rho`` holds
+    its ``(n, L, P)`` weights over the window's pairs (:func:`pair_indices`).
+    A two-sample window holds pair (0, 1) alone: only tbar_1 takes a new
+    term.  ``paper_literal_t1`` reproduces a published variant in which
+    ``tbar_1`` is chained to the past value of ``tbar_3``.  ``autocorr``,
+    ``outer`` and ``crosscorr`` are updated in place; returns each lane's
+    mixed system ``(Rbar, tbar) = sum_n rho_n (Rbar_n, tbar_n)`` over the
+    window's pairs.
     """
-    depth = window.shape[-1]
-    newer, older, _ = _pair_layout(depth)
-    recent = np.stack([window[..., -1], window[..., -2]], axis=-2)
-    auto = forget * autocorr + recent[..., :, None] * np.conj(recent)[..., None, :]
+    newer, older, _ = _pair_layout(window.shape[-1])
+    num = newer.size
+    autocorr *= forget
+    autocorr[2] += outer
+    newest = window[..., -1]
+    np.multiply(newest[..., :, None], np.conj(newest)[..., None, :], out=outer)
+    autocorr[:2] += outer
     samples = np.swapaxes(window, -1, -2)
     # r^H w = conj(w^H r) of every sample but the newest, each some pair's older one.
     h = np.conj(lane_dot(w[..., None, :], samples[..., :-1, :]))
-    cross = forget * crosscorr
     if paper_literal_t1:
-        cross[..., 0, :] = forget * crosscorr[..., 2, :]
-    gains = symbols[..., older] * h[..., older] * symbols[..., newer]
-    cross[..., :newer.size, :] += gains[..., None] * samples[..., newer, :]
-    # Pair (d, l) takes the autocorrelation of its newer sample: Rbar_1 for
-    # d = 0 (which Rbar_2 equals), Rbar_3 for d = 1.  Broadcast over the receivers.
-    terms = auto[..., depth - 1 - newer, :, :].reshape(*auto.shape[:-3], newer.size, -1)
+        crosscorr[..., 0, :] = crosscorr[..., 2, :]
+    crosscorr *= forget
+    gains = (symbols[..., :-1] * h)[..., older] * symbols[..., newer]
+    crosscorr[..., :num, :] += gains[..., None] * samples[..., newer, :]
+    # Pair n takes Rbar_(n+1): each lane reads its (P, M^2) rows in place,
+    # broadcast over the receivers.
+    terms = autocorr[:num].reshape(num, autocorr.shape[1], -1).swapaxes(0, 1)
     mixed_auto = _real_mix(rho, terms).reshape(*w.shape, w.shape[-1])
-    return auto, cross, mixed_auto, _real_mix(rho, cross[..., :newer.size, :])
+    return mixed_auto, _real_mix(rho, crosscorr[..., :num, :])
 
 
 def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_max: int,
@@ -318,9 +331,10 @@ def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_ma
     curvature along the direction falls to its floor, stops at its
     current iterate while the others go on.  When ``history`` is given,
     the ``(L, M)`` iterates are appended after each iteration that moved
-    some lane.
+    some lane.  ``w_init`` is not written; the result may be ``w_init``
+    itself when no lane moves.
     """
-    w = np.array(w_init, dtype=np.complex128)
+    w = w_init
     grad = _matvec(corr, w) - cross
     direction = -grad
     # Exponentially accumulated systems carry roundoff proportional to
@@ -332,18 +346,23 @@ def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_ma
     scale = np.trace(corr, axis1=-2, axis2=-1).real / max(w.shape[-1], 1)
     grad_exit = tol * np.maximum(1.0, _norm(cross))
     active = np.ones(w.shape[:-1], dtype=bool)
+    # The first direction is -grad exactly: d^H d and -d^H g are g^H g, bit for bit.
+    descent = lane_dot(grad, grad)
+    grad_sq = dir_sq = descent.real
     for it in range(j_max):
-        active &= ~(_norm(grad) < grad_exit)
+        active &= ~(np.sqrt(grad_sq) < grad_exit)
         if not active.any():
             break
         corr_dir = _matvec(corr, direction)
         curvature = lane_dot(direction, corr_dir).real
-        active &= ~(curvature <= 1e-13 * scale * lane_dot(direction, direction).real)
+        active &= ~(curvature <= 1e-13 * scale * dir_sq)
         if not active.any():
             break
-        curvature = np.where(active, curvature, 1.0)
-        alpha = -lane_dot(direction, grad) / curvature
-        w = np.where(active[..., None], w + alpha[..., None] * direction, w)
+        every = active.all()  # each select runs only when some lane has stopped
+        if not every:
+            curvature = np.where(active, curvature, 1.0)
+        step = w + (descent / curvature)[..., None] * direction
+        w = step if every else np.where(active[..., None], step, w)
         if history is not None:
             history.append(w.copy())
         if it + 1 == j_max:
@@ -351,29 +370,34 @@ def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_ma
         grad = _matvec(corr, w) - cross
         beta = lane_dot(grad, corr_dir) / curvature
         direction = -grad + beta[..., None] * direction
+        grad_sq = lane_dot(grad, grad).real
+        dir_sq = lane_dot(direction, direction).real
+        descent = -lane_dot(direction, grad)
     return w
 
 
-def cg_step_lanes(autocorr: np.ndarray, crosscorr: np.ndarray, w: np.ndarray, forget: float,
-                  max_iters: int, loading: float, rho: np.ndarray, window: np.ndarray,
-                  symbols: np.ndarray, paper_literal_t1: bool = False):
-    """Advance the correlations and re-solve the mixed system; returns ``(auto, cross, w)``.
+def cg_step_lanes(autocorr: np.ndarray, outer: np.ndarray, crosscorr: np.ndarray,
+                  w: np.ndarray, forget: float, max_iters: int, loading: float,
+                  rho: np.ndarray, window: np.ndarray, symbols: np.ndarray,
+                  paper_literal_t1: bool = False) -> np.ndarray:
+    """Advance the correlations in place and re-solve the mixed system; returns ``w``.
 
-    :func:`cg_correlations_lanes` advances the statistics (autocorrelations
-    shared over the receiver axis), then :func:`cg_solve_lanes` runs
-    ``max_iters`` iterations warm-started at the previous filter, which
-    suffices to track the solution of the mixed normal equations.  A
-    positive ``loading`` adds ``loading * tr(Rbar) / M * I`` to the solved
-    system only, which stabilizes a sample-starved system; the stored
-    statistics stay unloaded.
+    :func:`cg_correlations_lanes` advances the statistics ``autocorr``,
+    ``outer`` and ``crosscorr`` in place (the first two shared over the
+    receiver axis), then :func:`cg_solve_lanes` runs ``max_iters``
+    iterations warm-started at the previous filter, which suffices to
+    track the solution of the mixed normal equations.  A positive
+    ``loading`` adds ``loading * tr(Rbar) / M * I`` to the solved system
+    only, which stabilizes a sample-starved system; the stored statistics
+    stay unloaded.
     """
-    auto, cross, mixed_auto, mixed_cross = cg_correlations_lanes(
-        autocorr, crosscorr, w, forget, rho, window, symbols, paper_literal_t1)
+    mixed_auto, mixed_cross = cg_correlations_lanes(
+        autocorr, outer, crosscorr, w, forget, rho, window, symbols, paper_literal_t1)
     if loading > 0:
         dim = w.shape[-1]
         load = loading * np.trace(mixed_auto, axis1=-2, axis2=-1).real / dim
-        mixed_auto = mixed_auto + load[..., None, None] * np.eye(dim)
-    return auto, cross, cg_solve_lanes(mixed_auto, mixed_cross, w, max_iters)
+        mixed_auto += load[..., None, None] * np.eye(dim)
+    return cg_solve_lanes(mixed_auto, mixed_cross, w, max_iters)
 
 
 def update_mixing(state: MixingState, errs: PairErrors) -> MixingState:

@@ -131,15 +131,16 @@ def test_criterion_4_static_channel_fixed_point():
     w0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     rho = make_mixing_state(3).weights[None]
     w_nlms, power, w_cg = w0[None], np.ones(1), w0[None]
-    autocorr = np.zeros((1, 2, dim, dim), dtype=complex)
+    autocorr = np.zeros((3, 1, dim, dim), dtype=complex)
+    outer = np.outer(received[:, 1], received[:, 1].conj())[None]
     crosscorr = np.zeros((1, 3, dim), dtype=complex)
     for i in range(2, symbols.size):
         window, window_symbols = received[None, :, i - 2:i + 1], symbols[None, i - 2:i + 1]
         errors, _ = pair_errors_lanes(w_nlms, window, window_symbols)
         w_nlms, power = pair_nlms_lanes(w_nlms, power, 0.5, 0.9, rho, errors, window,
                                         window_symbols)
-        autocorr, crosscorr, w_cg = cg_step_lanes(autocorr, crosscorr, w_cg, 0.998, 5, 0.0,
-                                                  rho, window, window_symbols)
+        w_cg = cg_step_lanes(autocorr, outer, crosscorr, w_cg, 0.998, 5, 0.0, rho, window,
+                             window_symbols)
     nlms_drift = float(np.max(np.abs(w_nlms[0] - w0)))
     cg_drift = float(np.max(np.abs(w_cg[0] - w0)))
     elapsed = time.time() - start

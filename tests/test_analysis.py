@@ -100,9 +100,10 @@ MODEL_SCENARIO = ChannelScenario(users=2, gain=4, paths=3, snr_db=10.0, fading_r
 def model_moments(scenario, with_doppler=True, with_isi=True):
     """Closed-form means of the ensemble matrices.
 
-    Under the sum-of-sinusoids model with a uniform random rotation every
-    path is zero-mean with power ``1/L``, paths are uncorrelated and the
-    lag-``m`` correlation is exactly ``J0(2 pi fd m)``.  With
+    The ensemble draws each path's window as an exact circular complex
+    Gaussian vector (:func:`fadetrack.fading.fading_windows`): every path is
+    zero-mean with power ``1/L``, paths are uncorrelated and the lag-``m``
+    correlation is exactly ``J0(2 pi fd m)``.  With
     ``S_k = C_k C_k^T / L`` the signature correlation of user k,
     the tail and precursor of a symbol fill the corners of the window
     they spill into.
@@ -504,7 +505,7 @@ class TestMomentCache:
     ]
 
     @pytest.mark.parametrize("scenario, ensemble, seed, digest", PINNED,
-                             ids=["criterion-7", "profile-amplitudes-no-isi", "defaults"])
+                             ids=["criterion-7", "no-isi", "defaults"])
     def test_key_is_pinned(self, scenario, ensemble, seed, digest, monkeypatch):
         monkeypatch.setattr(analysis, "_ESTIMATOR_VERSION", 4)
         assert analysis._cache_key(ChannelScenario(**scenario), ensemble, seed) == digest
@@ -514,8 +515,7 @@ class TestMomentCache:
         key = analysis._cache_key(base, 1000, 0)
         for f in fields(ChannelScenario):
             value = getattr(base, f.name)
-            other = (not value if isinstance(value, bool) else (1.0,) if value is None
-                     else value + 1)
+            other = not value if isinstance(value, bool) else value + 1
             assert analysis._cache_key(replace(base, **{f.name: other}), 1000, 0) != key, f.name
 
     def test_every_scenario_field_changes_the_moments(self):

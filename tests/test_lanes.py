@@ -52,14 +52,25 @@ def stream(seed):
     return rng, cnormal(rng, LANES, DIM, STEPS), 2.0 * rng.integers(0, 2, (LANES, STEPS)) - 1.0
 
 
+def cg_statistics(received, i):
+    """Fresh CG statistics before the step at symbol ``i + 1``: the ``(3, L, M, M)``
+    averages at ``0.01 I`` and the outer product of sample ``i``."""
+    auto = np.zeros((3, *received.shape[:2], received.shape[1]), dtype=complex)
+    auto[...] = 0.01 * np.eye(received.shape[1])
+    r = received[..., i]
+    return auto, r[..., :, None] * np.conj(r)[..., None, :]
+
+
 # ----------------------------------------------------------------------
 # The kernels' former array forms, kept as bit-equality references.
 # ----------------------------------------------------------------------
 
-def three_average_cg_step(auto, cross, w, forget, iters, loading, rho, window, symbols):
+def three_average_cg_step(auto, cross, w, forget, iters, loading, rho, window, symbols,
+                          literal=False):
     """:func:`cg_step_lanes` on per-lane ``(L, 3, M, M)`` averages R1, R2, R3, each pair
-    mixed by its own weight with one BLAS call per lane: the kernel's form before the
-    autocorrelations were shared."""
+    mixed by its own weight with one BLAS call per lane and solved by
+    :func:`full_iteration_cg_solve`: the kernel's form before the autocorrelations were
+    shared and updated in place."""
     r0, r1, r2 = window[..., -1], window[..., -2], window[..., -3]
     b0, b1, b2 = symbols[:, -1], symbols[:, -2], symbols[:, -3]
     outer0, outer1 = (r[..., :, None] * np.conj(r)[..., None, :] for r in (r0, r1))
@@ -67,6 +78,8 @@ def three_average_cg_step(auto, cross, w, forget, iters, loading, rho, window, s
     auto = forget * auto + gains * np.stack([outer0, outer0, outer1], axis=1)
     h1, h2 = np.conj(lane_dot(w, r1)), np.conj(lane_dot(w, r2))
     cross = forget * cross
+    if literal:
+        cross[:, 0] = cross[:, 2]
     cross[:, 0] += (b1 * h1 * b0)[:, None] * r0
     cross[:, 1] += (b2 * h2 * b0)[:, None] * r0
     cross[:, 2] += (b2 * h2 * b1)[:, None] * r1
@@ -79,7 +92,7 @@ def three_average_cg_step(auto, cross, w, forget, iters, loading, rho, window, s
     if loading > 0:
         load = loading * np.trace(mixed_auto, axis1=-2, axis2=-1).real / w.shape[-1]
         mixed_auto = mixed_auto + load[:, None, None] * np.eye(w.shape[-1])
-    return auto, cross, cg_solve_lanes(mixed_auto, mix(cross), w, iters)
+    return auto, cross, full_iteration_cg_solve(mixed_auto, mix(cross), w, iters)
 
 
 def full_iteration_cg_solve(corr, cross, w_init, j_max, tol=1e-12, history=None):
@@ -224,8 +237,7 @@ class TestKernelsFollowTheirRecursions:
         refs = [(w[l].copy(), inv[l].copy()) for l in range(LANES)]
         for i in range(STEPS):
             x = received[:, :, i]
-            w, inv = rls_lanes(w, inv, 0.98, x, symbols[:, i],
-                               np.einsum("lm,lm->l", np.conj(w), x))
+            w = rls_lanes(w, inv, 0.98, x, symbols[:, i], np.einsum("lm,lm->l", np.conj(w), x))
             for l, (w_ref, p_ref) in enumerate(refs):
                 if np.any(x[l]):
                     px = p_ref @ x[l]
@@ -242,16 +254,14 @@ class TestKernelsFollowTheirRecursions:
     def test_cg(self, literal, loading):
         rng, received, symbols = stream(4)
         w = cnormal(rng, LANES, DIM)
-        auto = np.zeros((LANES, 2, DIM, DIM), dtype=complex)
-        auto[...] = 0.01 * np.eye(DIM)
+        auto, outer = cg_statistics(received, 1)
         cross = np.zeros((LANES, 3, DIM), dtype=complex)
         rho = rng.dirichlet(np.ones(3), size=LANES)
-        refs = [(w[l].copy(), [auto[l, 0], auto[l, 0], auto[l, 1]], list(cross[l]))
+        refs = [(w[l].copy(), list(auto[:, l].copy()), list(cross[l].copy()))
                 for l in range(LANES)]
         for i in range(2, STEPS):
             window, syms = received[:, :, i - 2:i + 1], symbols[:, i - 2:i + 1]
-            auto, cross, w = cg_step_lanes(auto, cross, w, 0.97, 3, loading, rho,
-                                           window, syms, literal)
+            w = cg_step_lanes(auto, outer, cross, w, 0.97, 3, loading, rho, window, syms, literal)
             for l, (w_ref, a_ref, t_ref) in enumerate(refs):
                 r0, r1, r2 = window[l, :, 2], window[l, :, 1], window[l, :, 0]
                 b0, b1, b2 = syms[l, 2], syms[l, 1], syms[l, 0]
@@ -265,22 +275,26 @@ class TestKernelsFollowTheirRecursions:
                 mixed = mixed + loading * np.trace(mixed).real / DIM * np.eye(DIM)
                 w_ref = ref_cg_solve(mixed, sum(p * t for p, t in zip(rho[l], t_ref)), w_ref, 3)
                 refs[l] = (w_ref, a_ref, t_ref)
-                # +-1 symbols: the reference's first two averages coincide.
+                # +-1 symbols: the first two averages coincide.
                 assert np.array_equal(a_ref[0], a_ref[1])
+                assert np.array_equal(auto[0, l], auto[1, l])
                 close(w[l], w_ref)
-                close(auto[l], [a_ref[0], a_ref[2]])
+                close(auto[:, l], a_ref)
+                close(outer[l], np.outer(r0, r0.conj()))
                 close(cross[l], t_ref)
 
     def test_cg_correlations_return_the_mixed_system(self):
         rng, received, symbols = stream(5)
-        auto = cnormal(rng, LANES, 2, DIM, DIM)
+        auto = cnormal(rng, 3, LANES, DIM, DIM)
         cross = cnormal(rng, LANES, 3, DIM)
         rho = rng.dirichlet(np.ones(3), size=LANES)
-        new_auto, new_cross, mixed_auto, mixed_cross = cg_correlations_lanes(
-            auto, cross, cnormal(rng, LANES, DIM), 0.9, rho, received[:, :, :3], symbols[:, :3])
-        # The three averages (Rbar_1, Rbar_2 = Rbar_1, Rbar_3), each with its own weight.
-        close(mixed_auto, np.einsum("lp,lpij->lij", rho, new_auto[:, [0, 0, 1]]))
-        close(mixed_cross, np.einsum("lp,lpi->li", rho, new_cross))
+        mixed_auto, mixed_cross = cg_correlations_lanes(
+            auto, cnormal(rng, LANES, DIM, DIM), cross, cnormal(rng, LANES, DIM), 0.9, rho,
+            received[:, :, :3], symbols[:, :3])
+        # The three averages (Rbar_1, Rbar_2, Rbar_3), advanced in place, each
+        # with its own weight.
+        close(mixed_auto, np.einsum("lp,plij->lij", rho, auto))
+        close(mixed_cross, np.einsum("lp,lpi->li", rho, cross))
 
     @pytest.mark.parametrize("loading", [0.0, 0.05])
     def test_cg_shared_autocorrelations_serve_every_receiver_block(self, loading):
@@ -293,19 +307,18 @@ class TestKernelsFollowTheirRecursions:
         num = len(rho)
         symbols = 2.0 * rng.integers(0, 2, (num, LANES, STEPS)) - 1.0
         w = cnormal(rng, num, LANES, DIM)
-        auto = np.zeros((LANES, 2, DIM, DIM), dtype=complex)
-        auto[...] = 0.01 * np.eye(DIM)
+        auto, outer = cg_statistics(received, 1)
         cross = np.zeros((num, LANES, 3, DIM), dtype=complex)
-        refs = [(auto[:, [0, 0, 1]].copy(), cross[k].copy(), w[k]) for k in range(num)]
+        refs = [(np.moveaxis(auto, 0, 1).copy(), cross[k].copy(), w[k]) for k in range(num)]
         for i in range(2, STEPS):
             window, syms = received[:, :, i - 2:i + 1], symbols[..., i - 2:i + 1]
-            auto, cross, w = cg_step_lanes(auto, cross, w, 0.97, 3, loading, rho, window, syms)
+            w = cg_step_lanes(auto, outer, cross, w, 0.97, 3, loading, rho, window, syms)
             for k, (a_ref, t_ref, w_ref) in enumerate(refs):
                 a_ref, t_ref, w_ref = three_average_cg_step(
                     a_ref, t_ref, w_ref, 0.97, 3, loading, rho[k], window, syms[k])
                 refs[k] = (a_ref, t_ref, w_ref)
                 assert np.array_equal(a_ref[:, 0], a_ref[:, 1])
-                assert np.array_equal(auto, a_ref[:, [0, 2]])
+                assert np.array_equal(auto, np.moveaxis(a_ref, 1, 0))
                 assert np.array_equal(cross[k], t_ref)
                 assert np.array_equal(w[k], w_ref)
 
@@ -317,20 +330,22 @@ class TestTwoSampleRestriction:
     def test_cg(self, loading):
         rng, received, symbols = stream(13)
         w = cnormal(rng, LANES, DIM)
-        auto = np.zeros((LANES, 2, DIM, DIM), dtype=complex)
-        auto[...] = 0.01 * np.eye(DIM)
+        auto, outer = cg_statistics(received, 0)
         cross = np.zeros((LANES, 3, DIM), dtype=complex)
         # Symbol 1: the two-sample step, shared by both forms.
-        auto, cross, w = cg_step_lanes(auto, cross, w, 0.97, 3, loading, np.ones((LANES, 1)),
-                                       received[..., :2], symbols[:, :2])
-        three, two = (auto, cross, w), (auto, cross, w)
+        w = cg_step_lanes(auto, outer, cross, w, 0.97, 3, loading, np.ones((LANES, 1)),
+                          received[..., :2], symbols[:, :2])
+        # The kernel updates the statistics in place: each form steps its own copies.
+        three, two = ([a.copy() for a in (auto, outer, cross, w)] for _ in range(2))
         for i in range(2, STEPS):
-            three = cg_step_lanes(*three, 0.97, 3, loading, np.tile([1.0, 0.0, 0.0], (LANES, 1)),
-                                  received[..., i - 2:i + 1], symbols[:, i - 2:i + 1])
-            two = cg_step_lanes(*two, 0.97, 3, loading, np.ones((LANES, 1)),
-                                received[..., i - 1:i + 1], symbols[:, i - 1:i + 1])
-            assert np.array_equal(three[2], two[2])
-            assert np.array_equal(three[1][:, 0], two[1][:, 0])
+            three[3] = cg_step_lanes(*three, 0.97, 3, loading,
+                                     np.tile([1.0, 0.0, 0.0], (LANES, 1)),
+                                     received[..., i - 2:i + 1], symbols[:, i - 2:i + 1])
+            two[3] = cg_step_lanes(*two, 0.97, 3, loading, np.ones((LANES, 1)),
+                                   received[..., i - 1:i + 1], symbols[:, i - 1:i + 1])
+            assert np.array_equal(three[3], two[3])
+            assert np.array_equal(three[2][:, 0], two[2][:, 0])
+            assert np.array_equal(three[1], two[1])
             assert np.array_equal(three[0], two[0])
 
     def test_pair_nlms(self):
@@ -358,7 +373,8 @@ class TestLaneRules:
         rho = np.full((8, 3), 1.0 / 3.0)
         for it in range(2_000):
             errors = cnormal(rng, 8, 3) * rng.uniform(0.01, 10.0, (8, 1))
-            errors[it % 8] = 0.0  # a silent lane keeps its weights
+            if it % 2:
+                errors[it % 8] = 0.0  # a silent lane keeps its weights
             errors[(it + 3) % 8, rng.integers(3)] = 0.0
             total = np.sum(np.abs(errors), axis=-1)
             forget = float(rng.uniform()) if it % 5 else float(rng.integers(0, 2))
@@ -375,15 +391,16 @@ class TestLaneRules:
         rng, received, symbols = stream(12)
         num = 3
         for draw in range(20):
-            auto = cnormal(rng, LANES, 2, DIM, DIM)
+            auto = cnormal(rng, 3, LANES, DIM, DIM)
+            outer = cnormal(rng, LANES, DIM, DIM)
             cross = cnormal(rng, num, LANES, 3, DIM)
             w = cnormal(rng, num, LANES, DIM)
             syms = np.broadcast_to(symbols[:, draw:draw + 3], (num, LANES, 3))
             contiguous = rng.dirichlet(np.ones(3), size=(num, LANES))
             strided = np.repeat(contiguous, 2, axis=-1)[..., ::2]
             transposed = np.asfortranarray(contiguous)
-            mixed = [cg_correlations_lanes(auto, cross, w, 0.9, rho,
-                                           received[..., draw:draw + 3], syms)[2:]
+            mixed = [cg_correlations_lanes(auto.copy(), outer.copy(), cross.copy(), w, 0.9, rho,
+                                           received[..., draw:draw + 3], syms)
                      for rho in (contiguous, strided, transposed)]
             for other in mixed[1:]:
                 assert np.array_equal(other[0], mixed[0][0])
@@ -417,9 +434,9 @@ class TestLaneRules:
         import fadetrack.harness as harness
 
         def overflowing(*args):
-            auto, cross, w = cg_step_lanes(*args)
+            w = cg_step_lanes(*args)
             w[w.shape[0] // 2:] = np.inf
-            return auto, cross, w
+            return w
 
         monkeypatch.setattr(harness, "cg_step_lanes", overflowing)
         cfg = ExperimentConfig(**{**small_config(isi=False).__dict__, "packets": 1})
@@ -477,7 +494,7 @@ class TestLaneRules:
             x = received[:, :, i]
             args = (w, inv, 0.98, x, symbols[:, i], lane_dot(w, x))
             expected = unconditional_rls(*args)
-            w, inv = rls_lanes(*args)
+            w = rls_lanes(*args)
             assert np.array_equal(w, expected[0])
             assert np.array_equal(inv, expected[1])
             if i == 30:
@@ -616,3 +633,97 @@ def test_every_pair_receiver_of_a_group_takes_the_same_symbol_1_step(group, isi)
     assert not np.array_equal(first[0], stacked[3])  # the step moved the filters
     for other in first[1:]:
         assert np.array_equal(other, first[0])
+
+
+# ----------------------------------------------------------------------
+# The engine against the reference steps, bit for bit.
+# ----------------------------------------------------------------------
+
+def reference_step_lanes(names, cfg, received, refs, data, w_init):
+    """:func:`_step_lanes` of the CG group or ``rls``, one receiver at a time, written
+    with the reference steps above: :func:`three_average_cg_step` (symbol 1's
+    two-sample step as pair (0, 1) of a window padded with a zero sample), mixing by
+    :func:`update_mixing` lane by lane, and :func:`unconditional_rls`.  Returns each
+    receiver's ``(L, T)`` data errors and ``(L, M, T)`` filter trajectory."""
+    lanes, dim, length = received.shape
+    errors = np.full((len(names), lanes, length), np.nan)
+    trajectory = np.empty((len(names), lanes, dim, length), dtype=complex)
+    for k, name in enumerate(names):
+        spec = harness._RECEIVERS[name]
+        differential = spec.pair_weights is not None
+        w, used, z_prev = w_init.copy(), np.empty((lanes, length)), None
+        if differential:
+            auto = np.zeros((lanes, 3, dim, dim), dtype=complex)
+            auto[...] = cfg.delta * np.eye(dim)
+            cross = np.zeros((lanes, 3, dim), dtype=complex)
+            rho = np.tile(spec.pair_weights + (0.0,) * (3 - len(spec.pair_weights)), (lanes, 1))
+        else:
+            inv = np.repeat(np.eye(dim, dtype=complex)[None] / cfg.delta, lanes, axis=0)
+        for i in range(length):
+            z = lane_dot(w, received[..., i])
+            if differential and i == 0:
+                used[:, 0] = refs[:, 0]
+            else:
+                decided = np.where((z * np.conj(z_prev) if differential else z).real >= 0,
+                                   1.0, -1.0)
+                errors[k, :, i] = decided != data[:, i]
+                if i < cfg.train_len:
+                    used[:, i] = refs[:, i]
+                else:
+                    used[:, i] = decided * used[:, i - 1] if differential else decided
+            if not differential:
+                w, inv = unconditional_rls(w, inv, cfg.lambda_rls, received[..., i],
+                                           used[:, i], z)
+            elif i:
+                window, syms = received[..., max(i - 2, 0):i + 1], used[:, max(i - 2, 0):i + 1]
+                step_rho = rho
+                if i == 1:
+                    window = np.concatenate([np.zeros_like(window[..., :1]), window], axis=-1)
+                    syms = np.concatenate([np.ones_like(syms[:, :1]), syms], axis=-1)
+                    step_rho = np.tile([1.0, 0.0, 0.0], (lanes, 1))
+                elif spec.adapt:
+                    e, total = pair_errors_lanes(w, window, syms)
+                    rho = step_rho = np.array([
+                        update_mixing(MixingState(rho[l], cfg.lambda_e),
+                                      PairErrors(e[l], float(total[l]), pair_indices(3))).weights
+                        for l in range(lanes)])
+                auto, cross, w = three_average_cg_step(
+                    auto, cross, w, cfg.lambda_cg, cfg.jmax, cfg.cg_loading, step_rho, window,
+                    syms, cfg.paper_literal_t1)
+            if differential:
+                gamma = harness._unit_power_gain(z, cfg.lambda_m)
+                w, cross = gamma[:, None] * w, gamma[:, None, None] * cross
+            trajectory[k, ..., i] = w
+            z_prev = z
+    return errors, trajectory
+
+
+@pytest.mark.parametrize("changes, isi", [
+    ({"jmax": 0, "cg_loading": 0.0}, False),
+    ({"jmax": 1, "cg_loading": 0.0}, False),
+    ({"jmax": 5, "cg_loading": 0.0}, True),
+    ({"paper_literal_t1": True, "cg_loading": 0.0}, False),
+    ({"cg_loading": 0.05}, True),
+], ids=["jmax-0", "jmax-1", "jmax-5", "literal", "loading"])
+def test_engine_steps_bit_equal_to_the_reference_steps(changes, isi):
+    # Two chunks with different data and lane counts step back to back, so
+    # state kept across receivers or chunks would show.  In the first, CG
+    # lane 1 reads all-zero windows (a silent lane for the mixing), CG lane 2
+    # windows scaled by 1e-9 (its solve exits at a small but nonzero gradient
+    # while the other lanes iterate), and rls lane 2 zero observations
+    # mid-packet.
+    cfg = ExperimentConfig(**{**small_config(isi).__dict__, **changes})
+    for lanes in ([(0, 0), (1, 1), (2, 2)], [(1, 0), (0, 2), (2, 1), (0, 0)]):
+        for group, mode in ((("diff-cg", "bidir-cg", "bidir-cg-equal"), "differential"),
+                            (("rls",), "coherent")):
+            _, stacked = lane_inputs(cfg, lanes, mode)
+            if len(lanes) == 3 and mode == "differential":
+                stacked[0][1] = 0.0
+                stacked[0][2] *= 1e-9
+            elif len(lanes) == 3:
+                stacked[0][2, :, 12:15] = 0.0
+            runs = _step_lanes(group, cfg, *stacked, record_weights=True)
+            errors, trajectory = reference_step_lanes(group, cfg, *stacked)
+            for k, (run_errors, _, run_trajectory) in enumerate(runs):
+                assert np.array_equal(run_errors, errors[k], equal_nan=True)
+                assert np.array_equal(run_trajectory, trajectory[k])

@@ -66,16 +66,19 @@ def rls_run(w, delta, forget, observations, refs):
     inv_corr = np.eye(w.shape[-1], dtype=complex)[None] / delta
     for x, ref in zip(observations, refs):
         x = np.asarray(x)[None]
-        w, inv_corr = rls_lanes(w, inv_corr, forget, x, np.array([float(ref)]), lane_dot(w, x))
+        w = rls_lanes(w, inv_corr, forget, x, np.array([float(ref)]), lane_dot(w, x))
     return w[0], inv_corr[0]
 
 
-def cg_statistics(dim, delta):
-    """Fresh one-lane CG statistics: the ``(Rbar_1, Rbar_3)`` autocorrelations at
-    ``delta * I`` and three zero cross vectors."""
-    autocorr = np.zeros((1, 2, dim, dim), dtype=complex)
+def cg_statistics(window, delta):
+    """Fresh one-lane CG statistics for a first step on the ``(1, M, D)`` window: the
+    ``(Rbar_1, Rbar_2, Rbar_3)`` averages at ``delta * I``, the outer product of the
+    window's second-newest sample and three zero cross vectors."""
+    dim, r = window.shape[1], window[..., -2]
+    autocorr = np.zeros((3, 1, dim, dim), dtype=complex)
     autocorr[...] = delta * np.eye(dim)
-    return autocorr, np.zeros((1, 3, dim), dtype=complex)
+    outer = r[..., :, None] * np.conj(r)[..., None, :]
+    return autocorr, outer, np.zeros((1, 3, dim), dtype=complex)
 
 
 def random_hermitian_pd(rng, dim, eig_low=0.1, eig_high=10.0):
@@ -399,19 +402,19 @@ class TestCgSolve:
 class TestUpdateCgCorrelations:
     def test_single_outer_product_at_zero_forgetting(self):
         window, symbols = window_of([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
-        autocorr, crosscorr = cg_statistics(2, 0.5)
-        advanced, _, _, _ = cg_correlations_lanes(autocorr, crosscorr, np.zeros((1, 2)), 0.0,
-                                                  make_mixing_state(3).weights[None],
-                                                  window, symbols)
-        assert np.allclose(advanced[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+        autocorr, outer, crosscorr = cg_statistics(window, 0.5)
+        cg_correlations_lanes(autocorr, outer, crosscorr, np.zeros((1, 2)), 0.0,
+                              make_mixing_state(3).weights[None], window, symbols)
+        assert np.allclose(autocorr[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_degenerate_mixing_selects_first_pair(self):
         rng = np.random.default_rng(31)
         vectors = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
         w = rng.standard_normal(3).astype(complex)[None]
-        auto, cross, mixed_auto, mixed_cross = cg_correlations_lanes(
-            *cg_statistics(3, 0.01), w, 0.9, np.array([[1.0, 0.0, 0.0]]),
-            *window_of(vectors, [1.0, -1.0, 1.0]))
+        window = window_of(vectors, [1.0, -1.0, 1.0])
+        auto, outer, cross = cg_statistics(window[0], 0.01)
+        mixed_auto, mixed_cross = cg_correlations_lanes(
+            auto, outer, cross, w, 0.9, np.array([[1.0, 0.0, 0.0]]), *window)
         assert np.array_equal(mixed_auto[0], auto[0, 0])
         assert np.array_equal(mixed_cross[0], cross[0, 0])
 
@@ -420,7 +423,7 @@ class TestUpdateCgCorrelations:
         lam = 0.93
         dim = 3
         w = rng.standard_normal(dim).astype(complex)[None]
-        auto, cross = cg_statistics(dim, 0.0)
+        auto, outer, cross = cg_statistics(np.zeros((1, dim, 3), complex), 0.0)
         rho = make_mixing_state(3).weights[None]
         increments_r, increments_t1 = [], []
         for _ in range(100):
@@ -428,8 +431,10 @@ class TestUpdateCgCorrelations:
                        for _ in range(3)]
             symbols = list(2.0 * rng.integers(0, 2, size=3) - 1.0)
             w_before = w.copy()
-            auto, cross, _, _ = cg_correlations_lanes(auto, cross, w, lam, rho,
-                                                      *window_of(vectors, symbols))
+            # Each window is drawn afresh: its second-newest sample's outer product
+            # stands in for the one the previous step kept.
+            outer[0] = np.outer(vectors[1], vectors[1].conj())
+            cg_correlations_lanes(auto, outer, cross, w, lam, rho, *window_of(vectors, symbols))
             r0 = vectors[2]
             r1v = vectors[1]
             b0, b1, b2 = symbols[2], symbols[1], symbols[0]
@@ -443,23 +448,23 @@ class TestUpdateCgCorrelations:
         oracle_r = [sum(lam ** (steps - 1 - j) * increments_r[j][n] for j in range(steps))
                     for n in range(3)]
         oracle_t1 = sum(lam ** (steps - 1 - j) * increments_t1[j] for j in range(steps))
-        # +-1 symbols: Rbar_1 = Rbar_2, so only Rbar_1 and Rbar_3 are kept.
+        # +-1 symbols: Rbar_1 = Rbar_2, and the stored two agree bit for bit.
         assert np.array_equal(oracle_r[0], oracle_r[1])
+        assert np.array_equal(auto[0, 0], auto[1, 0])
         assert np.allclose(auto[0, 0], oracle_r[0], atol=1e-9)
-        assert np.allclose(auto[0, 1], oracle_r[2], atol=1e-9)
+        assert np.allclose(auto[2, 0], oracle_r[2], atol=1e-9)
         assert np.allclose(cross[0, 0], oracle_t1, atol=1e-9)
 
     def test_mixed_matrix_hermitian(self):
         rng = np.random.default_rng(41)
         w = rng.standard_normal(4).astype(complex)[None]
-        auto, cross = cg_statistics(4, 0.01)
+        auto, outer, cross = cg_statistics(np.zeros((1, 4, 3), complex), 0.01)
         rho = make_mixing_state(3).weights[None]
         for _ in range(100):
             vectors = [rng.standard_normal(4) + 1j * rng.standard_normal(4)
                        for _ in range(3)]
             window = window_of(vectors, list(2.0 * rng.integers(0, 2, size=3) - 1.0))
-            auto, cross, mixed_auto, _ = cg_correlations_lanes(auto, cross, w, 0.97, rho,
-                                                               *window)
+            mixed_auto, _ = cg_correlations_lanes(auto, outer, cross, w, 0.97, rho, *window)
             assert np.max(np.abs(mixed_auto[0] - mixed_auto[0].conj().T)) < 1e-10
 
     def test_literal_t1_chaining_differs(self):
@@ -469,10 +474,10 @@ class TestUpdateCgCorrelations:
         rho = make_mixing_state(3).weights[None]
         results = {}
         for literal in (False, True):
-            auto, cross = cg_statistics(2, 0.0)
+            auto, outer, cross = cg_statistics(np.zeros((1, 2, 3), complex), 0.0)
             for vectors in (vectors1, vectors2):
-                auto, cross, _, _ = cg_correlations_lanes(
-                    auto, cross, np.ones((1, 2), dtype=complex), 0.9, rho,
+                cg_correlations_lanes(
+                    auto, outer, cross, np.ones((1, 2), dtype=complex), 0.9, rho,
                     *window_of(vectors, [1.0, 1.0, 1.0]), paper_literal_t1=literal)
             results[literal] = cross[0, 0]
         assert not np.allclose(results[False], results[True])
@@ -481,13 +486,13 @@ class TestUpdateCgCorrelations:
 def cg_track(w0, forget, max_iters, delta, rho, received, symbols):
     """The CG tracker over a one-lane stream, one step per full three-sample window."""
     w = np.asarray(w0, dtype=complex)[None]
-    auto, cross = cg_statistics(w.shape[-1], delta)
+    auto, outer, cross = cg_statistics(received[None, :, :3], delta)
     rho = np.asarray(rho, dtype=float)[None]
     for i in range(2, len(symbols)):
-        auto, cross, w = cg_step_lanes(auto, cross, w, forget, max_iters, 0.0, rho,
-                                       received[None, :, i - 2:i + 1],
-                                       np.asarray(symbols[i - 2:i + 1], dtype=float)[None])
-    return auto[0], cross[0], w[0]
+        w = cg_step_lanes(auto, outer, cross, w, forget, max_iters, 0.0, rho,
+                          received[None, :, i - 2:i + 1],
+                          np.asarray(symbols[i - 2:i + 1], dtype=float)[None])
+    return auto[:, 0], cross[0], w[0]
 
 
 class TestBidirCgStep:
@@ -495,9 +500,9 @@ class TestBidirCgStep:
         rng = np.random.default_rng(62)
         vectors = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
         w0 = rng.standard_normal(3).astype(complex)[None]
-        _, _, w = cg_step_lanes(*cg_statistics(3, 0.01), w0, 0.998, 0, 0.0,
-                                make_mixing_state(3).weights[None],
-                                *window_of(vectors, [1.0, 1.0, -1.0]))
+        window = window_of(vectors, [1.0, 1.0, -1.0])
+        w = cg_step_lanes(*cg_statistics(window[0], 0.01), w0, 0.998, 0, 0.0,
+                          make_mixing_state(3).weights[None], *window)
         assert np.array_equal(w, w0)
 
     def test_static_channel_fixed_point_with_first_pair(self):
@@ -539,10 +544,10 @@ class TestBidirCgStep:
         window = window_of(vectors, [1.0, -1.0, 1.0])
         w0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         rho = make_mixing_state(3).weights[None]
-        _, _, mixed_auto, mixed_cross = cg_correlations_lanes(
-            *cg_statistics(3, 0.0), w0[None], 0.5, rho, *window)
+        mixed_auto, mixed_cross = cg_correlations_lanes(
+            *cg_statistics(window[0], 0.0), w0[None], 0.5, rho, *window)
         expected = cg_solve(mixed_auto[0], mixed_cross[0], w0, 3)
-        _, _, w = cg_step_lanes(*cg_statistics(3, 0.0), w0[None], 0.5, 3, 0.0, rho, *window)
+        w = cg_step_lanes(*cg_statistics(window[0], 0.0), w0[None], 0.5, 3, 0.0, rho, *window)
         assert np.allclose(w[0], expected)
         assert np.all(np.isfinite(w))
 
@@ -554,18 +559,19 @@ class TestBidirCgStep:
         window = window_of(vectors, [1.0, -1.0, 1.0])
         w0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         rho = np.array([[0.5, 0.3, 0.2]])
-        return (*cg_statistics(dim, 0.05), w0[None], 0.9), rho, window
+        return (*cg_statistics(window[0], 0.05), w0[None], 0.9), rho, window
 
     def test_loading_solves_the_loaded_mixed_system(self):
         loading = 0.1
-        (auto, cross, w0, forget), rho, window = self._loaded_case()
-        advanced, _, mixed_auto, mixed_cross = cg_correlations_lanes(
-            auto, cross, w0, forget, rho, *window)
+        (advanced, outer, cross, w0, forget), rho, window = self._loaded_case()
+        mixed_auto, mixed_cross = cg_correlations_lanes(
+            advanced, outer, cross, w0, forget, rho, *window)
         mixed_auto, mixed_cross = mixed_auto[0], mixed_cross[0]
         dim = w0.shape[-1]
         loaded = mixed_auto + loading * np.real(np.trace(mixed_auto)) / dim * np.eye(dim)
         expected = cg_solve(loaded, mixed_cross, w0[0], 3)
-        stored, _, w = cg_step_lanes(auto, cross, w0, forget, 3, loading, rho, *window)
+        (stored, outer, cross, _, _), _, _ = self._loaded_case()
+        w = cg_step_lanes(stored, outer, cross, w0, forget, 3, loading, rho, *window)
         assert np.allclose(w[0], expected, atol=1e-12, rtol=0)
         unloaded = cg_solve(mixed_auto, mixed_cross, w0[0], 3)
         assert not np.allclose(w[0], unloaded)
@@ -573,11 +579,12 @@ class TestBidirCgStep:
         assert np.array_equal(stored, advanced)
 
     def test_zero_loading_is_the_plain_solve(self):
-        (auto, cross, w0, forget), rho, window = self._loaded_case()
-        _, _, mixed_auto, mixed_cross = cg_correlations_lanes(
-            auto, cross, w0, forget, rho, *window)
+        (auto, outer, cross, w0, forget), rho, window = self._loaded_case()
+        mixed_auto, mixed_cross = cg_correlations_lanes(
+            auto, outer, cross, w0, forget, rho, *window)
         expected = cg_solve(mixed_auto[0], mixed_cross[0], w0[0], 3)
-        _, _, w = cg_step_lanes(auto, cross, w0, forget, 3, 0.0, rho, *window)
+        statistics, _, _ = self._loaded_case()
+        w = cg_step_lanes(*statistics[:3], w0, forget, 3, 0.0, rho, *window)
         assert np.array_equal(w[0], expected)
 
     @pytest.mark.parametrize("loading", [-0.1, float("nan")])
