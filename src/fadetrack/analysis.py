@@ -171,7 +171,8 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
         received = received_block(mains, symbols, gain,
                                   include_isi=scenario.include_isi)[..., 1:4] + noise
         ref = symbols[0, :, 1:4]
-        errors, _ = pair_errors_lanes(w_opt, received, ref)
+        outputs = np.matmul(np.conj(w_opt)[..., None, :], received)[..., 0, :]
+        errors, _ = pair_errors_lanes(outputs, ref)
 
         signal_corr += _outer_sum(desired[..., 3], desired[..., 3])
         cov_sum += cov.sum(axis=0)

@@ -359,7 +359,7 @@ class _NlmsLanes:
     def update(self, window, symbols, outputs) -> None:
         self.weights, self.power = nlms_lanes(self.weights, self.power, self.step_size,
                                               self.forget, window[..., -1], symbols[..., -1],
-                                              outputs)
+                                              outputs[..., -1])
 
 
 class _RlsLanes:
@@ -373,7 +373,7 @@ class _RlsLanes:
 
     def update(self, window, symbols, outputs) -> None:
         self.weights = rls_lanes(self.weights, self.inv_corr, self.forget, window[..., -1],
-                                 symbols[..., -1], outputs)
+                                 symbols[..., -1], outputs[..., -1])
 
 
 class _PairLanes:
@@ -395,16 +395,16 @@ class _PairLanes:
         self.adaptive = [k for k, spec in enumerate(specs) if spec.adapt]
         self.mixing_forget = cfg.lambda_e
 
-    def mix(self, window, errors_of) -> np.ndarray:
-        """The mixing weights of ``window``'s pairs.  On a three-sample window each
-        adaptive receiver ``k`` first moves its row along ``errors_of(k)``, its pair
-        errors and totals; elementwise per lane, so a lane's bits do not depend on
-        its group."""
-        if window.shape[-1] == 2:
-            return self.one_pair
+    def mix(self, symbols, outputs):
+        """Every receiver's pair errors from its window ``outputs``, and the mixing
+        weights, each adaptive receiver's row first moved along its errors on three
+        samples; elementwise per lane, so a lane's bits do not depend on its group."""
+        errors, total = pair_errors_lanes(outputs, symbols)
+        if outputs.shape[-1] == 2:
+            return errors, self.one_pair
         for k in self.adaptive:
-            self.mixing[k] = mixing_lanes(self.mixing[k], *errors_of(k), self.mixing_forget)
-        return self.mixing
+            self.mixing[k] = mixing_lanes(self.mixing[k], errors[k], total[k], self.mixing_forget)
+        return errors, self.mixing
 
     def rescale(self, gamma) -> None:
         self.weights *= gamma[..., None]
@@ -418,8 +418,7 @@ class _PairNlmsLanes(_PairLanes):
         self.power, self.step_size, self.forget = _initial_power(received), cfg.mu, cfg.lambda_m
 
     def update(self, window, symbols, outputs) -> None:
-        errors, total = pair_errors_lanes(self.weights, window, symbols)
-        rho = self.mix(window, lambda k: (errors[k], total[k]))
+        errors, rho = self.mix(symbols, outputs)
         self.weights, self.power = pair_nlms_lanes(self.weights, self.power, self.step_size,
                                                    self.forget, rho, errors, window, symbols)
 
@@ -441,12 +440,11 @@ class _CgLanes(_PairLanes):
         self.cfg = cfg
 
     def update(self, window, symbols, outputs) -> None:
-        # Pair errors only of the receivers whose mixing follows them.
-        rho = self.mix(window, lambda k: pair_errors_lanes(self.weights[k], window, symbols[k]))
+        _, rho = self.mix(symbols, outputs)
         cfg = self.cfg
         self.weights = cg_step_lanes(
             self.autocorr, self.outer, self.crosscorr, self.weights, cfg.lambda_cg, cfg.jmax,
-            cfg.cg_loading, rho, window, symbols, cfg.paper_literal_t1)
+            cfg.cg_loading, rho, window, symbols, outputs, cfg.paper_literal_t1)
 
     def rescale(self, gamma) -> None:
         super().rescale(gamma)
@@ -510,10 +508,11 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
     has a leading receiver axis, ``(len(names), L, ...)``, over which these
     shared inputs and the statistics of the received samples alone (CG
     autocorrelations, input power, RLS inverse) broadcast, so every lane
-    reads its window as a strided slice of ``received`` itself: up to three
-    samples, newest last.  The coherent trackers step from symbol 0 on the
-    newest; the pair trackers from symbol 1, where the window holds pair
-    (0, 1) alone, and on three samples from symbol 2.  Returns,
+    reads its window as a strided slice of ``received`` itself, newest last:
+    the coherent trackers step from symbol 0 on one sample, the pair
+    trackers from symbol 1 on two (pair (0, 1) alone), then three.  Each
+    symbol forms every filter's outputs w^H r over its window in one
+    product, which detection, the rescale and the update read.  Returns,
     per receiver, the data errors ``(L, T)`` (NaN where undefined), the
     filters right after each of the sorted, distinct ``marks``
     ``(L, len(marks), M)`` and, when asked, the ``(L, M, T)`` filter
@@ -532,7 +531,10 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
     mark_of = {i: k for k, i in enumerate(marks)}
     z_prev = None
     for i in range(length):
-        z = lane_dot(tracker.weights, received[..., i])
+        past = max(i - 2, 0) if differential else i
+        samples = received[..., past:i + 1]
+        outputs = np.matmul(np.conj(tracker.weights)[..., None, :], samples)[..., 0, :]
+        z = outputs[..., -1]
         if differential and i == 0:
             # Symbol 0 carries the protocol-known reference, no data.
             used[..., 0] = refs[:, 0]
@@ -545,8 +547,7 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
             else:
                 used[..., i] = decided * used[..., i - 1] if differential else decided
         if i or not differential:  # symbol 0 holds no pair
-            past = max(i - 2, 0)
-            tracker.update(received[..., past:i + 1], used[..., past:i + 1], z)
+            tracker.update(samples, used[..., past:i + 1], outputs)
         if differential:
             tracker.rescale(_unit_power_gain(z, cfg.lambda_m))
         if record_weights:

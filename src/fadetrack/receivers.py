@@ -19,15 +19,16 @@ Conventional NLMS/RLS trackers serve as baselines.
 Every update is an array kernel over leading *lane* axes: independent
 filters, each with its own observations, stepped at once (the
 ``*_lanes`` functions).  A window is an ``(L, M, D)`` slice of received
-vectors in time order, newest last; one filter is one lane.  Receivers
-that read the same window add a leading receiver axis to their state,
-``(n, L, ...)``, over which the window broadcasts.  So do the statistics
-of the received samples alone: the input power, the RLS inverse and,
-since symbols are +-1, the CG autocorrelations, all kept once per lane.
-Kernels reduce along non-lane axes only, so a lane's bits never depend
-on the other lanes.  They can depend on the memory layout of its
-operands: a dot product with a strided window column may differ in the
-last bit from one with a contiguous copy, so callers keep one layout.
+vectors in time order, newest last; one filter is one lane.  Kernels
+read the filter's outputs w^H r over the window, ``(L, D)``, which the
+caller forms once per symbol.  Receivers that read the same window add a
+leading receiver axis to their state, ``(n, L, ...)``, over which the
+window broadcasts.  So do the statistics of the received samples alone:
+the input power, the RLS inverse and, since symbols are +-1, the CG
+autocorrelations, all kept once per lane.  Kernels reduce along non-lane
+axes only, so a lane's bits never depend on the other lanes.  They can
+depend on the shape of its operands: a sample's output formed alone may
+differ in the last bit from its column of the window's product.
 The RLS and CG kernels update the caller's state arrays in place, as
 their docstrings say (the RLS inverse; the CG autocorrelations, the
 newest outer product and the cross vectors), and return the new filters.
@@ -163,16 +164,15 @@ def _pair_layout(depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return newer, older, scatter
 
 
-def pair_errors_lanes(w: np.ndarray, window: np.ndarray, symbols: np.ndarray):
+def pair_errors_lanes(outputs: np.ndarray, symbols: np.ndarray):
     """Pair errors ``(L, P)`` of a ``D``-sample window and their magnitude sums ``(L,)``.
 
-    For each lag pair (d, l), d < l, enumerated lexicographically
-    (:func:`pair_indices`),
+    From the filter's window outputs w^H r ``(L, D)``, for each lag pair
+    (d, l), d < l, enumerated lexicographically (:func:`pair_indices`),
 
         e_n = b[i-d] * w^H r[i-l] - b[i-l] * w^H r[i-d].
     """
-    newer, older, _ = _pair_layout(window.shape[-1])
-    outputs = np.matmul(np.conj(w)[..., None, :], window)[..., 0, :]
+    newer, older, _ = _pair_layout(outputs.shape[-1])
     errors = symbols[..., newer] * outputs[..., older] - symbols[..., older] * outputs[..., newer]
     return errors, np.abs(errors).sum(axis=-1)
 
@@ -270,7 +270,7 @@ def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
 
 
 def cg_correlations_lanes(autocorr: np.ndarray, outer: np.ndarray, crosscorr: np.ndarray,
-                          w: np.ndarray, forget: float, rho: np.ndarray, window: np.ndarray,
+                          outputs: np.ndarray, forget: float, rho: np.ndarray, window: np.ndarray,
                           symbols: np.ndarray, paper_literal_t1: bool = False):
     """Advance the per-pair correlation averages in place and mix them.
 
@@ -283,7 +283,7 @@ def cg_correlations_lanes(autocorr: np.ndarray, outer: np.ndarray, crosscorr: np
         tbar_2 <- lam tbar_2 + b[i-2] (r[i-2]^H w) r[i]   conj(b[i])
         tbar_3 <- lam tbar_3 + b[i-2] (r[i-2]^H w) r[i-1] conj(b[i-1])
 
-    where ``w`` is the pre-update filter.  Symbols are +-1, so Rbar_1 =
+    where w is the pre-update filter.  Symbols are +-1, so Rbar_1 =
     Rbar_2 and the autocorrelations depend on the received samples alone,
     not on the filter, the decisions or ``rho``: ``autocorr`` is one
     ``(3, L, M, M)`` stack (Rbar_1, Rbar_2, Rbar_3), shared by every
@@ -291,9 +291,9 @@ def cg_correlations_lanes(autocorr: np.ndarray, outer: np.ndarray, crosscorr: np
     outer product r[i-1] r[i-1]^H on entry, Rbar_3's term, and r[i] r[i]^H
     of the window's newest sample on exit, so each step forms one outer
     product; the caller steps consecutive samples.  The ``(n, L, 3, M)``
-    cross vectors follow each receiver's ``(n, L, M)`` filter and
-    ``(n, L, D)`` symbols over the ``(L, M, D)`` window, and ``rho`` holds
-    its ``(n, L, P)`` weights over the window's pairs (:func:`pair_indices`).
+    cross vectors follow each receiver's ``(n, L, D)`` outputs w^H r and
+    symbols over the ``(L, M, D)`` window (r^H w is their conjugate), and
+    ``rho`` holds its ``(n, L, P)`` weights over the pairs (:func:`pair_indices`).
     A two-sample window holds pair (0, 1) alone: only tbar_1 takes a new
     term.  ``paper_literal_t1`` reproduces a published variant in which
     ``tbar_1`` is chained to the past value of ``tbar_3``.  ``autocorr``,
@@ -309,17 +309,15 @@ def cg_correlations_lanes(autocorr: np.ndarray, outer: np.ndarray, crosscorr: np
     np.multiply(newest[..., :, None], np.conj(newest)[..., None, :], out=outer)
     autocorr[:2] += outer
     samples = np.swapaxes(window, -1, -2)
-    # r^H w = conj(w^H r) of every sample but the newest, each some pair's older one.
-    h = np.conj(lane_dot(w[..., None, :], samples[..., :-1, :]))
     if paper_literal_t1:
         crosscorr[..., 0, :] = crosscorr[..., 2, :]
     crosscorr *= forget
-    gains = (symbols[..., :-1] * h)[..., older] * symbols[..., newer]
+    gains = (symbols * np.conj(outputs))[..., older] * symbols[..., newer]
     crosscorr[..., :num, :] += gains[..., None] * samples[..., newer, :]
     # Pair n takes Rbar_(n+1): each lane reads its (P, M^2) rows in place,
     # broadcast over the receivers.
     terms = autocorr[:num].reshape(num, autocorr.shape[1], -1).swapaxes(0, 1)
-    mixed_auto = _real_mix(rho, terms).reshape(*w.shape, w.shape[-1])
+    mixed_auto = _real_mix(rho, terms).reshape(*outputs.shape[:-1], *outer.shape[-2:])
     return mixed_auto, _real_mix(rho, crosscorr[..., :num, :])
 
 
@@ -379,20 +377,20 @@ def cg_solve_lanes(corr: np.ndarray, cross: np.ndarray, w_init: np.ndarray, j_ma
 def cg_step_lanes(autocorr: np.ndarray, outer: np.ndarray, crosscorr: np.ndarray,
                   w: np.ndarray, forget: float, max_iters: int, loading: float,
                   rho: np.ndarray, window: np.ndarray, symbols: np.ndarray,
-                  paper_literal_t1: bool = False) -> np.ndarray:
+                  outputs: np.ndarray, paper_literal_t1: bool = False) -> np.ndarray:
     """Advance the correlations in place and re-solve the mixed system; returns ``w``.
 
     :func:`cg_correlations_lanes` advances the statistics ``autocorr``,
-    ``outer`` and ``crosscorr`` in place (the first two shared over the
-    receiver axis), then :func:`cg_solve_lanes` runs ``max_iters``
-    iterations warm-started at the previous filter, which suffices to
-    track the solution of the mixed normal equations.  A positive
+    ``outer`` and ``crosscorr`` in place from ``w``'s window ``outputs``
+    (the first two shared over the receiver axis), then
+    :func:`cg_solve_lanes` runs ``max_iters`` iterations warm-started at
+    ``w``, which suffices to track the mixed normal equations.  A positive
     ``loading`` adds ``loading * tr(Rbar) / M * I`` to the solved system
     only, which stabilizes a sample-starved system; the stored statistics
     stay unloaded.
     """
     mixed_auto, mixed_cross = cg_correlations_lanes(
-        autocorr, outer, crosscorr, w, forget, rho, window, symbols, paper_literal_t1)
+        autocorr, outer, crosscorr, outputs, forget, rho, window, symbols, paper_literal_t1)
     if loading > 0:
         dim = w.shape[-1]
         load = loading * np.trace(mixed_auto, axis1=-2, axis2=-1).real / dim

@@ -42,7 +42,7 @@ from fadetrack.receivers import (
 )
 
 from test_analysis import scalar_moments
-from test_receivers import pair_nlms_step
+from test_receivers import filter_outputs, pair_nlms_step
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -122,7 +122,8 @@ def test_criterion_4_static_channel_fixed_point():
     max_err = 0.0
     for _ in range(100):
         w = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        errors, _ = pair_errors_lanes(w[None], received[None, :, :3], symbols[None, :3])
+        errors, _ = pair_errors_lanes(filter_outputs(w[None], received[None, :, :3]),
+                                      symbols[None, :3])
         max_err = max(max_err, float(np.max(np.abs(errors))))
 
     # Both trackers hold their initial filter over 1000 symbols.  The CG
@@ -136,11 +137,11 @@ def test_criterion_4_static_channel_fixed_point():
     crosscorr = np.zeros((1, 3, dim), dtype=complex)
     for i in range(2, symbols.size):
         window, window_symbols = received[None, :, i - 2:i + 1], symbols[None, i - 2:i + 1]
-        errors, _ = pair_errors_lanes(w_nlms, window, window_symbols)
+        errors, _ = pair_errors_lanes(filter_outputs(w_nlms, window), window_symbols)
         w_nlms, power = pair_nlms_lanes(w_nlms, power, 0.5, 0.9, rho, errors, window,
                                         window_symbols)
         w_cg = cg_step_lanes(autocorr, outer, crosscorr, w_cg, 0.998, 5, 0.0, rho, window,
-                             window_symbols)
+                             window_symbols, filter_outputs(w_cg, window))
     nlms_drift = float(np.max(np.abs(w_nlms[0] - w0)))
     cg_drift = float(np.max(np.abs(w_cg[0] - w0)))
     elapsed = time.time() - start

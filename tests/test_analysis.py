@@ -224,6 +224,27 @@ class TestChunkedEnsemble:
             tol = 4.0 * spread * np.sqrt(1 / 4 + 1 / 10)
             assert abs(np.mean(values[name]) - mean) < tol, name
 
+    # One ensemble's values at estimator version 6.  Cache entries are keyed by
+    # the version, so an estimator change that moves them must bump it.
+    PINNED_VERSION = 6
+    PINNED_VALUES = {
+        "min_mse": [0.2853608561746702, 0.29413660203770103, 0.29375638133032256],
+        "p_s_opt": 0.5306986978231925,
+        "p_i_opt": 0.4602821644999317,
+    }
+
+    def test_values_are_pinned_at_the_estimator_version(self):
+        scenario = ChannelScenario(users=3, gain=8, paths=2, snr_db=10.0, fading_rate=0.01,
+                                   include_isi=True, code_seed=3)
+        m = estimate_moment_matrices(scenario, 1000, seed=7)
+        assert analysis._ESTIMATOR_VERSION == self.PINNED_VERSION, (
+            "the estimator version changed: pin this test's values at the new version")
+        for name, pinned in self.PINNED_VALUES.items():
+            value = np.asarray(getattr(m, name)).tolist()
+            assert np.allclose(value, pinned, rtol=1e-12, atol=0.0), (
+                f"{name} moved from {pinned} to {value} at estimator version "
+                f"{self.PINNED_VERSION}: bump _ESTIMATOR_VERSION and pin the new values")
+
 
 class TestKStep:
     def test_zero_step_freezes(self):

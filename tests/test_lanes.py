@@ -34,6 +34,8 @@ from fadetrack.receivers import (
     update_mixing,
 )
 
+from test_receivers import filter_outputs
+
 LANES, DIM, STEPS = 4, 6, 300
 
 
@@ -66,17 +68,17 @@ def cg_statistics(received, i):
 # ----------------------------------------------------------------------
 
 def three_average_cg_step(auto, cross, w, forget, iters, loading, rho, window, symbols,
-                          literal=False):
+                          outputs, literal=False):
     """:func:`cg_step_lanes` on per-lane ``(L, 3, M, M)`` averages R1, R2, R3, each pair
     mixed by its own weight with one BLAS call per lane and solved by
     :func:`full_iteration_cg_solve`: the kernel's form before the autocorrelations were
-    shared and updated in place."""
-    r0, r1, r2 = window[..., -1], window[..., -2], window[..., -3]
+    shared and updated in place.  ``outputs`` are ``w``'s over the window."""
+    r0, r1 = window[..., -1], window[..., -2]
     b0, b1, b2 = symbols[:, -1], symbols[:, -2], symbols[:, -3]
     outer0, outer1 = (r[..., :, None] * np.conj(r)[..., None, :] for r in (r0, r1))
     gains = np.stack([b1 * b1, b2 * b2, b2 * b2], axis=1)[..., None, None]
     auto = forget * auto + gains * np.stack([outer0, outer0, outer1], axis=1)
-    h1, h2 = np.conj(lane_dot(w, r1)), np.conj(lane_dot(w, r2))
+    h1, h2 = np.conj(outputs[:, -2]), np.conj(outputs[:, -3])
     cross = forget * cross
     if literal:
         cross[:, 0] = cross[:, 2]
@@ -195,7 +197,7 @@ class TestKernelsFollowTheirRecursions:
         refs = [(w[l].copy(), 2.0, rho[l].copy()) for l in range(LANES)]
         for i in range(depth - 1, STEPS):
             window, syms = received[:, :, i + 1 - depth:i + 1], symbols[:, i + 1 - depth:i + 1]
-            errors, total = pair_errors_lanes(w, window, syms)
+            errors, total = pair_errors_lanes(filter_outputs(w, window), syms)
             if adapt:
                 rho = mixing_lanes(rho, errors, total, 0.9)
             w, power = pair_nlms_lanes(w, power, 0.05, 0.9, rho, errors, window, syms)
@@ -261,7 +263,8 @@ class TestKernelsFollowTheirRecursions:
                 for l in range(LANES)]
         for i in range(2, STEPS):
             window, syms = received[:, :, i - 2:i + 1], symbols[:, i - 2:i + 1]
-            w = cg_step_lanes(auto, outer, cross, w, 0.97, 3, loading, rho, window, syms, literal)
+            w = cg_step_lanes(auto, outer, cross, w, 0.97, 3, loading, rho, window, syms,
+                              filter_outputs(w, window), literal)
             for l, (w_ref, a_ref, t_ref) in enumerate(refs):
                 r0, r1, r2 = window[l, :, 2], window[l, :, 1], window[l, :, 0]
                 b0, b1, b2 = syms[l, 2], syms[l, 1], syms[l, 0]
@@ -288,9 +291,10 @@ class TestKernelsFollowTheirRecursions:
         auto = cnormal(rng, 3, LANES, DIM, DIM)
         cross = cnormal(rng, LANES, 3, DIM)
         rho = rng.dirichlet(np.ones(3), size=LANES)
+        outer = cnormal(rng, LANES, DIM, DIM)
+        outputs = filter_outputs(cnormal(rng, LANES, DIM), received[:, :, :3])
         mixed_auto, mixed_cross = cg_correlations_lanes(
-            auto, cnormal(rng, LANES, DIM, DIM), cross, cnormal(rng, LANES, DIM), 0.9, rho,
-            received[:, :, :3], symbols[:, :3])
+            auto, outer, cross, outputs, 0.9, rho, received[:, :, :3], symbols[:, :3])
         # The three averages (Rbar_1, Rbar_2, Rbar_3), advanced in place, each
         # with its own weight.
         close(mixed_auto, np.einsum("lp,plij->lij", rho, auto))
@@ -312,10 +316,12 @@ class TestKernelsFollowTheirRecursions:
         refs = [(np.moveaxis(auto, 0, 1).copy(), cross[k].copy(), w[k]) for k in range(num)]
         for i in range(2, STEPS):
             window, syms = received[:, :, i - 2:i + 1], symbols[..., i - 2:i + 1]
-            w = cg_step_lanes(auto, outer, cross, w, 0.97, 3, loading, rho, window, syms)
+            w = cg_step_lanes(auto, outer, cross, w, 0.97, 3, loading, rho, window, syms,
+                              filter_outputs(w, window))
             for k, (a_ref, t_ref, w_ref) in enumerate(refs):
                 a_ref, t_ref, w_ref = three_average_cg_step(
-                    a_ref, t_ref, w_ref, 0.97, 3, loading, rho[k], window, syms[k])
+                    a_ref, t_ref, w_ref, 0.97, 3, loading, rho[k], window, syms[k],
+                    filter_outputs(w_ref, window))
                 refs[k] = (a_ref, t_ref, w_ref)
                 assert np.array_equal(a_ref[:, 0], a_ref[:, 1])
                 assert np.array_equal(auto, np.moveaxis(a_ref, 1, 0))
@@ -334,15 +340,16 @@ class TestTwoSampleRestriction:
         cross = np.zeros((LANES, 3, DIM), dtype=complex)
         # Symbol 1: the two-sample step, shared by both forms.
         w = cg_step_lanes(auto, outer, cross, w, 0.97, 3, loading, np.ones((LANES, 1)),
-                          received[..., :2], symbols[:, :2])
+                          received[..., :2], symbols[:, :2], filter_outputs(w, received[..., :2]))
         # The kernel updates the statistics in place: each form steps its own copies.
         three, two = ([a.copy() for a in (auto, outer, cross, w)] for _ in range(2))
         for i in range(2, STEPS):
+            window = received[..., i - 2:i + 1]
             three[3] = cg_step_lanes(*three, 0.97, 3, loading,
-                                     np.tile([1.0, 0.0, 0.0], (LANES, 1)),
-                                     received[..., i - 2:i + 1], symbols[:, i - 2:i + 1])
-            two[3] = cg_step_lanes(*two, 0.97, 3, loading, np.ones((LANES, 1)),
-                                   received[..., i - 1:i + 1], symbols[:, i - 1:i + 1])
+                                     np.tile([1.0, 0.0, 0.0], (LANES, 1)), window,
+                                     symbols[:, i - 2:i + 1], filter_outputs(three[3], window))
+            two[3] = cg_step_lanes(*two, 0.97, 3, loading, np.ones((LANES, 1)), window[..., 1:],
+                                   symbols[:, i - 1:i + 1], filter_outputs(two[3], window[..., 1:]))
             assert np.array_equal(three[3], two[3])
             assert np.array_equal(three[2][:, 0], two[2][:, 0])
             assert np.array_equal(three[1], two[1])
@@ -354,7 +361,7 @@ class TestTwoSampleRestriction:
         power = np.full(LANES, 2.0)
 
         def step(w, power, rho, window, syms):
-            errors, _ = pair_errors_lanes(w, window, syms)
+            errors, _ = pair_errors_lanes(filter_outputs(w, window), syms)
             return pair_nlms_lanes(w, power, 0.05, 0.9, rho, errors, window, syms)
 
         three = two = step(w, power, np.ones((LANES, 1)), received[..., :2], symbols[:, :2])
@@ -399,8 +406,9 @@ class TestLaneRules:
             contiguous = rng.dirichlet(np.ones(3), size=(num, LANES))
             strided = np.repeat(contiguous, 2, axis=-1)[..., ::2]
             transposed = np.asfortranarray(contiguous)
-            mixed = [cg_correlations_lanes(auto.copy(), outer.copy(), cross.copy(), w, 0.9, rho,
-                                           received[..., draw:draw + 3], syms)
+            window = received[..., draw:draw + 3]
+            mixed = [cg_correlations_lanes(auto.copy(), outer.copy(), cross.copy(),
+                                           filter_outputs(w, window), 0.9, rho, window, syms)
                      for rho in (contiguous, strided, transposed)]
             for other in mixed[1:]:
                 assert np.array_equal(other[0], mixed[0][0])
@@ -412,7 +420,7 @@ class TestLaneRules:
         window[1] = 0.0
         symbols = np.ones((3, 3))
         w = cnormal(rng, 3, DIM)
-        errors, _ = pair_errors_lanes(w, window, symbols)
+        errors, _ = pair_errors_lanes(filter_outputs(w, window), symbols)
         with pytest.raises(DegenerateInputError):
             pair_nlms_lanes(w, np.ones(3), 0.1, 0.0, np.full((3, 3), 1 / 3), errors,
                             window, symbols)
@@ -640,11 +648,13 @@ def test_every_pair_receiver_of_a_group_takes_the_same_symbol_1_step(group, isi)
 # ----------------------------------------------------------------------
 
 def reference_step_lanes(names, cfg, received, refs, data, w_init):
-    """:func:`_step_lanes` of the CG group or ``rls``, one receiver at a time, written
-    with the reference steps above: :func:`three_average_cg_step` (symbol 1's
-    two-sample step as pair (0, 1) of a window padded with a zero sample), mixing by
-    :func:`update_mixing` lane by lane, and :func:`unconditional_rls`.  Returns each
-    receiver's ``(L, T)`` data errors and ``(L, M, T)`` filter trajectory."""
+    """:func:`_step_lanes` of one group, one receiver at a time.  Each symbol forms the
+    filter's outputs over its window once, as the engine does, and steps with the
+    references above: :func:`three_average_cg_step` (symbol 1's two-sample step as
+    pair (0, 1) of a window padded with a zero sample), :func:`pair_nlms_lanes` (symbol
+    1 on the two-sample window), mixing by :func:`update_mixing` lane by lane from the
+    pre-update filter's errors, :func:`unconditional_rls` and :func:`nlms_lanes`.
+    Returns each receiver's ``(L, T)`` data errors and ``(L, M, T)`` filter trajectory."""
     lanes, dim, length = received.shape
     errors = np.full((len(names), lanes, length), np.nan)
     trajectory = np.empty((len(names), lanes, dim, length), dtype=complex)
@@ -652,15 +662,18 @@ def reference_step_lanes(names, cfg, received, refs, data, w_init):
         spec = harness._RECEIVERS[name]
         differential = spec.pair_weights is not None
         w, used, z_prev = w_init.copy(), np.empty((lanes, length)), None
+        power = harness._initial_power(received)
+        auto = np.zeros((lanes, 3, dim, dim), dtype=complex)
+        auto[...] = cfg.delta * np.eye(dim)
+        cross = np.zeros((lanes, 3, dim), dtype=complex)
+        inv = np.repeat(np.eye(dim, dtype=complex)[None] / cfg.delta, lanes, axis=0)
         if differential:
-            auto = np.zeros((lanes, 3, dim, dim), dtype=complex)
-            auto[...] = cfg.delta * np.eye(dim)
-            cross = np.zeros((lanes, 3, dim), dtype=complex)
             rho = np.tile(spec.pair_weights + (0.0,) * (3 - len(spec.pair_weights)), (lanes, 1))
-        else:
-            inv = np.repeat(np.eye(dim, dtype=complex)[None] / cfg.delta, lanes, axis=0)
         for i in range(length):
-            z = lane_dot(w, received[..., i])
+            past = max(i - 2, 0) if differential else i
+            window = received[..., past:i + 1]
+            outputs = filter_outputs(w, window)
+            z = outputs[:, -1]
             if differential and i == 0:
                 used[:, 0] = refs[:, 0]
             else:
@@ -671,25 +684,33 @@ def reference_step_lanes(names, cfg, received, refs, data, w_init):
                     used[:, i] = refs[:, i]
                 else:
                     used[:, i] = decided * used[:, i - 1] if differential else decided
-            if not differential:
-                w, inv = unconditional_rls(w, inv, cfg.lambda_rls, received[..., i],
-                                           used[:, i], z)
+            syms = used[:, past:i + 1]
+            if name == "rls":
+                w, inv = unconditional_rls(w, inv, cfg.lambda_rls, window[..., -1], syms[:, -1], z)
+            elif name == "nlms":
+                w, power = nlms_lanes(w, power, cfg.mu, cfg.lambda_m, window[..., -1],
+                                      syms[:, -1], z)
             elif i:
-                window, syms = received[..., max(i - 2, 0):i + 1], used[:, max(i - 2, 0):i + 1]
-                step_rho = rho
-                if i == 1:
-                    window = np.concatenate([np.zeros_like(window[..., :1]), window], axis=-1)
-                    syms = np.concatenate([np.ones_like(syms[:, :1]), syms], axis=-1)
-                    step_rho = np.tile([1.0, 0.0, 0.0], (lanes, 1))
-                elif spec.adapt:
-                    e, total = pair_errors_lanes(w, window, syms)
+                e, total = pair_errors_lanes(outputs, syms)
+                step_rho = np.ones((lanes, 1)) if i == 1 else rho
+                if i > 1 and spec.adapt:
                     rho = step_rho = np.array([
                         update_mixing(MixingState(rho[l], cfg.lambda_e),
                                       PairErrors(e[l], float(total[l]), pair_indices(3))).weights
                         for l in range(lanes)])
-                auto, cross, w = three_average_cg_step(
-                    auto, cross, w, cfg.lambda_cg, cfg.jmax, cfg.cg_loading, step_rho, window,
-                    syms, cfg.paper_literal_t1)
+                if spec.lanes is not harness._CgLanes:
+                    w, power = pair_nlms_lanes(w, power, cfg.mu, cfg.lambda_m, step_rho, e,
+                                               window, syms)
+                else:
+                    if i == 1:
+                        window, syms, outputs = (np.concatenate([pad(a[..., :1]), a], axis=-1)
+                                                 for a, pad in ((window, np.zeros_like),
+                                                                (syms, np.ones_like),
+                                                                (outputs, np.zeros_like)))
+                        step_rho = np.tile([1.0, 0.0, 0.0], (lanes, 1))
+                    auto, cross, w = three_average_cg_step(
+                        auto, cross, w, cfg.lambda_cg, cfg.jmax, cfg.cg_loading, step_rho,
+                        window, syms, outputs, cfg.paper_literal_t1)
             if differential:
                 gamma = harness._unit_power_gain(z, cfg.lambda_m)
                 w, cross = gamma[:, None] * w, gamma[:, None, None] * cross
@@ -707,15 +728,16 @@ def reference_step_lanes(names, cfg, received, refs, data, w_init):
 ], ids=["jmax-0", "jmax-1", "jmax-5", "literal", "loading"])
 def test_engine_steps_bit_equal_to_the_reference_steps(changes, isi):
     # Two chunks with different data and lane counts step back to back, so
-    # state kept across receivers or chunks would show.  In the first, CG
-    # lane 1 reads all-zero windows (a silent lane for the mixing), CG lane 2
-    # windows scaled by 1e-9 (its solve exits at a small but nonzero gradient
-    # while the other lanes iterate), and rls lane 2 zero observations
-    # mid-packet.
+    # state kept across receivers or chunks would show.  In the first, pair
+    # lane 1 reads all-zero windows (a silent lane for the mixing), pair lane
+    # 2 windows scaled by 1e-9 (its CG solve exits at a small but nonzero
+    # gradient while the other lanes iterate), and coherent lane 2 zero
+    # observations mid-packet.
     cfg = ExperimentConfig(**{**small_config(isi).__dict__, **changes})
     for lanes in ([(0, 0), (1, 1), (2, 2)], [(1, 0), (0, 2), (2, 1), (0, 0)]):
-        for group, mode in ((("diff-cg", "bidir-cg", "bidir-cg-equal"), "differential"),
-                            (("rls",), "coherent")):
+        for group in (("diff-cg", "bidir-cg", "bidir-cg-equal"),
+                      ("diff-nlms", "bidir-nlms", "bidir-nlms-equal"), ("rls",), ("nlms",)):
+            mode = _mode_of(group[0])
             _, stacked = lane_inputs(cfg, lanes, mode)
             if len(lanes) == 3 and mode == "differential":
                 stacked[0][1] = 0.0

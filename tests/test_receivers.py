@@ -30,9 +30,15 @@ def window_of(vectors, symbols):
     return window[None], np.array([symbols], dtype=float)
 
 
+def filter_outputs(w, window):
+    """w^H r of each lane's filter over its window's samples, in the step loop's product."""
+    return np.matmul(np.conj(w)[..., None, :], window)[..., 0, :]
+
+
 def pair_errors(w, vectors, symbols):
     """Pair errors and their magnitude sum for one filter and one window."""
-    errors, total = pair_errors_lanes(np.asarray(w)[None], *window_of(vectors, symbols))
+    window, syms = window_of(vectors, symbols)
+    errors, total = pair_errors_lanes(filter_outputs(np.asarray(w)[None], window), syms)
     return errors[0], float(total[0])
 
 
@@ -46,7 +52,7 @@ def pair_nlms_step(w, power, step_size, norm_forget, rho, vectors, symbols):
     depth = 2 if rho.size == 1 else 3
     window, syms = window_of(vectors[-depth:], symbols[-depth:])
     w = np.asarray(w, dtype=complex)[None]
-    errors, _ = pair_errors_lanes(w, window, syms)
+    errors, _ = pair_errors_lanes(filter_outputs(w, window), syms)
     w, power = pair_nlms_lanes(w, np.array([power], dtype=float), step_size, norm_forget,
                                rho[None], errors, window, syms)
     return w[0], float(power[0])
@@ -278,7 +284,7 @@ class TestBidirNlmsStep:
     def test_all_zero_history_degenerates(self):
         window, symbols = window_of([np.zeros(3)] * 3, [1.0, 1.0, 1.0])
         w = np.ones((1, 3), dtype=complex)
-        errors, _ = pair_errors_lanes(w, window, symbols)
+        errors, _ = pair_errors_lanes(filter_outputs(w, window), symbols)
         with pytest.raises(DegenerateInputError):
             pair_nlms_lanes(w, np.ones(1), 0.1, 0.0, make_mixing_state(3).weights[None],
                             errors, window, symbols)
@@ -403,8 +409,8 @@ class TestUpdateCgCorrelations:
     def test_single_outer_product_at_zero_forgetting(self):
         window, symbols = window_of([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0]], [1.0, 1.0, 1.0])
         autocorr, outer, crosscorr = cg_statistics(window, 0.5)
-        cg_correlations_lanes(autocorr, outer, crosscorr, np.zeros((1, 2)), 0.0,
-                              make_mixing_state(3).weights[None], window, symbols)
+        cg_correlations_lanes(autocorr, outer, crosscorr, filter_outputs(np.zeros((1, 2)), window),
+                              0.0, make_mixing_state(3).weights[None], window, symbols)
         assert np.allclose(autocorr[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_degenerate_mixing_selects_first_pair(self):
@@ -414,7 +420,8 @@ class TestUpdateCgCorrelations:
         window = window_of(vectors, [1.0, -1.0, 1.0])
         auto, outer, cross = cg_statistics(window[0], 0.01)
         mixed_auto, mixed_cross = cg_correlations_lanes(
-            auto, outer, cross, w, 0.9, np.array([[1.0, 0.0, 0.0]]), *window)
+            auto, outer, cross, filter_outputs(w, window[0]), 0.9, np.array([[1.0, 0.0, 0.0]]),
+            *window)
         assert np.array_equal(mixed_auto[0], auto[0, 0])
         assert np.array_equal(mixed_cross[0], cross[0, 0])
 
@@ -434,7 +441,9 @@ class TestUpdateCgCorrelations:
             # Each window is drawn afresh: its second-newest sample's outer product
             # stands in for the one the previous step kept.
             outer[0] = np.outer(vectors[1], vectors[1].conj())
-            cg_correlations_lanes(auto, outer, cross, w, lam, rho, *window_of(vectors, symbols))
+            window = window_of(vectors, symbols)
+            cg_correlations_lanes(auto, outer, cross, filter_outputs(w, window[0]), lam, rho,
+                                  *window)
             r0 = vectors[2]
             r1v = vectors[1]
             b0, b1, b2 = symbols[2], symbols[1], symbols[0]
@@ -464,7 +473,8 @@ class TestUpdateCgCorrelations:
             vectors = [rng.standard_normal(4) + 1j * rng.standard_normal(4)
                        for _ in range(3)]
             window = window_of(vectors, list(2.0 * rng.integers(0, 2, size=3) - 1.0))
-            mixed_auto, _ = cg_correlations_lanes(auto, outer, cross, w, 0.97, rho, *window)
+            mixed_auto, _ = cg_correlations_lanes(auto, outer, cross, filter_outputs(w, window[0]),
+                                                  0.97, rho, *window)
             assert np.max(np.abs(mixed_auto[0] - mixed_auto[0].conj().T)) < 1e-10
 
     def test_literal_t1_chaining_differs(self):
@@ -476,9 +486,10 @@ class TestUpdateCgCorrelations:
         for literal in (False, True):
             auto, outer, cross = cg_statistics(np.zeros((1, 2, 3), complex), 0.0)
             for vectors in (vectors1, vectors2):
+                window = window_of(vectors, [1.0, 1.0, 1.0])
                 cg_correlations_lanes(
-                    auto, outer, cross, np.ones((1, 2), dtype=complex), 0.9, rho,
-                    *window_of(vectors, [1.0, 1.0, 1.0]), paper_literal_t1=literal)
+                    auto, outer, cross, filter_outputs(np.ones((1, 2), dtype=complex), window[0]),
+                    0.9, rho, *window, paper_literal_t1=literal)
             results[literal] = cross[0, 0]
         assert not np.allclose(results[False], results[True])
 
@@ -489,9 +500,10 @@ def cg_track(w0, forget, max_iters, delta, rho, received, symbols):
     auto, outer, cross = cg_statistics(received[None, :, :3], delta)
     rho = np.asarray(rho, dtype=float)[None]
     for i in range(2, len(symbols)):
-        w = cg_step_lanes(auto, outer, cross, w, forget, max_iters, 0.0, rho,
-                          received[None, :, i - 2:i + 1],
-                          np.asarray(symbols[i - 2:i + 1], dtype=float)[None])
+        window = received[None, :, i - 2:i + 1]
+        w = cg_step_lanes(auto, outer, cross, w, forget, max_iters, 0.0, rho, window,
+                          np.asarray(symbols[i - 2:i + 1], dtype=float)[None],
+                          filter_outputs(w, window))
     return auto[:, 0], cross[0], w[0]
 
 
@@ -502,7 +514,8 @@ class TestBidirCgStep:
         w0 = rng.standard_normal(3).astype(complex)[None]
         window = window_of(vectors, [1.0, 1.0, -1.0])
         w = cg_step_lanes(*cg_statistics(window[0], 0.01), w0, 0.998, 0, 0.0,
-                          make_mixing_state(3).weights[None], *window)
+                          make_mixing_state(3).weights[None], *window,
+                          filter_outputs(w0, window[0]))
         assert np.array_equal(w, w0)
 
     def test_static_channel_fixed_point_with_first_pair(self):
@@ -544,10 +557,12 @@ class TestBidirCgStep:
         window = window_of(vectors, [1.0, -1.0, 1.0])
         w0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         rho = make_mixing_state(3).weights[None]
+        outputs = filter_outputs(w0[None], window[0])
         mixed_auto, mixed_cross = cg_correlations_lanes(
-            *cg_statistics(window[0], 0.0), w0[None], 0.5, rho, *window)
+            *cg_statistics(window[0], 0.0), outputs, 0.5, rho, *window)
         expected = cg_solve(mixed_auto[0], mixed_cross[0], w0, 3)
-        w = cg_step_lanes(*cg_statistics(window[0], 0.0), w0[None], 0.5, 3, 0.0, rho, *window)
+        w = cg_step_lanes(*cg_statistics(window[0], 0.0), w0[None], 0.5, 3, 0.0, rho, *window,
+                          outputs)
         assert np.allclose(w[0], expected)
         assert np.all(np.isfinite(w))
 
@@ -565,13 +580,14 @@ class TestBidirCgStep:
         loading = 0.1
         (advanced, outer, cross, w0, forget), rho, window = self._loaded_case()
         mixed_auto, mixed_cross = cg_correlations_lanes(
-            advanced, outer, cross, w0, forget, rho, *window)
+            advanced, outer, cross, filter_outputs(w0, window[0]), forget, rho, *window)
         mixed_auto, mixed_cross = mixed_auto[0], mixed_cross[0]
         dim = w0.shape[-1]
         loaded = mixed_auto + loading * np.real(np.trace(mixed_auto)) / dim * np.eye(dim)
         expected = cg_solve(loaded, mixed_cross, w0[0], 3)
         (stored, outer, cross, _, _), _, _ = self._loaded_case()
-        w = cg_step_lanes(stored, outer, cross, w0, forget, 3, loading, rho, *window)
+        w = cg_step_lanes(stored, outer, cross, w0, forget, 3, loading, rho, *window,
+                          filter_outputs(w0, window[0]))
         assert np.allclose(w[0], expected, atol=1e-12, rtol=0)
         unloaded = cg_solve(mixed_auto, mixed_cross, w0[0], 3)
         assert not np.allclose(w[0], unloaded)
@@ -581,10 +597,11 @@ class TestBidirCgStep:
     def test_zero_loading_is_the_plain_solve(self):
         (auto, outer, cross, w0, forget), rho, window = self._loaded_case()
         mixed_auto, mixed_cross = cg_correlations_lanes(
-            auto, outer, cross, w0, forget, rho, *window)
+            auto, outer, cross, filter_outputs(w0, window[0]), forget, rho, *window)
         expected = cg_solve(mixed_auto[0], mixed_cross[0], w0[0], 3)
         statistics, _, _ = self._loaded_case()
-        w = cg_step_lanes(*statistics[:3], w0, forget, 3, 0.0, rho, *window)
+        w = cg_step_lanes(*statistics[:3], w0, forget, 3, 0.0, rho, *window,
+                          filter_outputs(w0, window[0]))
         assert np.array_equal(w[0], expected)
 
     @pytest.mark.parametrize("loading", [-0.1, float("nan")])
