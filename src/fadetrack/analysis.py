@@ -24,7 +24,9 @@ from .dscdma import (
     ChannelScenario,
     code_convolution_operator,
     conditional_covariance,
+    mmse_filters,
     received_block,
+    signature_rows,
 )
 from .fading import FadingConfig, fading_windows
 from .receivers import pair_errors_lanes
@@ -52,7 +54,7 @@ _SPECTRAL_TOL = 1e-9
 
 # Part of the moment-cache key: bump it whenever a change to
 # estimate_moment_matrices changes its output, so no stale entry is reused.
-_ESTIMATOR_VERSION = 6
+_ESTIMATOR_VERSION = 7
 
 # Ensemble members drawn, processed and summed together; a fixed constant,
 # so the seeding layout (one generator per chunk) never depends on an
@@ -160,11 +162,16 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
 
         # Per-symbol signatures over a five-symbol window centred on the
         # observation instant: columns 0..4 map to symbols i-3 .. i+1.
-        mains = np.swapaxes(operators @ gains, 0, 1)  # (users, members, dim, 5)
+        signatures = operators @ gains  # (members, users, dim, 5)
+        mains = np.swapaxes(signatures, 0, 1)  # (users, members, dim, 5)
         desired = mains[0]
-        cov = conditional_covariance(mains, gain, sigma2, (3, 2),
-                                     include_isi=scenario.include_isi)
-        w_opt = np.linalg.solve(cov[:, 0], desired[..., 3:4])[..., 0]
+        # One gather, with the members folded into the users axis: a
+        # covariance of these rows is the sum of the members' covariances.
+        folded = signature_rows(signatures.reshape(size * scenario.users, dim, 5))
+        rows = np.moveaxis(folded.reshape(5, dim, size, scenario.users), 2, 0)  # per member
+        w_opt = mmse_filters(rows, gain, sigma2, [3], scenario.include_isi)[:, 0]
+        cov_sum += conditional_covariance(folded, gain, size * sigma2, (3, 2),
+                                          scenario.include_isi)
         # Sampled observations at windows i-2, i-1, i (columns 1..3) feed
         # the optimum filter's pair errors and the independence diagnostics.
         noise = np.sqrt(sigma2 / 2.0) * (normals[0] + 1j * normals[1])
@@ -175,7 +182,6 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
         errors, _ = pair_errors_lanes(outputs, ref)
 
         signal_corr += _outer_sum(desired[..., 3], desired[..., 3])
-        cov_sum += cov.sum(axis=0)
         for n, (a, b) in enumerate(((3, 2), (3, 1), (2, 1))):
             cross[n] += _outer_sum(desired[..., a], desired[..., b])
         if spill > 0:

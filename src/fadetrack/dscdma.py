@@ -3,7 +3,8 @@
 Builds the chip-rate observation window of a multiuser uplink with
 multipath symbol-rate block fading: spreading codes, banded channel
 convolution matrices, BPSK and differential modulation, the linear
-receiver front end and hard detection.
+receiver front end and hard detection, and the symbol-conditioned
+observation covariance with its instantaneous MMSE filter.
 
 The observation for symbol ``i`` spans ``M = N + L - 1`` chips, where
 ``N`` is the processing gain and ``L`` the number of paths.  With
@@ -31,7 +32,9 @@ __all__ = [
     "code_convolution_operator",
     "isi_tail",
     "isi_precursor",
+    "signature_rows",
     "conditional_covariance",
+    "mmse_filters",
     "modulate_coherent",
     "modulate_differential",
     "synthesize_received",
@@ -209,36 +212,98 @@ def isi_precursor(signature: np.ndarray, gain: int) -> np.ndarray:
     return out
 
 
-def conditional_covariance(signatures, gain: int, noise_variance: float, columns,
+def signature_rows(signatures) -> np.ndarray:
+    """The users' ``(..., M, T)`` signatures as contiguous per-symbol rows, ``(..., T, M, K)``.
+
+    Row ``i`` holds every user's signature of symbol ``i`` side by side, user 0 first:
+    the layout :func:`conditional_covariance` and :func:`mmse_filters` index on its
+    symbol axis.  Gather a packet once and pass the rows to both.
+    """
+    return np.ascontiguousarray(np.moveaxis(np.asarray(signatures), (0, -1), (-1, -3)))
+
+
+def conditional_covariance(rows, gain: int, noise_variance: float, columns,
                            include_isi: bool = True) -> np.ndarray:
     """Covariances, ``(..., len(columns), M, M)``, of :func:`received_block` columns.
 
-    Given the users' ``(..., M, T)`` ``signatures`` (any leading batch
-    axes), each is ``noise_variance * I`` plus the sum over users of the
-    outer products of the signature, the previous symbol's tail and the
-    next symbol's precursor (zero past packet edges).  Each sum over users
-    is one ``(M x K) @ (K x M)`` product; the tail and precursor fill only
-    the ``M - N`` square corners they spill into, so only those corners are
-    added.  ``matmul`` takes one BLAS call per matrix, so a column's bits do
-    not depend on the batch axes or the other columns.
+    Given the :func:`signature_rows` ``(..., T, M, K)`` of the users'
+    signatures (any leading batch axes), each is ``noise_variance * I`` plus
+    the sum over users of the outer products of the signature, the previous
+    symbol's tail and the next symbol's precursor (zero past packet edges).
+    Each sum over users is one ``(M x K) @ (K x M)`` product; the tail and
+    precursor fill only the ``M - N`` square corners they spill into, so
+    only those corners are added.  ``matmul`` takes one BLAS call per
+    matrix, so a column's bits do not depend on the batch axes or the other
+    columns.  Folding a batch axis into the users axis sums the covariances
+    over it, with the noise variance scaled by its length.
     """
+    rows = np.asarray(rows)
     columns = np.asarray(columns, dtype=np.intp)
-    window, length = np.shape(signatures[0])[-2:]
-    n = columns.size
-    spill = window - gain if include_isi else 0
-    index = np.concatenate([columns, columns - 1, columns + 1]) if spill > 0 else columns
-    inside = (index >= 0) & (index < length)
-    index = np.where(inside, index, 0)
-    # (..., len(index), M, K), contiguous: each column's users side by side.
-    rows = np.ascontiguousarray(np.moveaxis(np.asarray(signatures)[..., index] * inside,
-                                            (0, -1), (-1, -3)))
-    total = _gram(rows[..., :n, :, :])
-    if spill > 0:
-        total[..., :spill, :spill] += _gram(rows[..., n:2 * n, gain:, :])
-        total[..., gain:, gain:] += _gram(rows[..., 2 * n:, :spill, :])
+    window = rows.shape[-2]
+    total = _gram(rows[..., columns, :, :])
+    corners = _isi_corners(rows, gain, columns, include_isi)
+    if corners is not None:
+        spill = window - gain
+        total[..., :spill, :spill] += _gram(corners[0])
+        total[..., gain:, gain:] += _gram(corners[1])
     diagonal = np.arange(window)
     total[..., diagonal, diagonal] += noise_variance
     return total
+
+
+def mmse_filters(rows, gain: int, noise_variance: float, columns,
+                 include_isi: bool = True) -> np.ndarray:
+    """User 0's instantaneous MMSE filters ``R^-1 s_0``, ``(..., len(columns), M)``.
+
+    ``R`` is the :func:`conditional_covariance` of each column, from the
+    same :func:`signature_rows`.  It is ``noise_variance * I + W D W^H``
+    with ``W = [S, E_top, E_bot]`` (the users' signatures and the identity
+    columns of the two ISI corners) and ``D = blockdiag(I_K, tail corner
+    Gram, precursor corner Gram)``, so ``R W = W (noise_variance * I + D
+    W^H W)`` and the filter is ``W (noise_variance * I_J + D W^H W)^-1 e_0``:
+    a ``J x J`` solve, ``J = K + 2 (M - N)``, in the signatures' span.  The
+    small matrix is ``noise_variance`` plus a product of two positive
+    semidefinite matrices, so its eigenvalues are at least the noise
+    variance and it is invertible for any ``J``, also ``J >= M``; where the
+    columns of ``W`` are dependent, the rounding along the dependence grows
+    like ``eps * |R| / noise_variance``.  As for the covariance, a column's
+    bits do not depend on the other columns.
+    """
+    rows = np.asarray(rows)
+    columns = np.asarray(columns, dtype=np.intp)
+    window, users = rows.shape[-2:]
+    corners = _isi_corners(rows, gain, columns, include_isi)
+    spill = 0 if corners is None else window - gain
+    size = users + 2 * spill
+    # basis = W and scaled = W D, so scaled^H @ basis = D W^H W (D is Hermitian).
+    basis = np.zeros((*rows.shape[:-3], columns.size, window, size), dtype=np.complex128)
+    basis[..., :users] = rows[..., columns, :, :]
+    scaled = basis  # D = I_K without ISI
+    if corners is not None:
+        scaled = basis.copy()
+        basis[..., users:] = np.eye(window)[:, np.r_[:spill, gain:window]]
+        scaled[..., :spill, users:users + spill] = _gram(corners[0])
+        scaled[..., gain:, users + spill:] = _gram(corners[1])
+    small = np.swapaxes(np.conj(scaled), -1, -2) @ basis
+    diagonal = np.arange(size)
+    small[..., diagonal, diagonal] += noise_variance
+    first = np.zeros((size, 1))
+    first[0] = 1.0
+    return (basis @ np.linalg.solve(small, first))[..., 0]
+
+
+def _isi_corners(rows: np.ndarray, gain: int, columns: np.ndarray, include_isi: bool):
+    """The previous symbols' tails and the next symbols' precursors at ``columns``, each
+    ``(..., len(columns), M - N, K)`` and zero past the packet edges; ``None`` without ISI."""
+    length, window = rows.shape[-3:-1]
+    spill = window - gain if include_isi else 0
+    if spill <= 0:
+        return None
+    corners = []
+    for index, chips in ((columns - 1, slice(gain, None)), (columns + 1, slice(None, spill))):
+        inside = (index >= 0) & (index < length)
+        corners.append(rows[..., np.where(inside, index, 0), chips, :] * inside[:, None, None])
+    return corners
 
 
 def _gram(rows: np.ndarray) -> np.ndarray:

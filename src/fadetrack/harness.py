@@ -27,9 +27,11 @@ from .dscdma import (
     code_convolution_operator,
     conditional_covariance,
     isi_tail,  # noqa: F401  (unused; perfbench/test_perfbench.py traces harness.isi_tail)
+    mmse_filters,
     modulate_differential,
     random_code,
     received_block,
+    signature_rows,
 )
 from .fading import (
     FadingConfig,
@@ -68,7 +70,7 @@ __all__ = [
 
 _SINR_FLOOR = 1e-12  # linear floor applied before dB conversion
 
-_MMSE_BLOCK = 64  # symbols per batched oracle solve; bounds the (block, M, M) stack
+_MMSE_BLOCK = 64  # symbols per batched oracle solve; bounds the (block, M, J) basis
 
 # (packet, grid point) lanes per chunk.  A constant, not an option: each
 # lane's bits are the same in any chunk, and this bounds the (lanes, M, T)
@@ -298,8 +300,9 @@ class _Chunk:
             self.refs[mode][j] = draws.symbols[mode][0]
         self.data[j] = draws.data[0]
         self.w_init[j] = matched_filter_init(draws.codes[0].chips, scenario.window)
-        self.cov[j] = conditional_covariance(signatures, cfg.gain, variance, marks, cfg.isi)
-        self.target[j] = signatures[0][:, marks].T
+        rows = signature_rows(signatures)  # (T, M, K)
+        self.cov[j] = conditional_covariance(rows, cfg.gain, variance, marks, cfg.isi)
+        self.target[j] = rows[marks, :, 0]
         self.snr[j] = np.sum(np.abs(gains[0][:, marks]) ** 2, axis=0) / variance
         if self.oracle is None:
             return
@@ -307,8 +310,7 @@ class _Chunk:
         length = cfg.packet_len
         filters = np.empty((length, scenario.window), complex)  # row i: symbol i
         for cols in np.split(np.arange(length), np.arange(_MMSE_BLOCK, length, _MMSE_BLOCK)):
-            cov = conditional_covariance(signatures, cfg.gain, variance, cols, cfg.isi)
-            filters[cols] = np.linalg.solve(cov, signatures[0][:, cols].T[..., None])[..., 0]
+            filters[cols] = mmse_filters(rows, cfg.gain, variance, cols, cfg.isi)
         z = np.einsum("im,mi->i", np.conj(filters), self.received["coherent"][j])
         errors, at_marks = self.oracle
         errors[j] = np.where(z.real >= 0, 1.0, -1.0) != self.data[j]

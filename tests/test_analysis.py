@@ -224,13 +224,13 @@ class TestChunkedEnsemble:
             tol = 4.0 * spread * np.sqrt(1 / 4 + 1 / 10)
             assert abs(np.mean(values[name]) - mean) < tol, name
 
-    # One ensemble's values at estimator version 6.  Cache entries are keyed by
+    # One ensemble's values at estimator version 7.  Cache entries are keyed by
     # the version, so an estimator change that moves them must bump it.
-    PINNED_VERSION = 6
+    PINNED_VERSION = 7
     PINNED_VALUES = {
-        "min_mse": [0.2853608561746702, 0.29413660203770103, 0.29375638133032256],
+        "min_mse": [0.2853608561746703, 0.294136602037701, 0.2937563813303225],
         "p_s_opt": 0.5306986978231925,
-        "p_i_opt": 0.4602821644999317,
+        "p_i_opt": 0.46028216449993165,
     }
 
     def test_values_are_pinned_at_the_estimator_version(self):

@@ -17,10 +17,12 @@ from fadetrack.dscdma import (
     detect_coherent,
     detect_differential,
     filter_output,
+    mmse_filters,
     modulate_coherent,
     modulate_differential,
     random_code,
     received_block,
+    signature_rows,
     synthesize_received,
 )
 from fadetrack.fading import FadingConfig, FadingSequence, generate_fading
@@ -300,11 +302,12 @@ class TestBatchedHelpers:
         batch, users, gain, paths, length = (4,), 3, 4, 3, 6
         signatures = batched_signatures(rng, batch, users, gain, paths, length)
         columns = (5, 0, 2)
-        cov = conditional_covariance(signatures, gain, 0.4, columns, include_isi=include_isi)
+        cov = conditional_covariance(signature_rows(signatures), gain, 0.4, columns,
+                                     include_isi=include_isi)
         assert cov.shape == (*batch, len(columns), gain + paths - 1, gain + paths - 1)
         for idx in np.ndindex(*batch):
-            single = conditional_covariance([sig[idx] for sig in signatures], gain, 0.4,
-                                            columns, include_isi=include_isi)
+            single = conditional_covariance(signature_rows([sig[idx] for sig in signatures]),
+                                            gain, 0.4, columns, include_isi=include_isi)
             assert np.array_equal(cov[idx], single)
 
     def test_inconsistent_symbol_shape_rejected(self):
@@ -334,8 +337,8 @@ class TestConditionalCovariance:
             r = received_block(signatures, list(symbols), gain, include_isi=include_isi)
             average += np.einsum("mi,ni->imn", r, np.conj(r)) / patterns
         sigma2 = 0.3
-        cov = conditional_covariance(signatures, gain, sigma2, np.arange(length),
-                                     include_isi=include_isi)
+        cov = conditional_covariance(signature_rows(signatures), gain, sigma2,
+                                     np.arange(length), include_isi=include_isi)
         assert cov.shape == (length, window, window)
         assert np.allclose(cov - sigma2 * np.eye(window), average, rtol=0, atol=1e-12)
 
@@ -346,9 +349,82 @@ class TestConditionalCovariance:
         batch, users, gain, paths, length = (3, 2), 4, 5, 3, 7
         signatures = batched_signatures(rng, batch, users, gain, paths, length)
         columns = (0, length - 1, 3, 1, length - 2)
-        cov = conditional_covariance(signatures, gain, 0.25, columns, include_isi=include_isi)
+        cov = conditional_covariance(signature_rows(signatures), gain, 0.25, columns,
+                                     include_isi=include_isi)
         expected = outer_product_covariance(signatures, gain, 0.25, columns, include_isi)
         assert np.abs(cov - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("include_isi", [True, False])
+    @pytest.mark.parametrize("members", [128, 16])  # a full chunk and 10^4's last, 78 * 128 + 16
+    def test_folded_members_sum_the_covariances(self, include_isi, members):
+        # The members folded into the users axis, with the noise scaled by their
+        # number: one covariance that is the sum of the members' covariances.
+        rng = np.random.default_rng(35)
+        users, gain, paths, length = 5, 16, 3, 5
+        signatures = batched_signatures(rng, (members,), users, gain, paths, length)
+        window = gain + paths - 1
+        folded = signature_rows(np.stack(signatures, axis=1).reshape(members * users,
+                                                                     window, length))
+        columns = (3, 2, 0, length - 1)
+        total = conditional_covariance(folded, gain, members * 0.04, columns,
+                                       include_isi=include_isi)
+        expected = conditional_covariance(signature_rows(signatures), gain, 0.04, columns,
+                                          include_isi=include_isi).sum(axis=0)
+        assert total.shape == expected.shape == (len(columns), window, window)
+        assert np.abs(total - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def unit_power_signatures(rng, batch, users, gain, paths, length):
+    """Signatures of ``users`` random codes through paths of mean power ``1 / paths``,
+    as in the simulated packets: ``users`` arrays of shape ``batch + (M, T)``."""
+    ops = [code_convolution_operator(random_code(gain, rng), paths) for _ in range(users)]
+    shape = (*batch, paths, length)
+    scale = np.sqrt(0.5 / paths)
+    return [op @ (scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)))
+            for op in ops]
+
+
+class TestMmseFilters:
+    # (users, gain, paths): the desk scenario's K, N, L; the two ISI corners
+    # overlapping (M - N >= N); more basis columns than dimensions (J >= M).
+    SHAPES = [(5, 16, 3), (2, 2, 4), (20, 16, 3)]
+
+    @pytest.mark.parametrize("include_isi", [True, False])
+    @pytest.mark.parametrize("users, gain, paths", SHAPES, ids=["desk", "spill>=gain", "J>=M"])
+    @pytest.mark.parametrize("snr_db", [0.0, 10.0, 20.0, 30.0])
+    def test_solves_the_covariance(self, users, gain, paths, include_isi, snr_db):
+        rng = np.random.default_rng(36)
+        length = 6
+        rows = signature_rows(unit_power_signatures(rng, (3,), users, gain, paths, length))
+        sigma2 = 10.0 ** (-snr_db / 10.0)
+        columns = (0, length - 1, 2, 3)  # the packet edges among them
+        filters = mmse_filters(rows, gain, sigma2, columns, include_isi=include_isi)
+        cov = conditional_covariance(rows, gain, sigma2, columns, include_isi=include_isi)
+        target = rows[:, columns][..., 0]  # user 0's signatures
+        direct = np.linalg.solve(cov, target[..., None])[..., 0]
+        assert filters.shape == direct.shape == (3, len(columns), gain + paths - 1)
+        residual = np.linalg.norm(np.matmul(cov, filters[..., None])[..., 0] - target, axis=-1)
+        norm = np.linalg.norm(cov, ord=2, axis=(-2, -1))
+        relative = residual / (norm * np.linalg.norm(filters, axis=-1))
+        # With more basis columns than dimensions the small system has the
+        # eigenvalue sigma^2 along their dependence, and the rounding carried
+        # through it grows like eps * |R| / sigma^2.
+        spill = paths - 1 if include_isi else 0
+        dependent = users + 2 * spill >= gain + paths - 1
+        slack = np.finfo(float).eps * norm / sigma2 if dependent else 0.0
+        assert np.all(relative <= 1e-13 + slack), relative.max()
+        assert np.allclose(filters, direct, rtol=0, atol=1e-11 * np.abs(direct).max())
+
+    @pytest.mark.parametrize("include_isi", [True, False])
+    def test_blocked_call_equals_single_columns(self, include_isi):
+        rng = np.random.default_rng(37)
+        users, gain, paths, length = 4, 8, 3, 9
+        rows = signature_rows(unit_power_signatures(rng, (2,), users, gain, paths, length))
+        columns = np.arange(length)
+        filters = mmse_filters(rows, gain, 0.1, columns, include_isi=include_isi)
+        for k, i in enumerate(columns):
+            single = mmse_filters(rows, gain, 0.1, [i], include_isi=include_isi)[:, 0]
+            assert np.array_equal(filters[:, k], single), i
 
 
 def outer_product_covariance(signatures, gain, noise_variance, columns, include_isi):

@@ -487,7 +487,7 @@ class TestMmseOracle:
                              ids=["fading-isi", "static"])
     def test_filters_equal_per_symbol_solve(self, rate, isi):
         # 300 symbols: the batched solves end on a partial block.
-        from fadetrack.dscdma import ChannelScenario, conditional_covariance
+        from fadetrack.dscdma import ChannelScenario, mmse_filters, signature_rows
         from fadetrack.harness import _Chunk, _PacketDraws
         cfg = ExperimentConfig(users=3, gain=8, paths=3, snr_db=(10.0,),
                                fading_grid=(rate,), packet_len=300, train_len=0,
@@ -498,12 +498,11 @@ class TestMmseOracle:
         filters = chunk.oracle[1][0]
         scenario = ChannelScenario(users=3, gain=8, paths=3, snr_db=10.0, fading_rate=rate,
                                    include_isi=isi)
-        signatures = [code_convolution_operator(code, cfg.paths) @ gains
-                      for code, gains in zip(draws.codes, draws.gains(scenario))]
+        rows = signature_rows([code_convolution_operator(code, cfg.paths) @ gains
+                               for code, gains in zip(draws.codes, draws.gains(scenario))])
         for i in range(cfg.packet_len):
-            cov = conditional_covariance(signatures, scenario.gain,
-                                         scenario.noise_variance, [i], include_isi=isi)[0]
-            expected = np.linalg.solve(cov, signatures[0][:, i])
+            expected = mmse_filters(rows, scenario.gain, scenario.noise_variance, [i],
+                                    include_isi=isi)[0]
             assert np.array_equal(filters[i], expected), i
 
 
