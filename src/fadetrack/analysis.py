@@ -29,7 +29,7 @@ from .dscdma import (
     signature_rows,
 )
 from .fading import FadingConfig, fading_windows
-from .receivers import pair_errors_lanes
+from .receivers import pair_errors_lanes, pair_indices
 
 __all__ = [
     "MomentMatrices",
@@ -139,6 +139,7 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     gain = scenario.gain
     sigma2 = scenario.noise_variance
     spill = dim - gain if scenario.include_isi else 0
+    pairs = pair_indices(3)
 
     signal_corr = np.zeros((dim, dim), dtype=np.complex128)
     cov_sum = np.zeros((2, dim, dim), dtype=np.complex128)  # windows i and i-1
@@ -161,7 +162,8 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
         normals = rng.standard_normal((2, size, dim, 3))
 
         # Per-symbol signatures over a five-symbol window centred on the
-        # observation instant: columns 0..4 map to symbols i-3 .. i+1.
+        # observation instant: columns 0..4 map to symbols i-3 .. i+1, so
+        # pair (d, l) reads columns 3 - d and 3 - l.
         signatures = operators @ gains  # (members, users, dim, 5)
         mains = np.swapaxes(signatures, 0, 1)  # (users, members, dim, 5)
         desired = mains[0]
@@ -182,14 +184,13 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
         errors, _ = pair_errors_lanes(outputs, ref)
 
         signal_corr += _outer_sum(desired[..., 3], desired[..., 3])
-        for n, (a, b) in enumerate(((3, 2), (3, 1), (2, 1))):
-            cross[n] += _outer_sum(desired[..., a], desired[..., b])
-        if spill > 0:
-            # The previous symbol's tail against the next one's precursor:
-            # only the (spill x spill) corner they share is nonzero.
-            for n, (a, b) in ((0, (2, 3)), (2, (1, 2))):
-                cross[n, :spill, gain:] += _outer_sum(desired[:, gain:, a],
-                                                      desired[:, :spill, b])
+        for n, (d, l) in enumerate(pairs):
+            cross[n] += _outer_sum(desired[..., 3 - d], desired[..., 3 - l])
+            if spill > 0 and l - d == 1:
+                # Adjacent symbols: the older one's tail against the newer one's
+                # precursor; only the (spill x spill) corner they share is nonzero.
+                cross[n, :spill, gain:] += _outer_sum(desired[:, gain:, 3 - l],
+                                                      desired[:, :spill, 3 - d])
         opt_outer += _outer_sum(w_opt, w_opt)
         min_mse += np.sum(np.abs(errors) ** 2, axis=0)
         lag_cross += np.vdot(received[..., 2], received[..., 1])
@@ -205,7 +206,7 @@ def estimate_moment_matrices(scenario: ChannelScenario, ensemble_size: int,
     signal_avg = _hermitize(signal_corr * scale)
     interference_avg = _hermitize((cov_sum[0] - signal_corr) * scale)
     opt_avg = _hermitize(opt_outer * scale)
-    autocorr = cov_sum[[0, 0, 1]]
+    autocorr = cov_sum[[d for d, _ in pairs]]  # pair (d, l) reads window i - d
     # Mean output powers of the optimum filter against the ensemble
     # correlations: E[w_o^H R w_o] = tr(R E[w_o w_o^H]).
     return MomentMatrices(

@@ -427,15 +427,14 @@ class _PairNlmsLanes(_PairLanes):
 
 class _CgLanes(_PairLanes):
     """Correlation recursions re-solved by warm-started conjugate gradients.  With +-1
-    symbols, the receivers share one ``(3, lanes, M, M)`` autocorrelation stack and
-    the newest sample's outer product, which the first update (symbol 1) finds as
-    ``r[0] r[0]^H``.  The kernel updates all three statistics in place."""
+    symbols, the receivers share one ``(2, lanes, M, M)`` stack, the averages of the
+    window's two newest samples, and the newest sample's outer product, which the first
+    update (symbol 1) finds as ``r[0] r[0]^H``.  The kernel updates all three in place."""
 
     def __init__(self, specs, cfg: ExperimentConfig, w_init, received):
         super().__init__(specs, cfg, w_init)
         lanes, dim = w_init.shape[-2:]
-        self.autocorr = np.zeros((3, lanes, dim, dim), dtype=np.complex128)
-        self.autocorr[...] = cfg.delta * np.eye(dim)
+        self.autocorr = np.tile(cfg.delta * np.eye(dim, dtype=np.complex128), (2, lanes, 1, 1))
         first = received[..., 0]
         self.outer = first[..., :, None] * np.conj(first)[..., None, :]
         self.crosscorr = np.zeros((*w_init.shape[:-1], 3, dim), dtype=np.complex128)
@@ -654,6 +653,22 @@ def check_experiment(experiment: str, cfg: ExperimentConfig,
 # Experiments.
 # ----------------------------------------------------------------------
 
+def _collect(cfg: ExperimentConfig, points, marks=()):
+    """Every receiver's lanes per (grid point, packet): the data errors ``(points,
+    packets, T)``, NaN where undefined (float16 holds 0, 1 and NaN exactly), and the
+    normalized SINR (dB) after each of ``marks``, ``(points, packets, len(marks))``."""
+    shape = (len(points), cfg.packets)
+    errors = {name: np.empty((*shape, cfg.packet_len), dtype=np.float16)
+              for name in cfg.algorithms}
+    sinr = {name: np.empty((*shape, len(marks))) for name in cfg.algorithms}
+    for lanes, runs in _simulate(cfg, points, cfg.algorithms, marks=marks):
+        packets, grid = np.array(lanes).T
+        for name, run in runs.items():
+            errors[name][grid, packets] = run.errors
+            sinr[name][grid, packets] = run.sinr
+    return errors, sinr
+
+
 def run_ber_curve(cfg: ExperimentConfig) -> list[MetricsRecord]:
     """Per-symbol BER learning curves averaged over packets.
 
@@ -662,18 +677,11 @@ def run_ber_curve(cfg: ExperimentConfig) -> list[MetricsRecord]:
     fading grid must hold one rate.
     """
     check_experiment("ber", cfg)
-    fading_rate = cfg.fading_grid[0]
-    points = [(fading_rate, snr_db) for snr_db in cfg.snr_db]
-    errors = {name: np.empty((len(points), cfg.packets, cfg.packet_len))
-              for name in cfg.algorithms}
-    for lanes, runs in _simulate(cfg, points, cfg.algorithms):
-        packets, grid = np.array(lanes).T
-        for name, run in runs.items():
-            errors[name][grid, packets] = run.errors
+    errors, _ = _collect(cfg, [(cfg.fading_grid[0], snr_db) for snr_db in cfg.snr_db])
     records: list[MetricsRecord] = []
     for g, snr_db in enumerate(cfg.snr_db):
         for name in cfg.algorithms:
-            stacked = errors[name][g]
+            stacked = errors[name][g].astype(float)
             counts = np.sum(~np.isnan(stacked), axis=0)
             means = np.nansum(stacked, axis=0) / np.maximum(counts, 1)
             half = 1.96 * np.sqrt(np.maximum(means * (1.0 - means), 0.0) / np.maximum(counts, 1))
@@ -693,27 +701,18 @@ def run_sinr_vs_fading(cfg: ExperimentConfig) -> list[MetricsRecord]:
     carries the post-training BER.  The SNR grid must hold one point.
     """
     check_experiment("sinr-vs-fading", cfg)
-    snr_db = cfg.snr_db[0]
-    points = [(rate, snr_db) for rate in cfg.fading_grid]
     marks = (cfg.train_len - 1, cfg.packet_len - 1)
-    shape = (len(points), cfg.packets)
-    sinr = {name: np.empty((*shape, len(marks))) for name in cfg.algorithms}
-    post_ber = {name: np.empty(shape) for name in cfg.algorithms}
-    for lanes, runs in _simulate(cfg, points, cfg.algorithms, marks=marks):
-        packets, grid = np.array(lanes).T
-        for name, run in runs.items():
-            sinr[name][grid, packets] = run.sinr
-            post_ber[name][grid, packets] = np.nanmean(run.errors[:, cfg.train_len:], axis=1)
+    errors, sinr = _collect(cfg, [(rate, cfg.snr_db[0]) for rate in cfg.fading_grid], marks)
     records: list[MetricsRecord] = []
     for g, rate in enumerate(cfg.fading_grid):
         for name in cfg.algorithms:
+            post = errors[name][g, :, cfg.train_len:].astype(float)
+            post_ber = float(np.nanmean(np.nanmean(post, axis=1)))
             for k, mark in enumerate(marks):
                 values = sinr[name][g, :, k]
                 half = 1.96 * float(np.std(values)) / np.sqrt(cfg.packets)
-                records.append(MetricsRecord(
-                    experiment="sinr-vs-fading", algorithm=name, sweep=float(rate),
-                    symbol=mark, ber=float(np.nanmean(post_ber[name][g])),
-                    sinr_db=float(np.mean(values)), ci=half, seed=cfg.seed))
+                records.append(MetricsRecord("sinr-vs-fading", name, float(rate), mark, post_ber,
+                                             float(np.mean(values)), half, cfg.seed))
     return records
 
 

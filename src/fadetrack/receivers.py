@@ -25,7 +25,8 @@ caller forms once per symbol.  Receivers that read the same window add a
 leading receiver axis to their state, ``(n, L, ...)``, over which the
 window broadcasts.  So do the statistics of the received samples alone:
 the input power, the RLS inverse and, since symbols are +-1, the CG
-autocorrelations, all kept once per lane.  Kernels reduce along non-lane
+autocorrelations (one average per window sample, as a pair's is its
+newer sample's), all kept once per lane.  Kernels reduce along non-lane
 axes only, so a lane's bits never depend on the other lanes.  They can
 depend on the shape of its operands: a sample's output formed alone may
 differ in the last bit from its column of the window's product.
@@ -272,7 +273,7 @@ def rls_lanes(w: np.ndarray, inv_corr: np.ndarray, forget: float, x: np.ndarray,
 def cg_correlations_lanes(autocorr: np.ndarray, outer: np.ndarray, crosscorr: np.ndarray,
                           outputs: np.ndarray, forget: float, rho: np.ndarray, window: np.ndarray,
                           symbols: np.ndarray, paper_literal_t1: bool = False):
-    """Advance the per-pair correlation averages in place and mix them.
+    """Advance the correlation averages in place and mix them.
 
     Rank-one updates with forgetting factor ``lambda``:
 
@@ -286,38 +287,37 @@ def cg_correlations_lanes(autocorr: np.ndarray, outer: np.ndarray, crosscorr: np
     where w is the pre-update filter.  Symbols are +-1, so Rbar_1 =
     Rbar_2 and the autocorrelations depend on the received samples alone,
     not on the filter, the decisions or ``rho``: ``autocorr`` is one
-    ``(3, L, M, M)`` stack (Rbar_1, Rbar_2, Rbar_3), shared by every
-    receiver of a leading receiver axis.  ``outer`` is the ``(L, M, M)``
-    outer product r[i-1] r[i-1]^H on entry, Rbar_3's term, and r[i] r[i]^H
-    of the window's newest sample on exit, so each step forms one outer
-    product; the caller steps consecutive samples.  The ``(n, L, 3, M)``
-    cross vectors follow each receiver's ``(n, L, D)`` outputs w^H r and
-    symbols over the ``(L, M, D)`` window (r^H w is their conjugate), and
-    ``rho`` holds its ``(n, L, P)`` weights over the pairs (:func:`pair_indices`).
-    A two-sample window holds pair (0, 1) alone: only tbar_1 takes a new
-    term.  ``paper_literal_t1`` reproduces a published variant in which
+    ``(2, L, M, M)`` stack (Rbar_3, Rbar_1), the averages of r[i-1] and
+    r[i], shared by every receiver of a leading receiver axis.  ``outer``
+    is the ``(L, M, M)`` outer product r[i-1] r[i-1]^H on entry and r[i]
+    r[i]^H on exit, so each step forms one outer product; the caller steps
+    consecutive samples.  The ``(n, L, 3, M)`` cross vectors follow each
+    receiver's ``(n, L, D)`` outputs w^H r and symbols over the ``(L, M,
+    D)`` window (r^H w is their conjugate), and ``rho`` holds its ``(n, L,
+    P)`` weights over the pairs (:func:`pair_indices`).  A two-sample
+    window holds pair (0, 1) alone: only tbar_1 takes a new term.
+    ``paper_literal_t1`` reproduces a published variant in which
     ``tbar_1`` is chained to the past value of ``tbar_3``.  ``autocorr``,
     ``outer`` and ``crosscorr`` are updated in place; returns each lane's
     mixed system ``(Rbar, tbar) = sum_n rho_n (Rbar_n, tbar_n)`` over the
-    window's pairs.
+    window's pairs; the autocorrelations mix as rho_3 Rbar_3 + (rho_1 + rho_2) Rbar_1.
     """
-    newer, older, _ = _pair_layout(window.shape[-1])
+    newer, older, scatter = _pair_layout(window.shape[-1])
     num = newer.size
     autocorr *= forget
-    autocorr[2] += outer
+    autocorr[0] += outer
     newest = window[..., -1]
     np.multiply(newest[..., :, None], np.conj(newest)[..., None, :], out=outer)
-    autocorr[:2] += outer
+    autocorr[1] += outer
     samples = np.swapaxes(window, -1, -2)
     if paper_literal_t1:
         crosscorr[..., 0, :] = crosscorr[..., 2, :]
     crosscorr *= forget
     gains = (symbols * np.conj(outputs))[..., older] * symbols[..., newer]
     crosscorr[..., :num, :] += gains[..., None] * samples[..., newer, :]
-    # Pair n takes Rbar_(n+1): each lane reads its (P, M^2) rows in place,
-    # broadcast over the receivers.
-    terms = autocorr[:num].reshape(num, autocorr.shape[1], -1).swapaxes(0, 1)
-    mixed_auto = _real_mix(rho, terms).reshape(*outputs.shape[:-1], *outer.shape[-2:])
+    # Each lane reads its (2, M^2) rows in place, broadcast over the receivers.
+    terms = autocorr.reshape(2, autocorr.shape[1], -1).swapaxes(0, 1)
+    mixed_auto = _real_mix(rho @ scatter[:, -2:], terms).reshape(rho.shape[:-1] + outer.shape[-2:])
     return mixed_auto, _real_mix(rho, crosscorr[..., :num, :])
 
 

@@ -132,7 +132,7 @@ def test_criterion_4_static_channel_fixed_point():
     w0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     rho = make_mixing_state(3).weights[None]
     w_nlms, power, w_cg = w0[None], np.ones(1), w0[None]
-    autocorr = np.zeros((3, 1, dim, dim), dtype=complex)
+    autocorr = np.zeros((2, 1, dim, dim), dtype=complex)
     outer = np.outer(received[:, 1], received[:, 1].conj())[None]
     crosscorr = np.zeros((1, 3, dim), dtype=complex)
     for i in range(2, symbols.size):

@@ -55,9 +55,10 @@ def stream(seed):
 
 
 def cg_statistics(received, i):
-    """Fresh CG statistics before the step at symbol ``i + 1``: the ``(3, L, M, M)``
-    averages at ``0.01 I`` and the outer product of sample ``i``."""
-    auto = np.zeros((3, *received.shape[:2], received.shape[1]), dtype=complex)
+    """Fresh CG statistics before the step at symbol ``i + 1``: the ``(2, L, M, M)``
+    averages of samples ``i`` and ``i + 1`` at ``0.01 I`` and the outer product of
+    sample ``i``."""
+    auto = np.zeros((2, *received.shape[:2], received.shape[1]), dtype=complex)
     auto[...] = 0.01 * np.eye(received.shape[1])
     r = received[..., i]
     return auto, r[..., :, None] * np.conj(r)[..., None, :]
@@ -69,10 +70,12 @@ def cg_statistics(received, i):
 
 def three_average_cg_step(auto, cross, w, forget, iters, loading, rho, window, symbols,
                           outputs, literal=False):
-    """:func:`cg_step_lanes` on per-lane ``(L, 3, M, M)`` averages R1, R2, R3, each pair
-    mixed by its own weight with one BLAS call per lane and solved by
-    :func:`full_iteration_cg_solve`: the kernel's form before the autocorrelations were
-    shared and updated in place.  ``outputs`` are ``w``'s over the window."""
+    """:func:`cg_step_lanes` on per-lane ``(L, 3, M, M)`` per-pair averages R1, R2, R3,
+    mixed with one BLAS call per lane and solved by :func:`full_iteration_cg_solve`: the
+    kernel's form before the autocorrelations were kept per window sample and updated
+    in place.  With +-1 symbols R1 = R2, so the autocorrelations mix as (R3, R1) by the
+    summed weights of each pair's newer sample, (rho_3, rho_1 + rho_2); the cross
+    vectors mix by pair.  ``outputs`` are ``w``'s over the window."""
     r0, r1 = window[..., -1], window[..., -2]
     b0, b1, b2 = symbols[:, -1], symbols[:, -2], symbols[:, -3]
     outer0, outer1 = (r[..., :, None] * np.conj(r)[..., None, :] for r in (r0, r1))
@@ -86,15 +89,17 @@ def three_average_cg_step(auto, cross, w, forget, iters, loading, rho, window, s
     cross[:, 1] += (b2 * h2 * b0)[:, None] * r0
     cross[:, 2] += (b2 * h2 * b1)[:, None] * r1
 
-    def mix(terms):
+    def mix(weights, terms):
         flat = terms.reshape(*terms.shape[:2], -1).view(np.float64)
-        return np.matmul(rho[:, None, :], flat).view(complex).reshape(terms[:, 0].shape)
+        return np.matmul(weights[:, None, :], flat).view(complex).reshape(terms[:, 0].shape)
 
-    mixed_auto = mix(auto)
+    assert np.array_equal(auto[:, 0], auto[:, 1])
+    samples = np.stack([rho[:, 2], rho[:, 0] + rho[:, 1]], axis=1)
+    mixed_auto = mix(samples, auto[:, [2, 0]])
     if loading > 0:
         load = loading * np.trace(mixed_auto, axis1=-2, axis2=-1).real / w.shape[-1]
         mixed_auto = mixed_auto + load[:, None, None] * np.eye(w.shape[-1])
-    return auto, cross, full_iteration_cg_solve(mixed_auto, mix(cross), w, iters)
+    return auto, cross, full_iteration_cg_solve(mixed_auto, mix(rho, cross), w, iters)
 
 
 def full_iteration_cg_solve(corr, cross, w_init, j_max, tol=1e-12, history=None):
@@ -259,7 +264,7 @@ class TestKernelsFollowTheirRecursions:
         auto, outer = cg_statistics(received, 1)
         cross = np.zeros((LANES, 3, DIM), dtype=complex)
         rho = rng.dirichlet(np.ones(3), size=LANES)
-        refs = [(w[l].copy(), list(auto[:, l].copy()), list(cross[l].copy()))
+        refs = [(w[l].copy(), list(auto[[1, 1, 0], l].copy()), list(cross[l].copy()))
                 for l in range(LANES)]
         for i in range(2, STEPS):
             window, syms = received[:, :, i - 2:i + 1], symbols[:, i - 2:i + 1]
@@ -278,32 +283,57 @@ class TestKernelsFollowTheirRecursions:
                 mixed = mixed + loading * np.trace(mixed).real / DIM * np.eye(DIM)
                 w_ref = ref_cg_solve(mixed, sum(p * t for p, t in zip(rho[l], t_ref)), w_ref, 3)
                 refs[l] = (w_ref, a_ref, t_ref)
-                # +-1 symbols: the first two averages coincide.
+                # +-1 symbols: the first two averages coincide, stored once.
                 assert np.array_equal(a_ref[0], a_ref[1])
-                assert np.array_equal(auto[0, l], auto[1, l])
                 close(w[l], w_ref)
-                close(auto[:, l], a_ref)
+                close(auto[:, l], [a_ref[2], a_ref[0]])
                 close(outer[l], np.outer(r0, r0.conj()))
                 close(cross[l], t_ref)
 
     def test_cg_correlations_return_the_mixed_system(self):
         rng, received, symbols = stream(5)
-        auto = cnormal(rng, 3, LANES, DIM, DIM)
+        auto = cnormal(rng, 2, LANES, DIM, DIM)
         cross = cnormal(rng, LANES, 3, DIM)
         rho = rng.dirichlet(np.ones(3), size=LANES)
         outer = cnormal(rng, LANES, DIM, DIM)
         outputs = filter_outputs(cnormal(rng, LANES, DIM), received[:, :, :3])
         mixed_auto, mixed_cross = cg_correlations_lanes(
             auto, outer, cross, outputs, 0.9, rho, received[:, :, :3], symbols[:, :3])
-        # The three averages (Rbar_1, Rbar_2, Rbar_3), advanced in place, each
-        # with its own weight.
-        close(mixed_auto, np.einsum("lp,plij->lij", rho, auto))
+        # The two averages, advanced in place, each with its sample's summed
+        # pair weights: the per-pair sum over (Rbar_1, Rbar_2, Rbar_3) =
+        # (auto[1], auto[1], auto[0]).
+        per_pair = np.stack([auto[1], auto[1], auto[0]])
+        close(mixed_auto, np.einsum("lp,plij->lij", rho, per_pair), rel=1e-12)
         close(mixed_cross, np.einsum("lp,lpi->li", rho, cross))
+
+    def test_cg_autocorrelations_are_one_average_per_window_sample(self):
+        # The engine's seeding, then symbol 1's two-sample step and three-sample
+        # steps: after n steps slot 1 averages r_1 .. r_n and slot 0 r_0 .. r_(n-1).
+        rng, received, symbols = stream(15)
+        cfg = ExperimentConfig()
+        specs = [harness._RECEIVERS[name] for name in ("diff-cg", "bidir-cg-equal")]
+        w = cnormal(rng, len(specs), LANES, DIM)
+        tracker = harness._CgLanes(specs, cfg, w, received)
+        auto, outer, cross = tracker.autocorr, tracker.outer, tracker.crosscorr
+        assert auto.shape == (2, LANES, DIM, DIM)
+        rho = tracker.mixing  # (1, 0, 0) and thirds
+        lam, outers = 0.9, np.einsum("lmt,lnt->tlmn", received, np.conj(received))
+        for n in range(1, 40):
+            past = max(n - 2, 0)
+            window, syms = received[..., past:n + 1], symbols[:, past:n + 1]
+            mixed_auto, _ = cg_correlations_lanes(
+                auto, outer, cross, filter_outputs(w, window), lam,
+                np.ones((*w.shape[:-1], 1)) if n == 1 else rho, window,
+                np.broadcast_to(syms, (*w.shape[:-1], syms.shape[-1])))
+            seed = lam ** n * cfg.delta * np.eye(DIM)
+            close(auto[1], seed + sum(lam ** (n - k) * outers[k] for k in range(1, n + 1)))
+            close(auto[0], seed + sum(lam ** (n - 1 - k) * outers[k] for k in range(n)))
+            assert np.array_equal(mixed_auto[0], auto[1])
 
     @pytest.mark.parametrize("loading", [0.0, 0.05])
     def test_cg_shared_autocorrelations_serve_every_receiver_block(self, loading):
         # Three receivers with their own weights, filters and symbols read
-        # one unstacked (S, M, D) window and share one (S, 2, M, M) pair of
+        # one unstacked (S, M, D) window and share one (2, S, M, M) pair of
         # autocorrelations; each follows its own three-average form bit for bit.
         rng, received, _ = stream(9)
         rho = np.stack([np.tile([1.0, 0.0, 0.0], (LANES, 1)), np.full((LANES, 3), 1.0 / 3.0),
@@ -313,7 +343,8 @@ class TestKernelsFollowTheirRecursions:
         w = cnormal(rng, num, LANES, DIM)
         auto, outer = cg_statistics(received, 1)
         cross = np.zeros((num, LANES, 3, DIM), dtype=complex)
-        refs = [(np.moveaxis(auto, 0, 1).copy(), cross[k].copy(), w[k]) for k in range(num)]
+        refs = [(np.moveaxis(auto[[1, 1, 0]], 0, 1).copy(), cross[k].copy(), w[k])
+                for k in range(num)]
         for i in range(2, STEPS):
             window, syms = received[:, :, i - 2:i + 1], symbols[..., i - 2:i + 1]
             w = cg_step_lanes(auto, outer, cross, w, 0.97, 3, loading, rho, window, syms,
@@ -324,7 +355,7 @@ class TestKernelsFollowTheirRecursions:
                     filter_outputs(w_ref, window))
                 refs[k] = (a_ref, t_ref, w_ref)
                 assert np.array_equal(a_ref[:, 0], a_ref[:, 1])
-                assert np.array_equal(auto, np.moveaxis(a_ref, 1, 0))
+                assert np.array_equal(auto, np.moveaxis(a_ref[:, [2, 0]], 1, 0))
                 assert np.array_equal(cross[k], t_ref)
                 assert np.array_equal(w[k], w_ref)
 
@@ -398,7 +429,7 @@ class TestLaneRules:
         rng, received, symbols = stream(12)
         num = 3
         for draw in range(20):
-            auto = cnormal(rng, 3, LANES, DIM, DIM)
+            auto = cnormal(rng, 2, LANES, DIM, DIM)
             outer = cnormal(rng, LANES, DIM, DIM)
             cross = cnormal(rng, num, LANES, 3, DIM)
             w = cnormal(rng, num, LANES, DIM)

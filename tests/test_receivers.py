@@ -78,10 +78,11 @@ def rls_run(w, delta, forget, observations, refs):
 
 def cg_statistics(window, delta):
     """Fresh one-lane CG statistics for a first step on the ``(1, M, D)`` window: the
-    ``(Rbar_1, Rbar_2, Rbar_3)`` averages at ``delta * I``, the outer product of the
-    window's second-newest sample and three zero cross vectors."""
+    averages of its two newest samples, (Rbar_3, Rbar_1 = Rbar_2), at ``delta * I``,
+    the outer product of the window's second-newest sample and three zero cross
+    vectors."""
     dim, r = window.shape[1], window[..., -2]
-    autocorr = np.zeros((3, 1, dim, dim), dtype=complex)
+    autocorr = np.zeros((2, 1, dim, dim), dtype=complex)
     autocorr[...] = delta * np.eye(dim)
     outer = r[..., :, None] * np.conj(r)[..., None, :]
     return autocorr, outer, np.zeros((1, 3, dim), dtype=complex)
@@ -411,6 +412,7 @@ class TestUpdateCgCorrelations:
         autocorr, outer, crosscorr = cg_statistics(window, 0.5)
         cg_correlations_lanes(autocorr, outer, crosscorr, filter_outputs(np.zeros((1, 2)), window),
                               0.0, make_mixing_state(3).weights[None], window, symbols)
+        assert np.allclose(autocorr[1, 0], [[1.0, 0.0], [0.0, 0.0]])
         assert np.allclose(autocorr[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_degenerate_mixing_selects_first_pair(self):
@@ -422,7 +424,7 @@ class TestUpdateCgCorrelations:
         mixed_auto, mixed_cross = cg_correlations_lanes(
             auto, outer, cross, filter_outputs(w, window[0]), 0.9, np.array([[1.0, 0.0, 0.0]]),
             *window)
-        assert np.array_equal(mixed_auto[0], auto[0, 0])
+        assert np.array_equal(mixed_auto[0], auto[1, 0])
         assert np.array_equal(mixed_cross[0], cross[0, 0])
 
     def test_matches_weighted_sum_oracle(self):
@@ -442,8 +444,8 @@ class TestUpdateCgCorrelations:
             # stands in for the one the previous step kept.
             outer[0] = np.outer(vectors[1], vectors[1].conj())
             window = window_of(vectors, symbols)
-            cg_correlations_lanes(auto, outer, cross, filter_outputs(w, window[0]), lam, rho,
-                                  *window)
+            mixed_auto, _ = cg_correlations_lanes(auto, outer, cross,
+                                                  filter_outputs(w, window[0]), lam, rho, *window)
             r0 = vectors[2]
             r1v = vectors[1]
             b0, b1, b2 = symbols[2], symbols[1], symbols[0]
@@ -457,11 +459,11 @@ class TestUpdateCgCorrelations:
         oracle_r = [sum(lam ** (steps - 1 - j) * increments_r[j][n] for j in range(steps))
                     for n in range(3)]
         oracle_t1 = sum(lam ** (steps - 1 - j) * increments_t1[j] for j in range(steps))
-        # +-1 symbols: Rbar_1 = Rbar_2, and the stored two agree bit for bit.
+        # +-1 symbols: Rbar_1 = Rbar_2, stored once as the newest sample's average.
         assert np.array_equal(oracle_r[0], oracle_r[1])
-        assert np.array_equal(auto[0, 0], auto[1, 0])
-        assert np.allclose(auto[0, 0], oracle_r[0], atol=1e-9)
-        assert np.allclose(auto[2, 0], oracle_r[2], atol=1e-9)
+        assert np.allclose(auto[1, 0], oracle_r[0], atol=1e-9)
+        assert np.allclose(auto[0, 0], oracle_r[2], atol=1e-9)
+        assert np.allclose(mixed_auto[0], sum(p * r for p, r in zip(rho[0], oracle_r)), atol=1e-9)
         assert np.allclose(cross[0, 0], oracle_t1, atol=1e-9)
 
     def test_mixed_matrix_hermitian(self):
@@ -545,7 +547,7 @@ class TestBidirCgStep:
             symbols.append(b)
         auto, cross, w = cg_track(base / np.linalg.norm(base), 1.0, dim + 2, 1e-6,
                                   [1.0, 0.0, 0.0], np.stack(vectors, axis=-1), symbols)
-        direct = np.linalg.solve(auto[0], cross[0])
+        direct = np.linalg.solve(auto[1], cross[0])
         assert np.linalg.norm(w) > 0.1  # did not collapse to zero
         assert np.allclose(w, direct, atol=1e-8)
 
