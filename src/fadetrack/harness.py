@@ -225,8 +225,11 @@ class _PacketDraws:
 
     Codes, data and unit-variance noise come from streams seeded by
     ``(seed, packet index)``, and the users' ``(K, M, L)`` code operators
-    and transmitted symbols are built from them once.  Fading gains are
-    drawn for one rate at a time and kept until another rate is asked for.
+    and ``(K, T)`` transmitted symbols, which every receiver reads, are built
+    from them once: symbol 0 is every user's +1 reference and ``data[:, i]``
+    rides the transition into symbol i (``data[:, 0]`` is never sent).
+    Fading gains are drawn for one rate at a time and kept until another
+    rate is asked for.
     """
 
     def __init__(self, cfg: ExperimentConfig, index: int, fixed_codes=None):
@@ -240,10 +243,7 @@ class _PacketDraws:
                             for child in fade_ss.spawn(cfg.users)]
         data_rng = np.random.default_rng(data_ss)
         self.data = 2.0 * data_rng.integers(0, 2, size=(cfg.users, cfg.packet_len)) - 1.0
-        # Differential encoding over the packet: symbol 0 carries the
-        # reference, data[i] rides the transition into symbol i.
-        differential = modulate_differential(self.data[:, 1:]).transmitted
-        self.symbols = {"coherent": self.data, "differential": differential}
+        self.transmitted = modulate_differential(self.data[:, 1:]).transmitted
         noise_rng = np.random.default_rng(noise_ss)
         shape = (cfg.gain + cfg.paths - 1, cfg.packet_len)
         self.unit_noise = noise_rng.standard_normal(shape) + 1j * noise_rng.standard_normal(shape)
@@ -269,15 +269,15 @@ class _PacketDraws:
 
 class _Chunk:
     """A chunk's lanes as arrays, written lane by lane by :meth:`fill`: the step inputs
-    of each of ``modes``, the scoring terms at the sorted, distinct ``marks`` and, with
-    ``oracle`` set, the mmse oracle's data errors and filters at the marks."""
+    (the one ``(L, M, T)`` received block, user 0's transmitted symbols and the initial
+    filters), the scoring terms at the sorted, distinct ``marks`` and, with ``oracle``
+    set, the mmse oracle's data errors and filters at the marks."""
 
-    def __init__(self, cfg: ExperimentConfig, lanes: int, modes, marks=(), oracle: bool = False):
+    def __init__(self, cfg: ExperimentConfig, lanes: int, marks=(), oracle: bool = False):
         window, length, n = cfg.gain + cfg.paths - 1, cfg.packet_len, len(marks)
         self.cfg, self.marks = cfg, np.asarray(marks, dtype=np.intp)
-        self.received = {mode: np.empty((lanes, window, length), complex) for mode in modes}
-        self.refs = {mode: np.empty((lanes, length)) for mode in modes}
-        self.data, self.w_init = np.empty((lanes, length)), np.empty((lanes, window), complex)
+        self.received = np.empty((lanes, window, length), complex)
+        self.refs, self.w_init = np.empty((lanes, length)), np.empty((lanes, window), complex)
         self.cov = np.empty((lanes, n, window, window), complex)  # received covariance
         self.target = np.empty((lanes, n, window), complex)       # user 0's signature
         self.snr = np.empty((lanes, n))                           # realized input SNR
@@ -294,11 +294,9 @@ class _Chunk:
         gains = draws.gains(scenario)
         signatures = draws.operators @ gains  # (K, M, T)
         noise = np.sqrt(variance / 2.0) * draws.unit_noise
-        for mode, received in self.received.items():
-            received[j] = received_block(signatures, draws.symbols[mode], cfg.gain,
-                                         noise=noise, include_isi=cfg.isi)
-            self.refs[mode][j] = draws.symbols[mode][0]
-        self.data[j] = draws.data[0]
+        self.received[j] = received_block(signatures, draws.transmitted, cfg.gain, noise=noise,
+                                          include_isi=cfg.isi)
+        self.refs[j] = draws.transmitted[0]
         self.w_init[j] = matched_filter_init(draws.codes[0].chips, scenario.window)
         rows = signature_rows(signatures)  # (T, M, K)
         self.cov[j] = conditional_covariance(rows, cfg.gain, variance, marks, cfg.isi)
@@ -311,9 +309,9 @@ class _Chunk:
         filters = np.empty((length, scenario.window), complex)  # row i: symbol i
         for cols in np.split(np.arange(length), np.arange(_MMSE_BLOCK, length, _MMSE_BLOCK)):
             filters[cols] = mmse_filters(rows, cfg.gain, variance, cols, cfg.isi)
-        z = np.einsum("im,mi->i", np.conj(filters), self.received["coherent"][j])
+        z = np.einsum("im,mi->i", np.conj(filters), self.received[j])
         errors, at_marks = self.oracle
-        errors[j] = np.where(z.real >= 0, 1.0, -1.0) != self.data[j]
+        errors[j] = np.where(z.real >= 0, 1.0, -1.0) != self.refs[j]
         at_marks[j] = filters[marks]
 
 
@@ -462,10 +460,11 @@ class _Receiver:
 
 _THIRDS = (1.0 / 3.0,) * 3
 
-# Coherent baselines (no pair weights) use BPSK with coherent detection;
-# the pair-error trackers modulate and detect differentially.  Pair
-# weights name the first pairs of the three-sample window (pair_indices(3)),
-# so the two-sample restriction is one weight on pair (0, 1).
+# Every receiver reads one differentially encoded stream.  Coherent
+# baselines (no pair weights) detect each transmitted symbol; the pair-error
+# trackers detect the product of adjacent ones, the data.  Pair weights name
+# the first pairs of the three-sample window (pair_indices(3)), so the
+# two-sample restriction is one weight on pair (0, 1).
 _RECEIVERS = {
     "mmse": _Receiver(None),
     "nlms": _Receiver(_NlmsLanes),
@@ -478,10 +477,6 @@ _RECEIVERS = {
     "bidir-cg-equal": _Receiver(_CgLanes, _THIRDS),
 }
 ALGORITHMS = tuple(_RECEIVERS)
-
-
-def _mode_of(name: str) -> str:
-    return "coherent" if _RECEIVERS[name].pair_weights is None else "differential"
 
 
 def _groups(names) -> list[tuple[str, ...]]:
@@ -499,13 +494,14 @@ def _groups(names) -> list[tuple[str, ...]]:
     return [tuple(group) for group in groups.values()]
 
 
-def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
+def _step_lanes(names, cfg: ExperimentConfig, received, refs, w_init,
                 marks=(), record_weights: bool = False):
     """Receivers ``names`` of one group on a chunk of lanes, one step per symbol.
 
-    ``received`` is the ``(L, M, T)`` block of the group's modulation,
-    ``refs`` its ``(L, T)`` transmitted symbols, ``data`` the desired
-    user's data and ``w_init`` the initial filters.  Each receiver's state
+    ``received`` is the chunk's ``(L, M, T)`` block, ``refs`` the desired
+    user's ``(L, T)`` transmitted symbols and ``w_init`` the initial
+    filters; a differential decision is checked against the data bit
+    ``refs[:, i] * refs[:, i - 1]``.  Each receiver's state
     has a leading receiver axis, ``(len(names), L, ...)``, over which these
     shared inputs and the statistics of the received samples alone (CG
     autocorrelations, input power, RLS inverse) broadcast, so every lane
@@ -524,6 +520,8 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
     shape = (len(names), lanes)
     tracker = specs[0].lanes(specs, cfg, np.broadcast_to(w_init, (*shape, window)), received)
     differential = specs[0].pair_weights is not None
+    # Column 0 of the differential truth wraps around and is never read.
+    truth = refs * np.roll(refs, 1, axis=-1) if differential else refs
     used = np.empty((*shape, length))  # the symbols the updates see: known or decided
     errors = np.full((*shape, length), np.nan)
     filters = np.empty((*shape, len(marks), window), dtype=np.complex128)
@@ -542,7 +540,7 @@ def _step_lanes(names, cfg: ExperimentConfig, received, refs, data, w_init,
         else:
             statistic = z * np.conj(z_prev) if differential else z
             decided = np.where(statistic.real >= 0, 1.0, -1.0)
-            errors[..., i] = decided != data[:, i]
+            errors[..., i] = decided != truth[:, i]
             if i < cfg.train_len:
                 used[..., i] = refs[:, i]
             else:
@@ -584,13 +582,12 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
     ``(packet, point index)`` lanes with ``{name: _LaneRuns}``, the SINR
     scored after each of the sorted, distinct ``marks``.
     """
-    modes = sorted({_mode_of(name) for name in names})
     items = [(p, g) for p in range(cfg.packets) for g in range(len(points))]
     draws = None
     for start in range(0, len(items), _CHUNK_LANES):
         lanes = items[start:start + _CHUNK_LANES]
         num = len(lanes)
-        chunk = _Chunk(cfg, num, modes, marks, "mmse" in names)
+        chunk = _Chunk(cfg, num, marks, "mmse" in names)
         for j, (packet, g) in enumerate(lanes):
             if draws is None or draws.index != packet:
                 draws = None  # before the next packet's draws are made
@@ -601,10 +598,8 @@ def _simulate(cfg: ExperimentConfig, points, names, marks=(), record_weights: bo
             draws = None
         outputs = {} if chunk.oracle is None else {"mmse": (*chunk.oracle, None)}
         for group in _groups(names):
-            mode = _mode_of(group[0])
-            outputs.update(zip(group, _step_lanes(group, cfg, chunk.received[mode],
-                                                  chunk.refs[mode], chunk.data, chunk.w_init,
-                                                  marks, record_weights)))
+            outputs.update(zip(group, _step_lanes(group, cfg, chunk.received, chunk.refs,
+                                                  chunk.w_init, marks, record_weights)))
         runs = {name: _LaneRuns(errors, _score(filters, chunk.cov, chunk.target, chunk.snr),
                                 weights) for name, (errors, filters, weights) in outputs.items()}
         del chunk  # before the next chunk allocates its own
@@ -672,9 +667,10 @@ def _collect(cfg: ExperimentConfig, points, marks=()):
 def run_ber_curve(cfg: ExperimentConfig) -> list[MetricsRecord]:
     """Per-symbol BER learning curves averaged over packets.
 
-    One record per (SNR grid point, algorithm, symbol index); in
-    differential mode symbol 0 carries no data and is skipped.  The
-    fading grid must hold one rate.
+    One record per (SNR grid point, algorithm, symbol index).  Symbol 0
+    is every user's known +1 reference: a pair tracker makes no decision
+    there and skips it, and a coherent receiver's symbol-0 row is decided
+    on that known symbol.  The fading grid must hold one rate.
     """
     check_experiment("ber", cfg)
     errors, _ = _collect(cfg, [(cfg.fading_grid[0], snr_db) for snr_db in cfg.snr_db])

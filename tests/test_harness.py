@@ -493,9 +493,9 @@ class TestMmseOracle:
                                fading_grid=(rate,), packet_len=300, train_len=0,
                                packets=1, algorithms=("mmse",), isi=isi, seed=17)
         draws = _PacketDraws(cfg, 0)
-        chunk = _Chunk(cfg, 1, ("coherent",), range(cfg.packet_len), oracle=True)
+        chunk = _Chunk(cfg, 1, range(cfg.packet_len), oracle=True)
         chunk.fill(0, draws, rate, 10.0)
-        filters = chunk.oracle[1][0]
+        errors, filters = chunk.oracle[0][0], chunk.oracle[1][0]
         scenario = ChannelScenario(users=3, gain=8, paths=3, snr_db=10.0, fading_rate=rate,
                                    include_isi=isi)
         rows = signature_rows([code_convolution_operator(code, cfg.paths) @ gains
@@ -504,6 +504,10 @@ class TestMmseOracle:
             expected = mmse_filters(rows, scenario.gain, scenario.noise_variance, [i],
                                     include_isi=isi)[0]
             assert np.array_equal(filters[i], expected), i
+        # Coherent detection of the one transmitted stream, symbol 0 included.
+        z = np.einsum("im,mi->i", np.conj(filters), chunk.received[0])
+        assert np.array_equal(errors, np.where(z.real >= 0, 1.0, -1.0) != chunk.refs[0])
+        assert np.array_equal(chunk.refs[0], draws.transmitted[0])
 
 
 class TestIgnoredGridPoints:
@@ -555,24 +559,71 @@ class TestIgnoredGridPoints:
 class TestSeedPartitioning:
     @staticmethod
     def packet(cfg, index):
-        """A packet's received block and data at one grid point, as the harness writes them."""
+        """A packet's received block and transmitted symbols at one grid point, as the
+        harness writes them."""
         from fadetrack.harness import _Chunk, _PacketDraws
-        chunk = _Chunk(cfg, 1, ["coherent"])
+        chunk = _Chunk(cfg, 1)
         chunk.fill(0, _PacketDraws(cfg, index), 0.005, 12.0)
-        return chunk.received["coherent"][0], chunk.data[0]
+        return chunk.received[0], chunk.refs[0]
 
     def test_prefix_packets_unchanged_by_packet_count(self):
         small = ExperimentConfig(**{**SMALL, "packets": 3})
         large = ExperimentConfig(**{**SMALL, "packets": 6})
         for p in range(3):
-            received_a, data_a = self.packet(small, p)
-            received_b, data_b = self.packet(large, p)
+            received_a, refs_a = self.packet(small, p)
+            received_b, refs_b = self.packet(large, p)
             assert np.array_equal(received_a, received_b)
-            assert np.array_equal(data_a, data_b)
+            assert np.array_equal(refs_a, refs_b)
 
     def test_packets_differ(self):
         cfg = ExperimentConfig(**SMALL)
         assert not np.array_equal(self.packet(cfg, 0)[0], self.packet(cfg, 1)[0])
+
+
+class TestOneTransmittedStream:
+    def test_every_receiver_reads_one_block_per_lane(self, monkeypatch):
+        # The oracle, a coherent tracker and a pair tracker in one run, two
+        # SNR points and chunks of 4 lanes, so a packet's lanes span two chunks.
+        import fadetrack.harness as harness
+        from fadetrack.dscdma import ChannelScenario, received_block
+        chunks, reads, step = [], [], harness._step_lanes
+
+        class Recorded(harness._Chunk):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                chunks.append(self)
+
+        def recorded(names, cfg, received, refs, *args, **kwargs):
+            reads.append((len(chunks), received, refs))
+            return step(names, cfg, received, refs, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_CHUNK_LANES", 4)
+        monkeypatch.setattr(harness, "_Chunk", Recorded)
+        monkeypatch.setattr(harness, "_step_lanes", recorded)
+        cfg = ExperimentConfig(**{**SMALL, "packets": 3, "algorithms": ("mmse", "nlms",
+                                                                        "diff-nlms")})
+        points = [(0.005, 4.0), (0.005, 12.0)]
+        lanes = [lane for chunk_lanes, runs in harness._simulate(cfg, points, cfg.algorithms)
+                 for lane in chunk_lanes]
+        assert len(chunks) == 2 and len(lanes) == 6
+        # Both groups of each chunk step on the chunk's own arrays.
+        assert [(k, id(received), id(refs)) for k, received, refs in reads] == [
+            (k + 1, id(chunk.received), id(chunk.refs)) for k, chunk in enumerate(chunks)
+            for _ in range(2)]
+        for n, (packet, g) in enumerate(lanes):
+            chunk, j, draws = chunks[n // 4], n % 4, harness._PacketDraws(cfg, packet)
+            assert chunk.received.shape == (len(chunk.refs), cfg.gain + cfg.paths - 1,
+                                            cfg.packet_len)
+            rate, snr_db = points[g]
+            scenario = ChannelScenario(users=cfg.users, gain=cfg.gain, paths=cfg.paths,
+                                       snr_db=snr_db, fading_rate=rate, include_isi=cfg.isi)
+            noise = np.sqrt(scenario.noise_variance / 2.0) * draws.unit_noise
+            expected = received_block(draws.operators @ draws.gains(scenario), draws.transmitted,
+                                      cfg.gain, noise=noise, include_isi=cfg.isi)
+            assert np.array_equal(chunk.received[j], expected)
+            refs = chunk.refs[j]
+            assert np.array_equal(refs, draws.transmitted[0]) and refs[0] == 1.0
+            assert np.array_equal(refs[1:] * refs[:-1], draws.data[0, 1:])
 
 
 class TestPacketDraws:
@@ -679,6 +730,95 @@ class TestRunSinrVsFading:
             # Single user: the oracle loses nothing to interference, so the
             # normalized SINR sits near 0 dB at every fading rate.
             assert abs(r.sinr_db) < 1.0
+
+
+STATS_SWEEP = ExperimentConfig(users=3, gain=8, paths=2, snr_db=(12.0,),
+                               fading_grid=(0.001, 0.005, 0.02), packet_len=300, train_len=100,
+                               packets=40, algorithms=("mmse", "nlms", "rls"), seed=2911)
+STATS_BER = replace(STATS_SWEEP, snr_db=(6.0, 14.0), fading_grid=(0.002,), isi=False)
+
+
+def coherent_statistics():
+    """Each mean of ``STATS_SWEEP``'s and ``STATS_BER``'s rows with its 95 % half-width,
+    by ``"experiment algorithm sweep quantity"``: the SINR (dB) at both marks of the
+    ``sinr-vs-fading`` records and the post-training BER of both experiments, whose
+    half-width comes from the per-packet BER each experiment reduced."""
+    import fadetrack.harness as harness
+    collected, collect = [], harness._collect
+
+    def recorded(*args, **kwargs):
+        collected.append(collect(*args, **kwargs))
+        return collected[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_collect", recorded)
+        sweep, ber = run_sinr_vs_fading(STATS_SWEEP), run_ber_curve(STATS_BER)
+    stats = {}
+    for cfg, errors, grid, rows in ((STATS_SWEEP, collected[0][0], STATS_SWEEP.fading_grid, sweep),
+                                    (STATS_BER, collected[1][0], STATS_BER.snr_db, ber)):
+        for name in cfg.algorithms:
+            for g, point in enumerate(grid):
+                mine = [r for r in rows if r.algorithm == name and r.sweep == point]
+                per_packet = np.mean(errors[name][g, :, cfg.train_len:].astype(float), axis=1)
+                half = 1.96 * float(np.std(per_packet)) / math.sqrt(cfg.packets)
+                if rows is sweep:
+                    stats.update({f"{r.experiment} {name} {point} sinr@{r.symbol}":
+                                  (r.sinr_db, r.ci) for r in mine})
+                    mean = mine[0].ber
+                else:
+                    mean = float(np.mean([r.ber for r in mine if r.symbol >= cfg.train_len]))
+                assert mean == pytest.approx(float(np.mean(per_packet)), abs=1e-12)
+                stats[f"{mine[0].experiment} {name} {point} post-ber"] = (mean, half)
+    return stats
+
+
+class TestCoherentStatistics:
+    # The coherent receivers once read a plain BPSK block of their own; now
+    # they read the differentially encoded block every receiver reads, which
+    # moves their rows at Monte Carlo level only.  Each statistic of that
+    # two-block code as (mean, 95 % half-width), to 6 significant digits.
+    TWO_BLOCKS = {
+        "sinr-vs-fading mmse 0.001 sinr@99": (-1.45365, 0.48825),
+        "sinr-vs-fading mmse 0.001 sinr@299": (-1.20018, 0.373477),
+        "sinr-vs-fading mmse 0.001 post-ber": (0.0035, 0.00399883),
+        "sinr-vs-fading mmse 0.005 sinr@99": (-1.95471, 0.639381),
+        "sinr-vs-fading mmse 0.005 sinr@299": (-1.38175, 0.496718),
+        "sinr-vs-fading mmse 0.005 post-ber": (0.00775, 0.00427102),
+        "sinr-vs-fading mmse 0.02 sinr@99": (-1.8659, 0.472218),
+        "sinr-vs-fading mmse 0.02 sinr@299": (-1.48247, 0.49522),
+        "sinr-vs-fading mmse 0.02 post-ber": (0.0065, 0.00232943),
+        "sinr-vs-fading nlms 0.001 sinr@99": (-2.99306, 0.624903),
+        "sinr-vs-fading nlms 0.001 sinr@299": (-6.43, 2.90896),
+        "sinr-vs-fading nlms 0.001 post-ber": (0.05325, 0.0422745),
+        "sinr-vs-fading nlms 0.005 sinr@99": (-7.96362, 1.49808),
+        "sinr-vs-fading nlms 0.005 sinr@299": (-14.9501, 2.71495),
+        "sinr-vs-fading nlms 0.005 post-ber": (0.41525, 0.0665182),
+        "sinr-vs-fading nlms 0.02 sinr@99": (-10.5657, 1.75476),
+        "sinr-vs-fading nlms 0.02 sinr@299": (-17.1491, 2.65924),
+        "sinr-vs-fading nlms 0.02 post-ber": (0.496375, 0.0277683),
+        "sinr-vs-fading rls 0.001 sinr@99": (-2.60828, 0.553885),
+        "sinr-vs-fading rls 0.001 sinr@299": (-4.42775, 2.61726),
+        "sinr-vs-fading rls 0.001 post-ber": (0.027375, 0.0329067),
+        "sinr-vs-fading rls 0.005 sinr@99": (-5.88826, 1.01491),
+        "sinr-vs-fading rls 0.005 sinr@299": (-20.0179, 3.78314),
+        "sinr-vs-fading rls 0.005 post-ber": (0.281375, 0.0675711),
+        "sinr-vs-fading rls 0.02 sinr@99": (-9.58317, 1.5135),
+        "sinr-vs-fading rls 0.02 sinr@299": (-18.9, 2.6215),
+        "sinr-vs-fading rls 0.02 post-ber": (0.487, 0.0249967),
+        "ber mmse 6.0 post-ber": (0.03225, 0.0114599),
+        "ber mmse 14.0 post-ber": (0.00125, 0.00102491),
+        "ber nlms 6.0 post-ber": (0.1755, 0.0524664),
+        "ber nlms 14.0 post-ber": (0.09575, 0.0449821),
+        "ber rls 6.0 post-ber": (0.140125, 0.045411),
+        "ber rls 14.0 post-ber": (0.02075, 0.0176691),
+    }
+
+    def test_means_agree_with_the_two_block_statistics(self):
+        stats = coherent_statistics()
+        assert stats.keys() == self.TWO_BLOCKS.keys()
+        for key, (mean, half) in stats.items():
+            before, before_half = self.TWO_BLOCKS[key]
+            assert abs(mean - before) <= half + before_half, key
 
 
 class TestTrackingQuality:

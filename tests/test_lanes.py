@@ -11,7 +11,6 @@ from fadetrack.harness import (
     ALGORITHMS,
     ExperimentConfig,
     _Chunk,
-    _mode_of,
     _PacketDraws,
     _simulate,
     _step_lanes,
@@ -555,19 +554,20 @@ def small_config(isi):
                             isi=isi, seed=5)
 
 
-def lane_inputs(cfg, lanes, mode):
-    """Each ``(packet, point index)`` lane with its config, and the inputs of a step call."""
-    chunk = _Chunk(cfg, len(lanes), [mode])
+def lane_inputs(cfg, lanes):
+    """Each ``(packet, point index)`` lane with its config, and the inputs of a step call:
+    the one block every receiver reads, user 0's transmitted symbols and the filters."""
+    chunk = _Chunk(cfg, len(lanes))
     for j, (packet, g) in enumerate(lanes):
         chunk.fill(j, _PacketDraws(cfg, packet), *POINTS[g])
     envs = [(cfg, lane) for lane in lanes]
-    return envs, [chunk.received[mode], chunk.refs[mode], chunk.data, chunk.w_init]
+    return envs, [chunk.received, chunk.refs, chunk.w_init]
 
 
 def _sinr_terms(env, marks):
     """One lane's scoring terms at ``marks``: its row of a one-lane chunk."""
     cfg, (packet, g) = env
-    chunk = _Chunk(cfg, 1, [], marks)
+    chunk = _Chunk(cfg, 1, marks)
     chunk.fill(0, _PacketDraws(cfg, packet), *POINTS[g])
     return chunk.cov[0], chunk.target[0], chunk.snr[0]
 
@@ -620,7 +620,7 @@ LANE_LISTS = st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(POINTS) - 
 def test_lane_bits_do_not_depend_on_the_chunk(name, isi, lanes, chunk):
     cfg = small_config(isi)
     marks = (cfg.train_len - 1, cfg.packet_len - 1)
-    envs, stacked = lane_inputs(cfg, lanes, _mode_of(name))
+    envs, stacked = lane_inputs(cfg, lanes)
     (whole,) = _step_lanes((name,), cfg, *stacked, marks, record_weights=True)
     parts = [_step_lanes((name,), cfg, *(a[start:start + chunk] for a in stacked), marks,
                          record_weights=True)[0] for start in range(0, len(lanes), chunk)]
@@ -649,7 +649,7 @@ GROUPS = st.sampled_from([
 def test_fused_receivers_match_each_stepped_alone(group, isi, lanes, chunk):
     cfg = small_config(isi)
     marks = (cfg.train_len - 1, cfg.packet_len - 1)
-    _, stacked = lane_inputs(cfg, lanes, "differential")
+    _, stacked = lane_inputs(cfg, lanes)
     fused = [_step_lanes(group, cfg, *(a[start:start + chunk] for a in stacked), marks,
                          record_weights=True) for start in range(0, len(lanes), chunk)]
     for r, name in enumerate(group):
@@ -666,10 +666,10 @@ def test_every_pair_receiver_of_a_group_takes_the_same_symbol_1_step(group, isi)
     # At symbol 1 the window holds pair (0, 1) alone, which every pair
     # receiver takes with weight one: their filters agree bit for bit.
     cfg = small_config(isi)
-    _, stacked = lane_inputs(cfg, [(0, 0), (1, 1), (2, 2), (0, 1)], "differential")
+    _, stacked = lane_inputs(cfg, [(0, 0), (1, 1), (2, 2), (0, 1)])
     runs = _step_lanes(group, cfg, *stacked, record_weights=True)
     first = [trajectory[..., 1] for _, _, trajectory in runs]
-    assert not np.array_equal(first[0], stacked[3])  # the step moved the filters
+    assert not np.array_equal(first[0], stacked[2])  # the step moved the filters
     for other in first[1:]:
         assert np.array_equal(other, first[0])
 
@@ -678,14 +678,16 @@ def test_every_pair_receiver_of_a_group_takes_the_same_symbol_1_step(group, isi)
 # The engine against the reference steps, bit for bit.
 # ----------------------------------------------------------------------
 
-def reference_step_lanes(names, cfg, received, refs, data, w_init):
+def reference_step_lanes(names, cfg, received, refs, w_init):
     """:func:`_step_lanes` of one group, one receiver at a time.  Each symbol forms the
     filter's outputs over its window once, as the engine does, and steps with the
     references above: :func:`three_average_cg_step` (symbol 1's two-sample step as
     pair (0, 1) of a window padded with a zero sample), :func:`pair_nlms_lanes` (symbol
     1 on the two-sample window), mixing by :func:`update_mixing` lane by lane from the
     pre-update filter's errors, :func:`unconditional_rls` and :func:`nlms_lanes`.
-    Returns each receiver's ``(L, T)`` data errors and ``(L, M, T)`` filter trajectory."""
+    A coherent decision is checked against the transmitted symbol, a differential one
+    against the product of the two it spans.  Returns each receiver's ``(L, T)`` data
+    errors and ``(L, M, T)`` filter trajectory."""
     lanes, dim, length = received.shape
     errors = np.full((len(names), lanes, length), np.nan)
     trajectory = np.empty((len(names), lanes, dim, length), dtype=complex)
@@ -710,7 +712,8 @@ def reference_step_lanes(names, cfg, received, refs, data, w_init):
             else:
                 decided = np.where((z * np.conj(z_prev) if differential else z).real >= 0,
                                    1.0, -1.0)
-                errors[k, :, i] = decided != data[:, i]
+                truth = refs[:, i] * refs[:, i - 1] if differential else refs[:, i]
+                errors[k, :, i] = decided != truth
                 if i < cfg.train_len:
                     used[:, i] = refs[:, i]
                 else:
@@ -768,9 +771,8 @@ def test_engine_steps_bit_equal_to_the_reference_steps(changes, isi):
     for lanes in ([(0, 0), (1, 1), (2, 2)], [(1, 0), (0, 2), (2, 1), (0, 0)]):
         for group in (("diff-cg", "bidir-cg", "bidir-cg-equal"),
                       ("diff-nlms", "bidir-nlms", "bidir-nlms-equal"), ("rls",), ("nlms",)):
-            mode = _mode_of(group[0])
-            _, stacked = lane_inputs(cfg, lanes, mode)
-            if len(lanes) == 3 and mode == "differential":
+            _, stacked = lane_inputs(cfg, lanes)
+            if len(lanes) == 3 and harness._RECEIVERS[group[0]].pair_weights is not None:
                 stacked[0][1] = 0.0
                 stacked[0][2] *= 1e-9
             elif len(lanes) == 3:
